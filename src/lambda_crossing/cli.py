@@ -49,6 +49,8 @@ def _parse_range(text: str, key: str) -> np.ndarray:
         raise SystemExit(f"error: {key}: malformed range {text!r}") from None
     if count < 2:
         raise SystemExit(f"error: {key}: range count must be >= 2")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{key}: range bounds must be finite, got {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -115,11 +117,9 @@ def cmd_levels(args) -> int:
     s = _scale(args)
     d2 = _num(args, "delta2") * s
     grid = _parse_range(args.delta1_range, "delta1-range") * s
-    o1, o2 = _num(args, "omega1") * s, _num(args, "omega2") * s
-    rows = []
-    for d1 in grid:
-        e = dressed_spectrum(RamanParams(o1, o2, float(d1), d2)).energies
-        rows.append([d1 / s, e[0] / s, e[1] / s, e[2] / s, (e[2] - e[1]) / s])
+    params = RamanParams(_num(args, "omega1") * s, _num(args, "omega2") * s, d2, d2)
+    e = dressed_spectrum(params, grid).energies
+    rows = np.column_stack([grid, e, e[:, 2] - e[:, 1]]) / s
     out = _resolve_output(args.output or "levels.csv")
     _write_csv(out, ["delta1", "eps1", "eps2", "eps3", "gap32"], rows)
     return 0
@@ -349,10 +349,7 @@ def main(argv=None) -> int:
     _merge_config(args)
     try:
         return args.func(args)
-    except LambdaCrossingError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (LambdaCrossingError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

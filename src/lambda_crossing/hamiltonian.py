@@ -7,6 +7,7 @@ is the recommended dimensionless convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,10 @@ class RamanParams:
     delta2: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega1", "omega2", "delta1", "delta2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.omega1 < 0 or self.omega2 < 0:
             raise ValueError("Rabi frequencies must be non-negative")
         if self.delta2 <= 0:
@@ -61,7 +66,8 @@ class DressedSpectrum:
 
     energies are ascending; states[:, k] is the unit eigenvector of
     energies[k] in the bare basis, sign-fixed so that its largest-magnitude
-    component is positive.
+    component is positive. A spectrum batched over a delta1 grid carries a
+    leading grid axis on both arrays.
     """
 
     energies: np.ndarray
@@ -87,38 +93,22 @@ def bare_levels(params: RamanParams) -> np.ndarray:
     return np.array([0.0, -params.delta1, params.delta2 - params.delta1])
 
 
-def _jacobi_eigh(matrix: np.ndarray):
-    """Cyclic Jacobi diagonalization of a symmetric 3x3 matrix.
+def _finite_grid(delta1_grid) -> np.ndarray:
+    grid = np.asarray(delta1_grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("delta1_grid must be a 1-D grid")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("delta1_grid must be finite")
+    return grid
 
-    Sweeps the fixed pivot order (0,1), (0,2), (1,2) until every
-    off-diagonal element is <= 1e-14 * ||H||. Deterministic.
-    """
-    a = matrix.astype(float).copy()
-    v = np.eye(3)
-    scale = max(float(np.sqrt((matrix * matrix).sum())), 1e-300)
-    for _ in range(60):
-        off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-        if off <= 1e-14 * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= 1e-300:
-                continue
-            tau = 0.5 * (a[q, q] - a[p, p]) / apq
-            if tau >= 0.0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-            a[p, q] = a[q, p] = 0.0
-    return np.diag(a).copy(), v
+
+def _signed_eigh(matrices: np.ndarray):
+    """LAPACK eigh of a (..., 3, 3) stack, ascending energies, with each
+    eigenvector's largest-magnitude component made positive."""
+    energies, states = np.linalg.eigh(matrices)
+    peak = np.take_along_axis(states, np.abs(states).argmax(axis=-2)[..., None, :], axis=-2)
+    states *= np.where(peak < 0.0, -1.0, 1.0)
+    return energies, states
 
 
 def diagonalize(h: Hamiltonian3) -> DressedSpectrum:
@@ -130,20 +120,27 @@ def diagonalize(h: Hamiltonian3) -> DressedSpectrum:
     """
     if not h.is_symmetric:
         raise ValueError("Hamiltonian matrix is not symmetric")
-    energies, vectors = _jacobi_eigh(h.matrix)
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    vectors = vectors[:, order]
-    for k in range(3):
-        i = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[i, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    return DressedSpectrum(energies=energies, states=vectors)
+    energies, states = _signed_eigh(h.matrix)
+    return DressedSpectrum(energies=energies, states=states)
 
 
-def dressed_spectrum(params: RamanParams) -> DressedSpectrum:
-    """Shorthand for diagonalize(build_hamiltonian(params))."""
-    return diagonalize(build_hamiltonian(params))
+def dressed_spectrum(params: RamanParams, delta1_grid=None) -> DressedSpectrum:
+    """Shorthand for diagonalize(build_hamiltonian(params)).
+
+    With delta1_grid, the spectra at every delta1 of the grid (params.delta1
+    is ignored) from one batched eigh: energies has shape (N, 3) and
+    states[i] is the sign-fixed eigenvector matrix at delta1_grid[i].
+    """
+    if delta1_grid is None:
+        return diagonalize(build_hamiltonian(params))
+    d1 = _finite_grid(delta1_grid)
+    m = np.zeros((d1.size, 3, 3))
+    m[:, 0, 1] = m[:, 1, 0] = params.omega1 / 2.0
+    m[:, 1, 2] = m[:, 2, 1] = params.omega2 / 2.0
+    m[:, 1, 1] = -d1
+    m[:, 2, 2] = -(d1 - params.delta2)
+    energies, states = _signed_eigh(m)
+    return DressedSpectrum(energies=energies, states=states)
 
 
 def gap32(params: RamanParams) -> float:
@@ -166,23 +163,25 @@ class CharacterScan:
     ambiguous: np.ndarray
 
 
+def _dominant(weights: np.ndarray, ambig_tol: float):
+    """Dominant bare state of each level from (..., bare, level) squared
+    overlaps: the last index of their argsort (so exact ties resolve as
+    np.argsort orders them), flagged ambiguous when the runner-up is within
+    ambig_tol."""
+    order = np.argsort(weights, axis=-2)
+    ranked = np.take_along_axis(weights, order[..., -2:, :], axis=-2)
+    return order[..., -1, :], ranked[..., 1, :] - ranked[..., 0, :] <= ambig_tol
+
+
 def track_character(params: RamanParams, delta1_grid, ambig_tol: float = 1e-9) -> CharacterScan:
     """Track which bare state dominates each dressed level across a delta1 scan."""
-    grid = np.asarray(delta1_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    grid = _finite_grid(delta1_grid)
+    if grid.size < 2:
         raise ValueError("delta1_grid must be a 1-D grid with at least 2 points")
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("delta1_grid must be monotone")
-    labels = np.empty((grid.size, 3), dtype=int)
-    ambiguous = np.zeros((grid.size, 3), dtype=bool)
-    for i, d1 in enumerate(grid):
-        spec = dressed_spectrum(params.with_delta1(float(d1)))
-        w = spec.states**2
-        for k in range(3):
-            order = np.argsort(w[:, k])
-            labels[i, k] = int(order[-1])
-            ambiguous[i, k] = bool(w[order[-1], k] - w[order[-2], k] <= ambig_tol)
+    labels, ambiguous = _dominant(dressed_spectrum(params, grid).states ** 2, ambig_tol)
     return CharacterScan(delta1_grid=grid, labels=labels, ambiguous=ambiguous)
 
 

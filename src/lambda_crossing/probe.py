@@ -8,13 +8,13 @@ splitting, and repeating over delta1 locates the structural resonance.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._minimize import parabolic_vertex
-from .dynamics import evolve  # noqa: F401  (re-exported convenience)
 from .errors import BracketError, ExtractionError, GridError
 from .hamiltonian import DressedSpectrum, RamanParams, build_hamiltonian, dressed_spectrum
 from .resonance import shift_approx
@@ -78,6 +78,10 @@ def alpha_elements(spectrum: DressedSpectrum) -> AlphaElements:
     )
 
 
+def _gap(spectrum: DressedSpectrum) -> float:
+    return float(spectrum.energies[2] - spectrum.energies[1])
+
+
 def _sinc_half(x, t):
     """sin(x t / 2) / x, evaluated through its removable zero at x = 0."""
     return 0.5 * t * np.sinc(np.asarray(x) * t / (2.0 * math.pi))
@@ -98,8 +102,9 @@ def probe_transition_probability(params: RamanParams, probe: ProbeParams) -> flo
     sinc limits.
     """
     spec = dressed_spectrum(params)
-    gap = float(spec.energies[2] - spec.energies[1])
-    return float(_closed_form(alpha_elements(spec), gap, probe.omega_p, probe.nu, probe.duration))
+    return float(
+        _closed_form(alpha_elements(spec), _gap(spec), probe.omega_p, probe.nu, probe.duration)
+    )
 
 
 def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int) -> float:
@@ -111,73 +116,73 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     frequency in the problem.
     """
     spec = dressed_spectrum(params)
-    gap = float(spec.energies[2] - spec.energies[1])
-    fastest = max(gap, abs(probe.nu), params.omega1, params.omega2, abs(params.delta1))
+    fastest = max(_gap(spec), abs(probe.nu), params.omega1, params.omega2, abs(params.delta1))
     if fastest > 0:
         min_steps = int(math.ceil(50.0 * probe.duration * fastest / (2.0 * math.pi)))
         if steps < min_steps:
             raise ValueError(
                 f"steps={steps} under-resolves the fastest frequency; need >= {min_steps}"
             )
-    h0 = build_hamiltonian(params).matrix.astype(complex)
-    omega_p, nu, t_final = probe.omega_p, probe.nu, probe.duration
-    dt = t_final / steps
+    # H[0, 0] = H[0, 2] = 0 in the laser-adapted picture.
+    h = build_hamiltonian(params).matrix
+    h01, h11, h12, h22 = float(h[0, 1]), float(h[1, 1]), float(h[1, 2]), float(h[2, 2])
+    half_p, nu = 0.5 * probe.omega_p, probe.nu
+    dt = probe.duration / steps
+    half_dt = 0.5 * dt
 
-    def deriv(t, psi):
-        w = 0.5 * omega_p * np.exp(1j * nu * t)
-        h = h0.copy()
-        h[2, 0] += w
-        h[0, 2] += np.conj(w)
-        return -1j * (h @ psi)
+    # -i H(t) psi on the three amplitudes; the probe w = (omega_p / 2) e^{i nu t}
+    # couples |3> <- |1> and its conjugate |1> <- |3>.
+    def deriv(w, a, b, c):
+        return (
+            -1j * (h01 * b + w.conjugate() * c),
+            -1j * (h01 * a + h11 * b + h12 * c),
+            -1j * (w * a + h12 * b + h22 * c),
+        )
 
-    psi = spec.states[:, 1].astype(complex)
+    a, b, c = (complex(x) for x in spec.states[:, 1])
     t = 0.0
     for _ in range(steps):
-        k1 = deriv(t, psi)
-        k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = deriv(t + dt, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w_mid = half_p * cmath.exp(1j * nu * (t + half_dt))
+        k1 = deriv(half_p * cmath.exp(1j * nu * t), a, b, c)
+        k2 = deriv(w_mid, a + half_dt * k1[0], b + half_dt * k1[1], c + half_dt * k1[2])
+        k3 = deriv(w_mid, a + half_dt * k2[0], b + half_dt * k2[1], c + half_dt * k2[2])
+        k4 = deriv(half_p * cmath.exp(1j * nu * (t + dt)), a + dt * k3[0], b + dt * k3[1],
+                   c + dt * k3[2])
+        a += (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        b += (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        c += (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
         t += dt
-    return float(np.abs(spec.states[:, 2] @ psi) ** 2)
+    v0, v1, v2 = (float(x) for x in spec.states[:, 2])
+    return abs(v0 * a + v1 * b + v2 * c) ** 2
 
 
-def _extract_peaks(nu, p, duration):
+def _extract_peaks(nu, p):
     """Local maxima with parabolic sub-grid refinement and FWHM estimate."""
+    inner = p[1:-1]
+    maxima = 1 + np.flatnonzero((inner > p[:-2]) & (inner >= p[2:]) & (inner > 0.0))
+    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf).tolist()
+    nu, p = nu.tolist(), p.tolist()
+    last = len(nu) - 1
     peaks = []
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
-    for i in range(1, len(nu) - 1):
-        if p[i] > p[i - 1] and p[i] >= p[i + 1] and p[i] > 0.0:
-            if np.isfinite(logp[i - 1]) and np.isfinite(logp[i + 1]):
-                pos = parabolic_vertex(
-                    nu[i - 1], logp[i - 1], nu[i], logp[i], nu[i + 1], logp[i + 1]
-                )
-                pos = min(max(pos, nu[i - 1]), nu[i + 1])
-            else:
-                pos = nu[i]
-            half = 0.5 * p[i]
-            lo = i
-            while lo > 0 and p[lo] > half:
-                lo -= 1
-            hi = i
-            while hi < len(nu) - 1 and p[hi] > half:
-                hi += 1
-            width = float(nu[hi] - nu[lo])
-            peaks.append(Peak(position=float(pos), height=float(p[i]), width=width))
+    for i in maxima.tolist():
+        if math.isfinite(logp[i - 1]) and math.isfinite(logp[i + 1]):
+            pos = parabolic_vertex(nu[i - 1], logp[i - 1], nu[i], logp[i], nu[i + 1], logp[i + 1])
+            pos = min(max(pos, nu[i - 1]), nu[i + 1])
+        else:
+            pos = nu[i]
+        half = 0.5 * p[i]
+        lo = i
+        while lo > 0 and p[lo] > half:
+            lo -= 1
+        hi = i
+        while hi < last and p[hi] > half:
+            hi += 1
+        peaks.append(Peak(position=pos, height=p[i], width=nu[hi] - nu[lo]))
     return tuple(peaks)
 
 
-def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid) -> ProbeSpectrum:
-    """Evaluate the probe transition probability over a nu grid and extract peaks.
-
-    The grid must span at least [-1.5 gap, 1.5 gap] with spacing no coarser
-    than a tenth of the 2 pi / duration peak width.
-    """
-    nu = np.asarray(nu_grid, dtype=float)
-    if nu.ndim != 1 or nu.size < 5:
-        raise GridError("nu_grid must be a 1-D grid with at least 5 points")
-    spec = dressed_spectrum(params)
-    gap = float(spec.energies[2] - spec.energies[1])
+def _probe_spectrum(spec: DressedSpectrum, omega_p: float, duration: float, nu) -> ProbeSpectrum:
+    gap = _gap(spec)
     if nu[0] > -1.5 * gap or nu[-1] < 1.5 * gap:
         raise GridError("nu_grid must span at least [-1.5 gap, 1.5 gap]")
     spacing = float(np.max(np.diff(nu)))
@@ -189,9 +194,21 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
     return ProbeSpectrum(
         nu_grid=nu,
         probabilities=p,
-        peaks=_extract_peaks(nu, p, duration),
+        peaks=_extract_peaks(nu, p),
         perturbative_flag=bool(np.any(p > PERTURBATIVE_CEILING)),
     )
+
+
+def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid) -> ProbeSpectrum:
+    """Evaluate the probe transition probability over a nu grid and extract peaks.
+
+    The grid must span at least [-1.5 gap, 1.5 gap] with spacing no coarser
+    than a tenth of the 2 pi / duration peak width.
+    """
+    nu = np.asarray(nu_grid, dtype=float)
+    if nu.ndim != 1 or nu.size < 5:
+        raise GridError("nu_grid must be a 1-D grid with at least 5 points")
+    return _probe_spectrum(dressed_spectrum(params), omega_p, duration, nu)
 
 
 def measured_splitting(spectrum: ProbeSpectrum) -> float:
@@ -214,8 +231,10 @@ def measured_splitting_positive(spectrum: ProbeSpectrum) -> float:
 
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
     """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12."""
-    energies = dressed_spectrum(params).energies
-    gap = float(energies[2] - energies[1])
+    return _nu_grid(_gap(dressed_spectrum(params)), duration)
+
+
+def _nu_grid(gap: float, duration: float) -> np.ndarray:
     span = 1.6 * gap
     spacing = (2.0 * math.pi / duration) / 12.0
     n = max(int(math.ceil(2.0 * span / spacing)) + 1, 5)
@@ -240,10 +259,12 @@ def probed_structural_resonance(
     the whole spectrum and cannot move the extremum.
     """
     grid = np.asarray(delta1_grid, dtype=float)
+    spectra = dressed_spectrum(params, grid)
     splittings = np.empty(grid.size)
     for i, d1 in enumerate(grid):
-        point = params.with_delta1(float(d1))
-        spectrum = probe_spectrum(point, omega_p, duration, default_nu_grid(point, duration))
+        point = DressedSpectrum(energies=spectra.energies[i], states=spectra.states[i])
+        nu = _nu_grid(_gap(point), duration)
+        spectrum = _probe_spectrum(point, omega_p, duration, nu)
         try:
             splittings[i] = measured_splitting(spectrum)
         except ExtractionError as err:

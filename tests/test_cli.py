@@ -238,6 +238,27 @@ class TestUnits:
         # atol absorbs scale-and-rescale roundoff on near-zero eigenvalues
         np.testing.assert_allclose(rows_a, rows_b, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta2", "0"],
+             "delta2 must be positive"),
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "-1"],
+             "tol must be positive"),
+            (["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "nan:1:5"],
+             "delta1-range: range bounds must be finite"),
+            (["levels", "--omega1", "nan", "--omega2", "0.5", "--delta1-range", "0:1:5"],
+             "omega1 must be finite"),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
+        rc = main(argv + ["--output", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         # bracket failure inside the library surfaces as exit 1, one line
         rc = main(

@@ -1,7 +1,11 @@
 """Tests for the 3-level Hamiltonian, its spectrum, and character tracking."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_crossing import (
     RamanParams,
@@ -14,6 +18,7 @@ from lambda_crossing import (
     gap32,
     track_character,
 )
+from lambda_crossing.hamiltonian import _dominant
 
 RNG = np.random.default_rng(20260823)
 
@@ -70,6 +75,13 @@ class TestBuildHamiltonian:
     def test_rejects_nonpositive_delta2(self):
         with pytest.raises(ValueError):
             RamanParams(0.1, 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["omega1", "omega2", "delta1", "delta2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        values = {"omega1": 0.2, "omega2": 0.5, "delta1": 1.0, "delta2": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RamanParams(**values)
 
 
 class TestBareLevels:
@@ -130,6 +142,49 @@ class TestDiagonalize:
             assert e[0] <= e[1] <= e[2]
 
 
+class TestBatchedSpectrum:
+    def test_matches_per_point(self):
+        grid = np.concatenate([np.linspace(-1.0, 3.0, 201), [0.0, 1.0]])
+        for p in random_params(20):
+            batch = dressed_spectrum(p, grid)
+            assert batch.energies.shape == (grid.size, 3)
+            assert batch.states.shape == (grid.size, 3, 3)
+            for i, d1 in enumerate(grid):
+                spec = dressed_spectrum(p.with_delta1(float(d1)))
+                np.testing.assert_allclose(
+                    batch.energies[i], spec.energies, rtol=0.0,
+                    atol=1e-14 * np.abs(spec.energies).max(),
+                )
+                np.testing.assert_array_equal(batch.states[i], spec.states)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dressed_spectrum(RamanParams(0.2, 0.5, 1.0, 1.0), [0.9, bad, 1.1])
+
+    def test_rejects_non_1d_grid(self):
+        with pytest.raises(ValueError, match="1-D"):
+            dressed_spectrum(RamanParams(0.2, 0.5, 1.0, 1.0), np.ones((2, 2)))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        omega1=st.floats(0.0, 2.0),
+        omega2=st.floats(0.0, 2.0),
+        delta2=st.floats(0.1, 10.0),
+        grid=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=20),
+    )
+    def test_spectral_invariants(self, omega1, omega2, delta2, grid):
+        p = RamanParams(omega1, omega2, 0.0, delta2)
+        batch = dressed_spectrum(p, grid)
+        for i, d1 in enumerate(grid):
+            h = build_hamiltonian(p.with_delta1(d1)).matrix
+            scale = np.linalg.norm(h)
+            e, v = batch.energies[i], batch.states[i]
+            assert abs(e.sum() - np.trace(h)) <= 1e-12 * scale
+            np.testing.assert_allclose(v.T @ v, np.eye(3), rtol=0.0, atol=1e-12)
+            assert np.linalg.norm(h @ v - v * e, axis=0).max() <= 1e-12 * scale
+
+
 class TestGap32:
     def test_bare_crossing(self):
         assert gap32(RamanParams(0.0, 0.0, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
@@ -180,7 +235,61 @@ class TestAvoidedCrossingScan:
         assert np.max(jumps) < 5.0 * (grid[1] - grid[0])
 
 
+def loop_character(weights, ambig_tol=1e-9):
+    """Per-point, per-level reference rule for the dominant bare state, from
+    (point, bare, level) squared overlaps."""
+    n_points, _, n_levels = weights.shape
+    labels = np.empty((n_points, n_levels), dtype=int)
+    ambiguous = np.zeros((n_points, n_levels), dtype=bool)
+    for i, w in enumerate(weights):
+        for k in range(n_levels):
+            order = np.argsort(w[:, k])
+            labels[i, k] = int(order[-1])
+            ambiguous[i, k] = bool(w[order[-1], k] - w[order[-2], k] <= ambig_tol)
+    return labels, ambiguous
+
+
 class TestTrackCharacter:
+    @pytest.mark.parametrize(
+        "p, grid",
+        [
+            (RamanParams(0.2, 0.5, 1.0, 1.0), np.linspace(0.5, 1.5, 801)),
+            (RamanParams(0.6, 0.05, 1.0, 1.0), np.linspace(2.0, -1.0, 301)),
+            (RamanParams(0.0, 0.0, 1.0, 1.0), np.linspace(0.0, 2.0, 21)),
+            (RamanParams(0.3, 0.0, 1.0, 1.0), np.linspace(0.0, 2.0, 41)),
+        ],
+    )
+    def test_matches_per_point_rule(self, p, grid):
+        scan = track_character(p, grid)
+        states = np.array([dressed_spectrum(p.with_delta1(float(d))).states for d in grid])
+        labels, ambiguous = loop_character(states**2)
+        np.testing.assert_array_equal(scan.labels, labels)
+        np.testing.assert_array_equal(scan.ambiguous, ambiguous)
+
+    def test_exact_ties_follow_argsort(self):
+        # columns with exactly equal top weights, and near-ties within tolerance
+        third = 1.0 / 3.0
+        columns = [
+            [0.5, 0.0, 0.5],
+            [0.5, 0.5, 0.0],
+            [0.0, 0.5, 0.5],
+            [third, third, third],
+            [1.0, 0.0, 0.0],
+            [0.5 + 1e-10, 0.0, 0.5 - 1e-10],
+            [0.5 + 1e-8, 0.5 - 1e-8, 0.0],
+        ]
+        weights = np.array(columns).T[None]
+        labels, ambiguous = _dominant(weights, 1e-9)
+        ref_labels, ref_ambiguous = loop_character(weights)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(ambiguous, ref_ambiguous)
+        assert ambiguous.any() and not ambiguous.all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            track_character(RamanParams(0.2, 0.5, 1.0, 1.0), [0.9, 1.0, bad])
+
     def test_asymptotic_characters(self):
         p = RamanParams(0.1, 0.1, 1.0, 1.0)
         grid = np.linspace(0.5, 1.5, 101)

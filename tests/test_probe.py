@@ -9,9 +9,12 @@ from lambda_crossing import (
     BracketError,
     ExtractionError,
     GridError,
+    Peak,
     ProbeParams,
+    ProbeSpectrum,
     RamanParams,
     alpha_elements,
+    build_hamiltonian,
     default_nu_grid,
     dressed_spectrum,
     feasibility_check,
@@ -24,6 +27,7 @@ from lambda_crossing import (
     probed_structural_resonance,
     structural_exact,
 )
+from lambda_crossing._minimize import parabolic_vertex
 from lambda_crossing.probe import _extract_peaks
 
 REF = RamanParams(0.2, 0.5, 1.0, 1.0)
@@ -104,7 +108,45 @@ class TestClosedForm:
         assert p_on == pytest.approx(p_near, rel=1e-6)
 
 
+def matrix_rk4_oracle(params, probe, steps):
+    """Reference RK4 on the 3x3 matrix form of the probed Hamiltonian."""
+    spec = dressed_spectrum(params)
+    h0 = build_hamiltonian(params).matrix.astype(complex)
+    dt = probe.duration / steps
+
+    def deriv(t, psi):
+        w = 0.5 * probe.omega_p * np.exp(1j * probe.nu * t)
+        h = h0.copy()
+        h[2, 0] += w
+        h[0, 2] += np.conj(w)
+        return -1j * (h @ psi)
+
+    psi = spec.states[:, 1].astype(complex)
+    t = 0.0
+    for _ in range(steps):
+        k1 = deriv(t, psi)
+        k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = deriv(t + dt, psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+    return float(np.abs(spec.states[:, 2] @ psi) ** 2)
+
+
 class TestTimeDomainOracle:
+    @pytest.mark.parametrize(
+        "params, probe, steps",
+        [
+            (REF, ProbeParams(0.01 * RABI_BOUND, -0.0688, 100.0), 1000),
+            (REF, ProbeParams(0.05, 0.07, 50.0), 800),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), 2000),
+        ],
+    )
+    def test_matches_matrix_form(self, params, probe, steps):
+        assert probe_time_domain_oracle(params, probe, steps) == pytest.approx(
+            matrix_rk4_oracle(params, probe, steps), rel=1e-12
+        )
+
     def test_zero_probe_preserves_state(self):
         p = probe_time_domain_oracle(REF, ProbeParams(0.0, 0.05, 20.0), 2000)
         assert p == pytest.approx(0.0, abs=1e-20)
@@ -181,14 +223,56 @@ class TestProbeSpectrum:
         assert strong.perturbative_flag
 
 
+def loop_extract_peaks(nu, p):
+    """Reference peak extraction: scan every interior point."""
+    peaks = []
+    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
+    for i in range(1, len(nu) - 1):
+        if p[i] > p[i - 1] and p[i] >= p[i + 1] and p[i] > 0.0:
+            if np.isfinite(logp[i - 1]) and np.isfinite(logp[i + 1]):
+                pos = parabolic_vertex(
+                    nu[i - 1], logp[i - 1], nu[i], logp[i], nu[i + 1], logp[i + 1]
+                )
+                pos = min(max(pos, nu[i - 1]), nu[i + 1])
+            else:
+                pos = nu[i]
+            half = 0.5 * p[i]
+            lo = i
+            while lo > 0 and p[lo] > half:
+                lo -= 1
+            hi = i
+            while hi < len(nu) - 1 and p[hi] > half:
+                hi += 1
+            peaks.append(Peak(position=float(pos), height=float(p[i]), width=float(nu[hi] - nu[lo])))
+    return tuple(peaks)
+
+
+def peak_fixtures():
+    for omega_p, t in ((1e-4, T_REF), (1e-5, 2.0 * T_REF), (0.05, T_REF), (0.0, T_REF)):
+        yield probe_spectrum(REF, omega_p, t, default_nu_grid(REF, t))
+    nu = np.linspace(-0.6, 0.6, 4001)
+    yield probe_spectrum(REF, 1e-4, 400.0, nu)
+    # isolated sinc^2 peak, exact zeros between lobes, plateaus and edge maxima
+    p = 1e-6 * np.sinc((nu + 0.35) * 200.0 / math.pi) ** 2
+    yield ProbeSpectrum(nu, p, (), False)
+    yield ProbeSpectrum(nu, np.where(np.abs(nu) < 0.3, p, 0.0), (), False)
+    flat = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 1.0, 3.0, 0.0, 0.0, 5.0])
+    yield ProbeSpectrum(np.arange(flat.size, dtype=float), flat, (), False)
+
+
 class TestMeasuredSplitting:
+    @pytest.mark.parametrize("fixture", list(peak_fixtures()))
+    def test_extract_peaks_matches_loop(self, fixture):
+        nu, p = fixture.nu_grid, fixture.probabilities
+        assert _extract_peaks(nu, p) == loop_extract_peaks(nu, p)
+
     def test_synthetic_single_peak(self):
         # analytic sinc^2 peak at nu0: the extractor must recover nu0
         nu0, t = -0.35, 400.0
         nu = np.linspace(-0.6, 0.6, 4001)
         x = (nu - nu0) * t / 2.0
         p = 1e-6 * np.sinc(x / math.pi) ** 2
-        peaks = _extract_peaks(nu, p, t)
+        peaks = _extract_peaks(nu, p)
         best = max((pk for pk in peaks if pk.position < 0), key=lambda pk: pk.height)
         assert best.position == pytest.approx(nu0, abs=(nu[1] - nu[0]) / 10.0)
 
@@ -235,6 +319,19 @@ class TestProbedResonance:
         a = probed_structural_resonance(REF, grid, 1e-5, T_REF)
         b = probed_structural_resonance(REF, grid, 1e-7, T_REF)
         assert a.delta1 == pytest.approx(b.delta1, abs=1e-12)
+
+    def test_matches_per_point_spectra(self):
+        star = structural_exact(REF)
+        grid = np.linspace(star - 0.01, star + 0.01, 21)
+        result = probed_structural_resonance(REF, grid, 1e-5, T_REF)
+        for d1, split in zip(grid, result.splittings):
+            point = REF.with_delta1(float(d1))
+            spectrum = probe_spectrum(point, 1e-5, T_REF, default_nu_grid(point, T_REF))
+            assert split == measured_splitting(spectrum)
+
+    def test_rejects_non_finite_grid(self):
+        with pytest.raises(ValueError, match="finite"):
+            probed_structural_resonance(REF, [1.04, math.nan, 1.06], 1e-5, T_REF)
 
     def test_edge_minimum_raises(self):
         grid = np.linspace(1.2, 1.3, 11)
