@@ -2,11 +2,13 @@
 
 import math
 
+import argparse
+
 import numpy as np
 import pytest
 
 from lambda_crossing import RamanParams, dressed_spectrum, resonance_report
-from lambda_crossing.cli import OUTDIR_ENV, main
+from lambda_crossing.cli import OUTDIR_ENV, build_parser, main
 
 
 def read_csv(path):
@@ -14,6 +16,35 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
     return header, rows
+
+
+COMMON_FLAGS = {"--help", "--config", "--output", "--units", "--delta2"}
+SURFACE = {
+    "levels": {"--omega1", "--omega2", "--delta1-range"},
+    "resonance": {"--omega1", "--omega2", "--tol"},
+    "shift-scan": {"--omega2", "--ratio-range", "--tol"},
+    "probe-spectrum": {
+        "--omega1", "--omega2", "--delta1", "--omega-p", "--duration", "--nu-range"
+    },
+    "probe-resonance": {"--omega1", "--omega2", "--delta1-range", "--omega-p", "--duration"},
+    "resolvent": {"--omega1", "--omega2", "--delta1", "--tol", "--max-iter"},
+    "experiment": {"--preset", "--scenario", "--omega", "--omega1", "--omega2", "--delta1"},
+}
+
+
+def test_parser_surface():
+    # every subcommand's long flags and the fixed choices, as the CLI exposes them
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SURFACE)
+    for name, subparser in sub.choices.items():
+        flags = {o for a in subparser._actions for o in a.option_strings if o.startswith("--")}
+        assert flags == COMMON_FLAGS | SURFACE[name], name
+        choices = {a.option_strings[-1]: list(a.choices) for a in subparser._actions if a.choices}
+        expected = {"--units": ["dimensionless", "hz"]}
+        if name == "experiment":
+            expected["--scenario"] = ["optical", "microwave"]
+        assert choices == expected, name
 
 
 class TestLevels:
