@@ -38,7 +38,6 @@ from .experiment import (
 from .hamiltonian import (
     CharacterScan,
     DressedSpectrum,
-    Hamiltonian3,
     RamanParams,
     bare_levels,
     build_hamiltonian,

@@ -22,7 +22,7 @@ from . import probe as probe_mod
 from . import resonance as res
 from .errors import LambdaCrossingError
 from .hamiltonian import RamanParams, dressed_spectrum
-from .resolvent import iterate_levels
+from .resolvent import DEFAULT_MAX_ITER, iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 
@@ -91,18 +91,25 @@ def _merge_config(args: argparse.Namespace):
             setattr(args, key, value)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _require(args, *keys):
     for key in keys:
         if getattr(args, key) is None:
-            raise SystemExit(f"error: missing required option --{key.replace('_', '-')}")
+            raise SystemExit(f"error: missing required option {_flag(key)}")
 
 
-def _num(args, key) -> float:
+def _num(args, key, default=None, parse=float):
+    """The flag's value read by parse (float or int), or default if unset."""
     value = getattr(args, key)
+    if value is None:
+        return default
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SystemExit(f"error: {key}: malformed number {value!r}") from None
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"{key}: malformed number {value!r}") from None
 
 
 def _scale(args) -> float:
@@ -112,13 +119,18 @@ def _scale(args) -> float:
     return 2.0 * math.pi if units == "hz" else 1.0
 
 
+def _params(args, s: float, delta1_flag=None) -> RamanParams:
+    """Drive parameters scaled to angular units by s; delta1 is read from
+    delta1_flag, or set to delta2 for commands that scan it."""
+    d2 = _num(args, "delta2", RamanParams.delta2) * s
+    d1 = _num(args, delta1_flag) * s if delta1_flag else d2
+    return RamanParams(_num(args, "omega1") * s, _num(args, "omega2") * s, d1, d2)
+
+
 def cmd_levels(args) -> int:
-    _require(args, "omega1", "omega2", "delta1_range")
     s = _scale(args)
-    d2 = _num(args, "delta2") * s
     grid = _parse_range(args.delta1_range, "delta1-range") * s
-    params = RamanParams(_num(args, "omega1") * s, _num(args, "omega2") * s, d2, d2)
-    e = dressed_spectrum(params, grid).energies
+    e = dressed_spectrum(_params(args, s), grid).energies
     rows = np.column_stack([grid, e, e[:, 2] - e[:, 1]]) / s
     out = _resolve_output(args.output or "levels.csv")
     _write_csv(out, ["delta1", "eps1", "eps2", "eps3", "gap32"], rows)
@@ -126,12 +138,8 @@ def cmd_levels(args) -> int:
 
 
 def cmd_resonance(args) -> int:
-    _require(args, "omega1", "omega2")
     s = _scale(args)
-    d2 = _num(args, "delta2") * s
-    params = RamanParams(_num(args, "omega1") * s, _num(args, "omega2") * s, d2, d2)
-    tol = float(args.tol) if args.tol is not None else res.DEFAULT_TOL
-    report = res.resonance_report(params, tol)
+    report = res.resonance_report(_params(args, s), _num(args, "tol", res.DEFAULT_TOL))
     header = [
         "structural_exact",
         "structural_approx",
@@ -147,11 +155,10 @@ def cmd_resonance(args) -> int:
 
 
 def cmd_shift_scan(args) -> int:
-    _require(args, "omega2", "ratio_range")
     s = _scale(args)
-    d2 = _num(args, "delta2") * s
     ratios = _parse_range(args.ratio_range, "ratio-range")
-    tol = float(args.tol) if args.tol is not None else res.DEFAULT_TOL
+    d2 = _num(args, "delta2", RamanParams.delta2) * s
+    tol = _num(args, "tol", res.DEFAULT_TOL)
     rows_out, skipped = res.shift_scan(_num(args, "omega2") * s, ratios, tol=tol, delta2=d2)
     for ratio, message in skipped:
         print(f"shift-scan: skipped ratio {ratio:g}: {message}", file=sys.stderr)
@@ -165,12 +172,8 @@ def cmd_shift_scan(args) -> int:
 
 
 def cmd_probe_spectrum(args) -> int:
-    _require(args, "omega1", "omega2", "delta1", "omega_p", "duration")
     s = _scale(args)
-    d2 = _num(args, "delta2") * s
-    params = RamanParams(
-        _num(args, "omega1") * s, _num(args, "omega2") * s, _num(args, "delta1") * s, d2
-    )
+    params = _params(args, s, "delta1")
     # Durations are absolute times (seconds when --units hz): no conversion.
     duration = _num(args, "duration")
     omega_p = _num(args, "omega_p") * s
@@ -195,10 +198,8 @@ def cmd_probe_spectrum(args) -> int:
 
 
 def cmd_probe_resonance(args) -> int:
-    _require(args, "omega1", "omega2", "delta1_range", "omega_p", "duration")
     s = _scale(args)
-    d2 = _num(args, "delta2") * s
-    params = RamanParams(_num(args, "omega1") * s, _num(args, "omega2") * s, d2, d2)
+    params = _params(args, s)
     grid = _parse_range(args.delta1_range, "delta1-range") * s
     result = probe_mod.probed_structural_resonance(
         params, grid, _num(args, "omega_p") * s, _num(args, "duration")
@@ -213,15 +214,12 @@ def cmd_probe_resonance(args) -> int:
 
 
 def cmd_resolvent(args) -> int:
-    _require(args, "omega1", "omega2", "delta1")
     s = _scale(args)
-    d2 = _num(args, "delta2") * s
-    params = RamanParams(
-        _num(args, "omega1") * s, _num(args, "omega2") * s, _num(args, "delta1") * s, d2
+    levels = iterate_levels(
+        _params(args, s, "delta1"),
+        tol=_num(args, "tol", 1e-12),
+        max_iter=_num(args, "max_iter", DEFAULT_MAX_ITER, parse=int),
     )
-    tol = float(args.tol) if args.tol is not None else 1e-12
-    max_iter = int(args.max_iter) if args.max_iter is not None else 200
-    levels = iterate_levels(params, tol=tol, max_iter=max_iter)
     _write_csv(
         _resolve_output(args.output or "resolvent.csv"),
         ["e_minus", "e_plus", "iterations_minus", "iterations_plus"],
@@ -231,7 +229,6 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    _require(args, "preset", "scenario", "delta2")
     preset = exp.PRESETS.get(str(args.preset).lower())
     if preset is None:
         raise SystemExit(f"error: unknown preset {args.preset!r}")
@@ -240,13 +237,12 @@ def cmd_experiment(args) -> int:
     else:
         _require(args, "omega1", "omega2")
         omega1, omega2 = _num(args, "omega1"), _num(args, "omega2")
-    delta1 = _num(args, "delta1") if args.delta1 is not None else None
     report = exp.scenario_report(
         preset,
         omega1,
         omega2,
         _num(args, "delta2"),
-        delta1=delta1,
+        delta1=_num(args, "delta1"),
         scenario=str(args.scenario),
     )
     out = _resolve_output(args.output or "experiment.txt")
@@ -268,11 +264,36 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--output", help="output file path")
-    parser.add_argument("--units", choices=["dimensionless", "hz"], default=None)
-    parser.add_argument("--delta2", default="1.0")
+# name: (help, handler, required flags, optional flags); every command also
+# takes COMMON_FLAGS. Flags carry no argparse defaults, so config values can
+# fill any flag not given on the command line.
+COMMANDS = {
+    "levels": ("dressed energies over a delta1 scan", cmd_levels,
+               ("omega1", "omega2", "delta1_range"), ()),
+    "resonance": ("all resonance loci and the shift", cmd_resonance,
+                  ("omega1", "omega2"), ("tol",)),
+    "shift-scan": ("dynamical shift vs coupling ratio", cmd_shift_scan,
+                   ("omega2", "ratio_range"), ("tol",)),
+    "probe-spectrum": ("probe transition probability vs nu", cmd_probe_spectrum,
+                       ("omega1", "omega2", "delta1", "omega_p", "duration"), ("nu_range",)),
+    "probe-resonance": ("structural resonance via the probe protocol", cmd_probe_resonance,
+                        ("omega1", "omega2", "delta1_range", "omega_p", "duration"), ()),
+    "resolvent": ("iterated implicit-Hamiltonian levels", cmd_resolvent,
+                  ("omega1", "omega2", "delta1"), ("tol", "max_iter")),
+    "experiment": ("alkali-atom scenario report (inputs in Hz)", cmd_experiment,
+                   ("preset", "scenario", "delta2"), ("omega", "omega1", "omega2", "delta1")),
+}
+COMMON_FLAGS = ("config", "output", "units", "delta2")
+FLAG_SETTINGS = {
+    "config": {"help": "flat key = value config file"},
+    "output": {"help": "output file path"},
+    "units": {"choices": ["dimensionless", "hz"]},
+    "scenario": {"choices": ["optical", "microwave"]},
+    "omega": {"help": "shorthand for equal omega1 and omega2"},
+    "delta1_range": {"help": "start:stop:count"},
+    "ratio_range": {"help": "start:stop:count"},
+    "nu_range": {"help": "start:stop:count"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,74 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Avoided-crossing resonance analysis of a driven 3-level Lambda system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("levels", help="dressed energies over a delta1 scan")
-    _add_common(p)
-    p.add_argument("--omega1")
-    p.add_argument("--omega2")
-    p.add_argument("--delta1-range", dest="delta1_range", help="start:stop:count")
-    p.set_defaults(func=cmd_levels)
-
-    p = sub.add_parser("resonance", help="all resonance loci and the shift")
-    _add_common(p)
-    p.add_argument("--omega1")
-    p.add_argument("--omega2")
-    p.add_argument("--tol")
-    p.set_defaults(func=cmd_resonance)
-
-    p = sub.add_parser("shift-scan", help="dynamical shift vs coupling ratio")
-    _add_common(p)
-    p.add_argument("--omega2")
-    p.add_argument("--ratio-range", dest="ratio_range", help="start:stop:count")
-    p.add_argument("--tol")
-    p.set_defaults(func=cmd_shift_scan)
-
-    p = sub.add_parser("probe-spectrum", help="probe transition probability vs nu")
-    _add_common(p)
-    p.add_argument("--omega1")
-    p.add_argument("--omega2")
-    p.add_argument("--delta1")
-    p.add_argument("--omega-p", dest="omega_p")
-    p.add_argument("--duration")
-    p.add_argument("--nu-range", dest="nu_range", help="start:stop:count")
-    p.set_defaults(func=cmd_probe_spectrum)
-
-    p = sub.add_parser("probe-resonance", help="structural resonance via the probe protocol")
-    _add_common(p)
-    p.add_argument("--omega1")
-    p.add_argument("--omega2")
-    p.add_argument("--delta1-range", dest="delta1_range", help="start:stop:count")
-    p.add_argument("--omega-p", dest="omega_p")
-    p.add_argument("--duration")
-    p.set_defaults(func=cmd_probe_resonance)
-
-    p = sub.add_parser("resolvent", help="iterated implicit-Hamiltonian levels")
-    _add_common(p)
-    p.add_argument("--omega1")
-    p.add_argument("--omega2")
-    p.add_argument("--delta1")
-    p.add_argument("--tol")
-    p.add_argument("--max-iter", dest="max_iter")
-    p.set_defaults(func=cmd_resolvent)
-
-    p = sub.add_parser("experiment", help="alkali-atom scenario report (inputs in Hz)")
-    _add_common(p)
-    p.add_argument("--preset")
-    p.add_argument("--scenario", choices=["optical", "microwave"])
-    p.add_argument("--omega", help="shorthand for equal omega1 and omega2")
-    p.add_argument("--omega1")
-    p.add_argument("--omega2")
-    p.add_argument("--delta1")
-    p.set_defaults(func=cmd_experiment)
-
+    for name, (help_text, _, required, optional) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in dict.fromkeys(COMMON_FLAGS + required + optional):
+            p.add_argument(_flag(key), dest=key, **FLAG_SETTINGS.get(key, {}))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _merge_config(args)
+    _, handler, required, _ = COMMANDS[args.command]
+    _require(args, *required)
     try:
-        return args.func(args)
+        return handler(args)
     except (LambdaCrossingError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

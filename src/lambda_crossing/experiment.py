@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ScenarioError
+from .hamiltonian import RamanParams
+from .resonance import shift_approx
 
 # mu_B / h in Hz per Gauss.
 BOHR_MAGNETON_HZ_PER_G = 1.3996e6
@@ -105,11 +107,6 @@ def scattering_rate(spec: AlkaliSpec, omega1: float, omega2: float, delta1: floa
     return gamma_angular * (omega1**2 + omega2**2) / (8.0 * delta1**2)
 
 
-def dynamical_shift_hz(omega1: float, omega2: float, delta2: float) -> float:
-    """Lowest-order dynamical shift in Hz for ordinary-frequency inputs."""
-    return omega1**2 * omega2**2 / (4.0 * delta2**3)
-
-
 def scenario_report(
     spec: AlkaliSpec,
     omega1: float,
@@ -129,9 +126,9 @@ def scenario_report(
         raise ValueError(f"unknown scenario {scenario!r}")
     if delta1 is None:
         delta1 = delta2
-    shift = dynamical_shift_hz(omega1, omega2, delta2)
+    shift = shift_approx(RamanParams(omega1, omega2, delta2, delta2))
     time_bound = 1.0 / shift if shift > 0 else math.inf
-    rabi_bound = omega1**2 * omega2**2 / (2.0 * delta2**3)
+    rabi_bound = 2.0 * shift
     de31, de23, de21 = splittings(spec)
     notes = (
         "Secondary ac-Stark and Bloch-Siegert shifts are suppressed relative to "

@@ -42,25 +42,6 @@ class RamanParams:
 
 
 @dataclass(frozen=True)
-class Hamiltonian3:
-    """3x3 real symmetric Hamiltonian matrix in the bare basis (|1>, |2>, |3>)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("Hamiltonian must be 3x3")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def is_symmetric(self) -> bool:
-        m = self.matrix
-        scale = max(np.abs(m).max(), 1e-300)
-        return bool(np.abs(m - m.T).max() <= 1e-12 * scale)
-
-
-@dataclass(frozen=True)
 class DressedSpectrum:
     """Sorted eigenvalues and orthonormal eigenvectors of the full Hamiltonian.
 
@@ -74,18 +55,20 @@ class DressedSpectrum:
     states: np.ndarray
 
 
-def build_hamiltonian(params: RamanParams) -> Hamiltonian3:
-    """Assemble the Lambda-system Hamiltonian in the laser-adapted picture."""
-    o1, o2 = params.omega1, params.omega2
-    d1, d2 = params.delta1, params.delta2
-    m = np.array(
-        [
-            [0.0, o1 / 2.0, 0.0],
-            [o1 / 2.0, -d1, o2 / 2.0],
-            [0.0, o2 / 2.0, -(d1 - d2)],
-        ]
-    )
-    return Hamiltonian3(m)
+def build_hamiltonian(params: RamanParams, delta1=None) -> np.ndarray:
+    """Assemble the Lambda-system Hamiltonian in the laser-adapted picture.
+
+    Returns the (3, 3) matrix at params.delta1, or, for a 1-D delta1 array
+    (params.delta1 is then ignored), the (N, 3, 3) stack of matrices at
+    each of its values.
+    """
+    d1 = params.delta1 if delta1 is None else _finite_grid(delta1)
+    m = np.zeros(np.shape(d1) + (3, 3))
+    m[..., 0, 1] = m[..., 1, 0] = params.omega1 / 2.0
+    m[..., 1, 2] = m[..., 2, 1] = params.omega2 / 2.0
+    m[..., 1, 1] = -d1
+    m[..., 2, 2] = -(d1 - params.delta2)
+    return m
 
 
 def bare_levels(params: RamanParams) -> np.ndarray:
@@ -111,16 +94,19 @@ def _signed_eigh(matrices: np.ndarray):
     return energies, states
 
 
-def diagonalize(h: Hamiltonian3) -> DressedSpectrum:
-    """Exact spectral decomposition of a symmetric 3x3 Hamiltonian.
+def diagonalize(h) -> DressedSpectrum:
+    """Exact spectral decomposition of a symmetric 3x3 Hamiltonian matrix.
 
     Energies are returned ascending; eigenvector signs are fixed by making
     the largest-magnitude component positive, so overlaps are reproducible
     across parameter scans.
     """
-    if not h.is_symmetric:
+    m = np.asarray(h, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError("Hamiltonian must be 3x3")
+    if not np.abs(m - m.T).max() <= 1e-12 * max(np.abs(m).max(), 1e-300):
         raise ValueError("Hamiltonian matrix is not symmetric")
-    energies, states = _signed_eigh(h.matrix)
+    energies, states = _signed_eigh(m)
     return DressedSpectrum(energies=energies, states=states)
 
 
@@ -133,13 +119,7 @@ def dressed_spectrum(params: RamanParams, delta1_grid=None) -> DressedSpectrum:
     """
     if delta1_grid is None:
         return diagonalize(build_hamiltonian(params))
-    d1 = _finite_grid(delta1_grid)
-    m = np.zeros((d1.size, 3, 3))
-    m[:, 0, 1] = m[:, 1, 0] = params.omega1 / 2.0
-    m[:, 1, 2] = m[:, 2, 1] = params.omega2 / 2.0
-    m[:, 1, 1] = -d1
-    m[:, 2, 2] = -(d1 - params.delta2)
-    energies, states = _signed_eigh(m)
+    energies, states = _signed_eigh(build_hamiltonian(params, delta1_grid))
     return DressedSpectrum(energies=energies, states=states)
 
 

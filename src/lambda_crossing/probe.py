@@ -28,6 +28,15 @@ TIME_RATIO_PASS = 10.0
 RABI_RATIO_PASS = 0.1
 
 
+def _check_probe(omega_p: float, duration: float):
+    """Reject a probe amplitude that is not finite and non-negative, or a
+    duration that is not finite and positive."""
+    if not (math.isfinite(omega_p) and omega_p >= 0.0):
+        raise ValueError(f"omega_p must be finite and non-negative, got {omega_p!r}")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be finite and positive, got {duration!r}")
+
+
 @dataclass(frozen=True)
 class ProbeParams:
     """Probe drive: Rabi frequency omega_p, beat frequency nu, duration."""
@@ -37,10 +46,7 @@ class ProbeParams:
     duration: float
 
     def __post_init__(self):
-        if self.omega_p < 0:
-            raise ValueError("omega_p must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        _check_probe(self.omega_p, self.duration)
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
                 f"steps={steps} under-resolves the fastest frequency; need >= {min_steps}"
             )
     # H[0, 0] = H[0, 2] = 0 in the laser-adapted picture.
-    h = build_hamiltonian(params).matrix
+    h = build_hamiltonian(params)
     h01, h11, h12, h22 = float(h[0, 1]), float(h[1, 1]), float(h[1, 2]), float(h[2, 2])
     half_p, nu = 0.5 * probe.omega_p, probe.nu
     dt = probe.duration / steps
@@ -205,6 +211,7 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
     The grid must span at least [-1.5 gap, 1.5 gap] with spacing no coarser
     than a tenth of the 2 pi / duration peak width.
     """
+    _check_probe(omega_p, duration)
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or nu.size < 5:
         raise GridError("nu_grid must be a 1-D grid with at least 5 points")
@@ -231,6 +238,7 @@ def measured_splitting_positive(spectrum: ProbeSpectrum) -> float:
 
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
     """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12."""
+    _check_probe(0.0, duration)
     return _nu_grid(_gap(dressed_spectrum(params)), duration)
 
 
@@ -258,6 +266,7 @@ def probed_structural_resonance(
     refinement of the grid minimum. The probe prefactor omega_p^2 scales
     the whole spectrum and cannot move the extremum.
     """
+    _check_probe(omega_p, duration)
     grid = np.asarray(delta1_grid, dtype=float)
     spectra = dressed_spectrum(params, grid)
     splittings = np.empty(grid.size)
@@ -297,9 +306,10 @@ def feasibility_check(params: RamanParams, omega_p: float, duration: float) -> F
     duration >> 2 pi / shift; keeping first-order peak heights below unity
     bounds the probe amplitude by twice the shift.
     """
+    _check_probe(omega_p, duration)
     shift = shift_approx(params)
     time_required = 2.0 * math.pi / shift if shift > 0 else math.inf
-    rabi_bound = params.omega1**2 * params.omega2**2 / (2.0 * params.delta2**3)
+    rabi_bound = 2.0 * shift
     time_ratio = duration / time_required if time_required < math.inf else 0.0
     rabi_ratio = omega_p / rabi_bound if rabi_bound > 0 else math.inf
     return FeasibilityReport(

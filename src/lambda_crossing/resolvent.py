@@ -68,7 +68,7 @@ def level_shift(params: RamanParams, e: float) -> ImplicitModel:
 
 
 def _char_residual(params: RamanParams, e: float) -> float:
-    return float(np.linalg.det(build_hamiltonian(params).matrix - e * np.eye(3)))
+    return float(np.linalg.det(build_hamiltonian(params) - e * np.eye(3)))
 
 
 def _iterate_branch(params: RamanParams, sign: float, tol: float, max_iter: int):

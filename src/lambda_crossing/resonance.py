@@ -65,11 +65,9 @@ def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
 
 
 def structural_approx(params: RamanParams) -> float:
-    """Fourth-order closed-form estimate of the structural locus."""
-    o1sq, o2sq = params.omega1**2, params.omega2**2
-    d2 = params.delta2
-    diff = o2sq - o1sq
-    return d2 + diff / (4.0 * d2) - diff**2 / (16.0 * d2**3) + o1sq * o2sq / (4.0 * d2**3)
+    """Fourth-order closed-form estimate of the structural locus: the
+    dynamical locus plus the lowest-order shift."""
+    return dynamical_approx(params) + shift_approx(params)
 
 
 def dynamical_exact_effective(params: RamanParams) -> float:

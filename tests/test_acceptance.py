@@ -168,7 +168,7 @@ def test_criterion_4_oracle_equivalence():
     # (d) spectral propagator vs 4th-order ODE integration
     p = lc.RamanParams(0.3, 0.3, 1.0, DELTA2)
     t_final = 50.0
-    h = lc.build_hamiltonian(p).matrix.astype(complex)
+    h = lc.build_hamiltonian(p).astype(complex)
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     steps = 40000
     dt = t_final / steps

@@ -1,8 +1,7 @@
 """Tests for the command-line front end: CSV output, config handling, units."""
 
-import math
-
 import argparse
+import math
 
 import numpy as np
 import pytest
@@ -202,6 +201,20 @@ class TestExperiment:
         assert float(values["probe_time_bound_s"]) == pytest.approx(500e-6, rel=0.02)
         assert values["feasible"] == "true"
 
+    def test_delta2_required(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "experiment",
+                    "--preset", "rb87",
+                    "--scenario", "microwave",
+                    "--omega", "300e3",
+                    "--output", str(tmp_path / "exp.txt"),
+                ]
+            )
+        assert str(exc.value) == "error: missing required option --delta2"
+        assert not (tmp_path / "exp.txt").exists()
+
     def test_unknown_preset(self):
         with pytest.raises(SystemExit):
             main(
@@ -235,6 +248,15 @@ class TestConfigHandling:
         main(["levels", "--config", str(cfg), "--omega1", "0.6", "--output", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_file_delta2_used(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta2 = 2\n")
+        args = ["levels", "--omega1", "0.3", "--omega2", "0.4", "--delta1-range", "1.5:2.5:11"]
+        from_file, from_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--config", str(cfg), "--output", str(from_file)]) == 0
+        assert main(args + ["--delta2", "2", "--output", str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega9 = 0.3\n")
@@ -254,6 +276,12 @@ class TestConfigHandling:
         )
         assert rc == 0
         assert (tmp_path / "sub.csv").exists()
+
+
+PROBE_SPECTRUM = ["probe-spectrum", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0"]
+PROBE_RESONANCE = [
+    "probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range", "1.04:1.06:11"
+]
 
 
 class TestUnits:
@@ -280,6 +308,24 @@ class TestUnits:
              "delta1-range: range bounds must be finite"),
             (["levels", "--omega1", "nan", "--omega2", "0.5", "--delta1-range", "0:1:5"],
              "omega1 must be finite"),
+            (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "300e3",
+              "--delta2", "0", "--units", "hz"],
+             "delta2 must be positive"),
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0",
+              "--max-iter", "2.5"],
+             "max_iter: malformed number '2.5'"),
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "abc"],
+             "tol: malformed number 'abc'"),
+            (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "0"],
+             "duration must be finite and positive"),
+            (PROBE_RESONANCE + ["--omega-p", "1e-5", "--duration", "0"],
+             "duration must be finite and positive"),
+            (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "-1"],
+             "duration must be finite and positive"),
+            (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "nan"],
+             "duration must be finite"),
+            (PROBE_SPECTRUM + ["--omega-p", "nan", "--duration", "785.4"],
+             "omega_p must be finite"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

@@ -22,7 +22,7 @@ RNG = np.random.default_rng(99)
 
 def rk4_evolve(params, psi0, t_final, steps):
     """Independent oracle: fixed-step RK4 on i dpsi/dt = H psi."""
-    h = build_hamiltonian(params).matrix.astype(complex)
+    h = build_hamiltonian(params).astype(complex)
     dt = t_final / steps
 
     def deriv(psi):

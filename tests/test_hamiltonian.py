@@ -50,10 +50,10 @@ def charpoly_eigs(h):
 class TestBuildHamiltonian:
     def test_lasers_off(self):
         h = build_hamiltonian(RamanParams(0.0, 0.0, 1.0, 1.0))
-        np.testing.assert_array_equal(h.matrix, np.diag([0.0, -1.0, 0.0]))
+        np.testing.assert_array_equal(h, np.diag([0.0, -1.0, 0.0]))
 
     def test_direct_substitution(self):
-        h = build_hamiltonian(RamanParams(0.2, 0.5, 1.0, 1.0)).matrix
+        h = build_hamiltonian(RamanParams(0.2, 0.5, 1.0, 1.0))
         assert h[0, 1] == h[1, 0] == 0.1
         assert h[1, 2] == h[2, 1] == 0.25
         assert h[0, 2] == h[2, 0] == 0.0
@@ -61,12 +61,20 @@ class TestBuildHamiltonian:
 
     def test_trace_identity(self):
         for p in random_params(50):
-            h = build_hamiltonian(p).matrix
+            h = build_hamiltonian(p)
             assert np.trace(h) == pytest.approx(p.delta2 - 2.0 * p.delta1, abs=1e-15)
 
     def test_symmetry_flag(self):
         h = build_hamiltonian(RamanParams(0.3, 0.4, 0.9, 1.0))
-        assert h.is_symmetric
+        np.testing.assert_array_equal(h, h.T)
+
+    def test_stack_matches_points(self):
+        p = RamanParams(0.3, 0.4, 0.9, 1.0)
+        grid = np.linspace(-1.0, 3.0, 41)
+        stack = build_hamiltonian(p, grid)
+        assert stack.shape == (grid.size, 3, 3)
+        for i, d1 in enumerate(grid):
+            np.testing.assert_array_equal(stack[i], build_hamiltonian(p.with_delta1(float(d1))))
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError):
@@ -106,20 +114,23 @@ class TestDiagonalize:
         for p in random_params(200):
             h = build_hamiltonian(p)
             np.testing.assert_allclose(
-                diagonalize(h).energies, charpoly_eigs(h.matrix), atol=1e-10
+                diagonalize(h).energies, charpoly_eigs(h), atol=1e-10
             )
 
     def test_rejects_asymmetric(self):
-        from lambda_crossing import Hamiltonian3
-
-        m = Hamiltonian3(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             diagonalize(m)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3, 3)])
+    def test_rejects_non_3x3(self, shape):
+        with pytest.raises(ValueError, match="3x3"):
+            diagonalize(np.zeros(shape))
 
     def test_orthonormality_and_residuals(self):
         # property sweep: 1000 draws over the documented parameter box
         for p in random_params(1000):
-            h = build_hamiltonian(p).matrix
+            h = build_hamiltonian(p)
             spec = dressed_spectrum(p)
             v = spec.states
             np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
@@ -177,7 +188,7 @@ class TestBatchedSpectrum:
         p = RamanParams(omega1, omega2, 0.0, delta2)
         batch = dressed_spectrum(p, grid)
         for i, d1 in enumerate(grid):
-            h = build_hamiltonian(p.with_delta1(d1)).matrix
+            h = build_hamiltonian(p.with_delta1(d1))
             scale = np.linalg.norm(h)
             e, v = batch.energies[i], batch.states[i]
             assert abs(e.sum() - np.trace(h)) <= 1e-12 * scale

@@ -36,6 +36,39 @@ T_REF = 125.0 * 2.0 * math.pi
 RABI_BOUND = 0.2**2 * 0.5**2 / 2.0
 
 
+BAD_PROBE = [
+    (math.nan, T_REF, "omega_p must be finite"),
+    (math.inf, T_REF, "omega_p must be finite"),
+    (-1e-4, T_REF, "omega_p must be finite and non-negative"),
+    (1e-4, 0.0, "duration must be finite and positive"),
+    (1e-4, -1.0, "duration must be finite and positive"),
+    (1e-4, math.nan, "duration must be finite"),
+    (1e-4, math.inf, "duration must be finite"),
+]
+
+
+class TestProbeInputs:
+    @pytest.mark.parametrize("omega_p, duration, message", BAD_PROBE)
+    def test_probe_params_rejects(self, omega_p, duration, message):
+        with pytest.raises(ValueError, match=message):
+            ProbeParams(omega_p, 0.05, duration)
+
+    @pytest.mark.parametrize("omega_p, duration, message", BAD_PROBE)
+    def test_entry_points_reject_before_any_grid(self, omega_p, duration, message):
+        nu = np.linspace(-1.0, 1.0, 11)
+        calls = [
+            lambda: probe_spectrum(REF, omega_p, duration, nu),
+            lambda: probed_structural_resonance(REF, [1.04, 1.05, 1.06], omega_p, duration),
+            lambda: feasibility_check(REF, omega_p, duration),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        if message.startswith("duration"):
+            with pytest.raises(ValueError, match=message):
+                default_nu_grid(REF, duration)
+
+
 class TestAlphaElements:
     def test_bare_limit(self):
         # without couplings the dressed states are bare states and each
@@ -111,7 +144,7 @@ class TestClosedForm:
 def matrix_rk4_oracle(params, probe, steps):
     """Reference RK4 on the 3x3 matrix form of the probed Hamiltonian."""
     spec = dressed_spectrum(params)
-    h0 = build_hamiltonian(params).matrix.astype(complex)
+    h0 = build_hamiltonian(params).astype(complex)
     dt = probe.duration / steps
 
     def deriv(t, psi):
