@@ -182,6 +182,12 @@ def cmd_probe_spectrum(args) -> int:
     else:
         nu_grid = probe_mod.default_nu_grid(params, duration)
     spectrum = probe_mod.probe_spectrum(params, omega_p, duration, nu_grid)
+    if spectrum.perturbative_flag:
+        raise ValueError(
+            f"omega_p = {args.omega_p} is too strong for the first-order probe: peak "
+            f"probability {float(np.max(spectrum.probabilities)):.3g} exceeds "
+            f"PERTURBATIVE_CEILING = {probe_mod.PERTURBATIVE_CEILING}"
+        )
     out = _resolve_output(args.output or "probe_spectrum.csv")
     _write_csv(
         out,

@@ -27,6 +27,10 @@ PERTURBATIVE_CEILING = 0.5
 TIME_RATIO_PASS = 10.0
 RABI_RATIO_PASS = 0.1
 
+# Steps per chunk of the oracle's pairwise product (a power of two); bounds
+# its (3, 3, chunk) temporaries.
+_CHUNK = 1024
+
 
 def _check_probe(omega_p: float, duration: float):
     """Reject a probe amplitude that is not finite and non-negative, or a
@@ -118,9 +122,17 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     Schroedinger equation with the oscillating probe coupling.
 
     Fixed-step classical 4th-order Runge-Kutta from |eps2>, returning
-    |<eps3|psi(t)>|^2. Requires at least 50 steps per period of the fastest
-    frequency in the problem.
+    |<eps3|psi(t)>|^2. Requires a positive integer number of steps, at
+    least 50 per period of the fastest frequency in the problem.
+
+    Each RK4 step is the linear map psi -> (I + E_n) psi built from the
+    stage matrices at t_n, t_n + dt/2 and t_n + dt. The step propagators
+    are multiplied pairwise, chunk by chunk, rather than applied in a
+    step loop; the nodes t_n are the step loop's clock t += dt.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    steps = int(steps)
     spec = dressed_spectrum(params)
     fastest = max(_gap(spec), abs(probe.nu), params.omega1, params.omega2, abs(params.delta1))
     if fastest > 0:
@@ -129,37 +141,70 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
             raise ValueError(
                 f"steps={steps} under-resolves the fastest frequency; need >= {min_steps}"
             )
-    # H[0, 0] = H[0, 2] = 0 in the laser-adapted picture.
-    h = build_hamiltonian(params)
-    h01, h11, h12, h22 = float(h[0, 1]), float(h[1, 1]), float(h[1, 2]), float(h[2, 2])
-    half_p, nu = 0.5 * probe.omega_p, probe.nu
     dt = probe.duration / steps
-    half_dt = 0.5 * dt
-
-    # -i H(t) psi on the three amplitudes; the probe w = (omega_p / 2) e^{i nu t}
-    # couples |3> <- |1> and its conjugate |1> <- |3>.
-    def deriv(w, a, b, c):
-        return (
-            -1j * (h01 * b + w.conjugate() * c),
-            -1j * (h01 * a + h11 * b + h12 * c),
-            -1j * (w * a + h12 * b + h22 * c),
-        )
-
-    a, b, c = (complex(x) for x in spec.states[:, 1])
+    coeffs = _rk4_step_coefficients(build_hamiltonian(params), 0.5 * probe.omega_p, probe.nu, dt)
+    psi = spec.states[:, 1].astype(complex)
     t = 0.0
-    for _ in range(steps):
-        w_mid = half_p * cmath.exp(1j * nu * (t + half_dt))
-        k1 = deriv(half_p * cmath.exp(1j * nu * t), a, b, c)
-        k2 = deriv(w_mid, a + half_dt * k1[0], b + half_dt * k1[1], c + half_dt * k1[2])
-        k3 = deriv(w_mid, a + half_dt * k2[0], b + half_dt * k2[1], c + half_dt * k2[2])
-        k4 = deriv(half_p * cmath.exp(1j * nu * (t + dt)), a + dt * k3[0], b + dt * k3[1],
-                   c + dt * k3[2])
-        a += (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        b += (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        c += (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        t += dt
-    v0, v1, v2 = (float(x) for x in spec.states[:, 2])
-    return abs(v0 * a + v1 * b + v2 * c) ** 2
+    for start in range(0, steps, _CHUNK):
+        n = min(_CHUNK, steps - start)
+        clock = np.full(n, dt)
+        clock[0] = t
+        t_n = np.cumsum(clock)
+        t = t_n[-1] + dt
+        # Row k + 4 holds z_n^k. Columns past n stay zero, padding the chunk
+        # to a power of two with steps E_n = 0 that multiply as the identity.
+        zk = np.zeros((9, 1 << (n - 1).bit_length()), dtype=complex)
+        z = np.exp(1j * probe.nu * t_n)
+        zk[4, :n] = 1.0
+        for k in range(5, 9):
+            zk[k, :n] = zk[k - 1, :n] * z
+        zk[3::-1] = zk[5:].conj()
+        psi = psi + _pairwise_product((coeffs @ zk).reshape(3, 3, -1)) @ psi
+    return float(abs(spec.states[:, 2] @ psi) ** 2)
+
+
+def _rk4_step_coefficients(h0: np.ndarray, half_p: float, nu: float, dt: float) -> np.ndarray:
+    """(9, 9) coefficients C[3 i + j, k + 4] of the RK4 step map
+    E(z)[i, j] = sum_k C[3 i + j, k + 4] z^k for psi' = -i H(t) psi, where
+    H(t) = h0 + w |3><1| + conj(w) |1><3| and w = half_p z, z = exp(i nu t).
+
+    Each of the four RK4 stages adds one factor of the probe, which carries
+    z or 1/z, so the exponents run over k = -4..4 and the coefficients follow
+    from samples at the 9th roots of unity by an inverse 9-point DFT.
+    """
+    samples = np.arange(9)
+    roots = np.exp(2j * np.pi / 9 * samples)
+    inv_dft = np.exp(-2j * np.pi / 9 * samples[:, None] * np.arange(-4, 5)) / 9
+
+    def stage(z):
+        m = np.broadcast_to((-1j * h0)[:, :, None], (3, 3, 9)).copy()
+        m[2, 0] -= 1j * half_p * z
+        m[0, 2] -= 1j * half_p / z
+        return m
+
+    eye = np.eye(3)[:, :, None]
+    b = stage(roots * cmath.exp(0.5j * nu * dt))
+    k1 = stage(roots)
+    k2 = _mul(b, eye + 0.5 * dt * k1)
+    k3 = _mul(b, eye + 0.5 * dt * k2)
+    k4 = _mul(stage(roots * cmath.exp(1j * nu * dt)), eye + dt * k3)
+    e = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return e.reshape(9, 9) @ inv_dft
+
+
+def _mul(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Matrix products b @ a of 3x3 matrices stacked along the trailing axis."""
+    return np.einsum("imn,mjn->ijn", b, a)
+
+
+def _pairwise_product(e: np.ndarray) -> np.ndarray:
+    """E with I + E = (I + e[..., n-1]) ... (I + e[..., 0]) for a (3, 3, n)
+    stack, n a power of two, multiplied pairwise as
+    (I + B)(I + A) = I + (A + B + BA) to keep the small E apart from I."""
+    while e.shape[2] > 1:
+        a, b = e[:, :, 0::2], e[:, :, 1::2]
+        e = a + b + _mul(b, a)
+    return e[:, :, 0]
 
 
 def _extract_peaks(nu, p):

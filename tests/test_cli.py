@@ -326,6 +326,9 @@ class TestUnits:
              "duration must be finite"),
             (PROBE_SPECTRUM + ["--omega-p", "nan", "--duration", "785.4"],
              "omega_p must be finite"),
+            (PROBE_SPECTRUM + ["--omega-p", "1", "--duration", "785.4"],
+             "omega_p = 1 is too strong for the first-order probe: peak probability 1.08e+05 "
+             "exceeds PERTURBATIVE_CEILING = 0.5"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,7 @@ from lambda_crossing import (
     structural_exact,
 )
 from lambda_crossing._minimize import parabolic_vertex
-from lambda_crossing.probe import _extract_peaks
+from lambda_crossing.probe import _CHUNK, _extract_peaks
 
 REF = RamanParams(0.2, 0.5, 1.0, 1.0)
 T_REF = 125.0 * 2.0 * math.pi
@@ -166,6 +167,42 @@ def matrix_rk4_oracle(params, probe, steps):
     return float(np.abs(spec.states[:, 2] @ psi) ** 2)
 
 
+def mp_rk4_oracle(params, probe, steps):
+    """Reference RK4 in 40-digit mpmath arithmetic, on the float step clock
+    t += dt of the oracle."""
+    spec = dressed_spectrum(params)
+    with mpmath.workdps(40):
+        h = [[mpmath.mpf(float(x)) for x in row] for row in build_hamiltonian(params)]
+        half_p, nu = mpmath.mpf(probe.omega_p) / 2, mpmath.mpf(probe.nu)
+        dt = probe.duration / steps
+        mdt = mpmath.mpf(dt)
+
+        def deriv(t, psi):
+            w = half_p * mpmath.expj(nu * t)
+            a, b, c = psi
+            return [
+                -1j * (h[0][1] * b + mpmath.conj(w) * c),
+                -1j * (h[1][0] * a + h[1][1] * b + h[1][2] * c),
+                -1j * (w * a + h[2][1] * b + h[2][2] * c),
+            ]
+
+        psi = [mpmath.mpf(float(x)) for x in spec.states[:, 1]]
+        t = 0.0
+        for _ in range(steps):
+            t0 = mpmath.mpf(t)
+            k1 = deriv(t0, psi)
+            k2 = deriv(t0 + mdt / 2, [p + mdt / 2 * k for p, k in zip(psi, k1)])
+            k3 = deriv(t0 + mdt / 2, [p + mdt / 2 * k for p, k in zip(psi, k2)])
+            k4 = deriv(t0 + mdt, [p + mdt * k for p, k in zip(psi, k3)])
+            psi = [
+                p + mdt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                for p, s1, s2, s3, s4 in zip(psi, k1, k2, k3, k4)
+            ]
+            t += dt
+        amp = sum(mpmath.mpf(float(v)) * p for v, p in zip(spec.states[:, 2], psi))
+        return float(abs(amp) ** 2)
+
+
 class TestTimeDomainOracle:
     @pytest.mark.parametrize(
         "params, probe, steps",
@@ -173,6 +210,11 @@ class TestTimeDomainOracle:
             (REF, ProbeParams(0.01 * RABI_BOUND, -0.0688, 100.0), 1000),
             (REF, ProbeParams(0.05, 0.07, 50.0), 800),
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), 2000),
+            # shorter than, exactly, and one step past one chunk of the
+            # product; a numpy integer is a valid step count
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), _CHUNK - 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), np.int64(_CHUNK)),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), _CHUNK + 1),
         ],
     )
     def test_matches_matrix_form(self, params, probe, steps):
@@ -194,9 +236,27 @@ class TestTimeDomainOracle:
         # error shrinks ~16x per halving of the step
         assert abs(coarse - ref) / abs(fine - ref) == pytest.approx(16.0, rel=0.2)
 
-    def test_under_resolved_steps_rejected(self):
-        with pytest.raises(ValueError):
-            probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF), 100)
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            (100, "under-resolves"),
+            (25000.0, "steps must be a positive integer"),
+            (True, "steps must be a positive integer"),
+            (0, "steps must be a positive integer"),
+            (-5, "steps must be a positive integer"),
+        ],
+    )
+    def test_under_resolved_steps_rejected(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF), steps)
+
+    def test_matches_extended_precision_rk4(self):
+        # a first-order probability of 4e-6, so a small amplitude, over a run
+        # that crosses a chunk boundary of the product
+        probe, steps = ProbeParams(0.01 * RABI_BOUND, -0.0688, 100.0), _CHUNK + 1
+        assert probe_time_domain_oracle(REF, probe, steps) == pytest.approx(
+            mp_rk4_oracle(REF, probe, steps), rel=1e-12
+        )
 
     def test_breakdown_beyond_perturbative_bound(self):
         # a strong probe drives the transition out of the first-order regime
