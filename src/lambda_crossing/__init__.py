@@ -58,7 +58,6 @@ from .probe import (
     default_nu_grid,
     feasibility_check,
     measured_splitting,
-    measured_splitting_positive,
     probe_spectrum,
     probe_time_domain_oracle,
     probe_transition_probability,

@@ -272,15 +272,6 @@ def measured_splitting(spectrum: ProbeSpectrum) -> float:
     return abs(best.position)
 
 
-def measured_splitting_positive(spectrum: ProbeSpectrum) -> float:
-    """Diagnostic estimator from the positive-nu peak."""
-    positive = [pk for pk in spectrum.peaks if pk.position > 0.0]
-    if not positive:
-        raise ExtractionError("no probe peak found at positive nu")
-    best = max(positive, key=lambda pk: pk.height)
-    return abs(best.position)
-
-
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
     """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12."""
     _check_probe(0.0, duration)

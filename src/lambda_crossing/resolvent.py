@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minimize import minimize_scalar
-from .errors import BracketError, ConvergenceError, PoleError
+from .errors import ConvergenceError, PoleError
 from .hamiltonian import RamanParams, build_hamiltonian
-from .resonance import BRACKET_HI, BRACKET_LO, DEFAULT_TOL, _check_interior
+from .resonance import DEFAULT_TOL, _check_tol, _locus
 
 DEFAULT_MAX_ITER = 200
 
@@ -99,8 +99,7 @@ def iterate_levels(
     max_iter. Converged energies are exact eigenvalues of the full 3x3
     Hamiltonian (characteristic residuals are returned for inspection).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     e_minus, n_minus, ok_minus = _iterate_branch(params, -1.0, tol, max_iter)
     e_plus, n_plus, ok_plus = _iterate_branch(params, +1.0, tol, max_iter)
     if not (ok_minus and ok_plus):
@@ -124,13 +123,9 @@ def adiabatic_limit(params: RamanParams) -> ImplicitModel:
 
 def resolvent_structural_resonance(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """Structural locus from the iterated branch splitting E_plus - E_minus."""
-    if params.omega1 * params.omega2 <= 0:
-        raise BracketError("structural resonance requires omega1 * omega2 > 0")
-    d2 = params.delta2
 
-    def splitting(d1: float) -> float:
-        levels = iterate_levels(params.with_delta1(d1))
+    def splitting(p: RamanParams) -> float:
+        levels = iterate_levels(p)
         return levels.e_plus - levels.e_minus
 
-    x, _ = minimize_scalar(splitting, BRACKET_LO * d2, BRACKET_HI * d2, xtol=tol * d2)
-    return _check_interior(x, params, "structural (resolvent)")
+    return _locus(params, splitting, minimize_scalar, "structural (resolvent)", tol)

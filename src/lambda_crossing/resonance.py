@@ -37,31 +37,40 @@ class ResonanceReport:
     shift_approx: float
 
 
-def _check_interior(x: float, params: RamanParams, what: str) -> float:
+def _check_tol(tol: float) -> None:
+    """The one tolerance rule of the locus searches and iterate_levels."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _locus(params: RamanParams, objective, search, what: str, tol: float) -> float:
+    """delta1 where search (minimize_scalar or maximize_scalar) finds the
+    extremum of objective(params at delta1) over [BRACKET_LO, BRACKET_HI] *
+    delta2, to tol * delta2.
+
+    Callers pass objective and search from their own module globals at call
+    time: those module attributes are the benchmark's trace and fault sites,
+    so nothing here may bind them when it is defined. A bad tol raises
+    ValueError; missing couplings or a locus at the bracket edge raise
+    BracketError naming the locus kind what.
+    """
+    _check_tol(tol)
+    if params.omega1 * params.omega2 <= 0:
+        raise BracketError(f"{what} resonance requires omega1 * omega2 > 0")
     d2 = params.delta2
-    if x - BRACKET_LO * d2 < _EDGE_MARGIN * d2 or BRACKET_HI * d2 - x < _EDGE_MARGIN * d2:
+    lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
+    x, _ = search(lambda d1: objective(params.with_delta1(d1)), lo, hi, xtol=tol * d2)
+    if min(x - lo, hi - x) < _EDGE_MARGIN * d2:
         raise BracketError(
-            f"{what} locus {x:g} is at the edge of the search bracket "
-            f"[{BRACKET_LO * d2:g}, {BRACKET_HI * d2:g}]; parameters are outside "
-            "the isolated-crossing regime"
+            f"{what} locus {x:g} is at the edge of the search bracket [{lo:g}, {hi:g}]; "
+            "parameters are outside the isolated-crossing regime"
         )
     return x
 
 
 def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """delta1 minimizing the full-model splitting gap32 over the crossing bracket."""
-    if params.omega1 * params.omega2 <= 0:
-        raise BracketError("structural resonance requires omega1 * omega2 > 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    d2 = params.delta2
-    x, _ = minimize_scalar(
-        lambda d1: gap32(params.with_delta1(d1)),
-        BRACKET_LO * d2,
-        BRACKET_HI * d2,
-        xtol=tol * d2,
-    )
-    return _check_interior(x, params, "structural")
+    return _locus(params, gap32, minimize_scalar, "structural", tol)
 
 
 def structural_approx(params: RamanParams) -> float:
@@ -83,18 +92,7 @@ def dynamical_exact_effective(params: RamanParams) -> float:
 
 def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """delta1 maximizing the full-model transfer amplitude over the bracket."""
-    if params.omega1 * params.omega2 <= 0:
-        raise BracketError("dynamical resonance requires omega1 * omega2 > 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    d2 = params.delta2
-    x, _ = maximize_scalar(
-        lambda d1: transfer_supremum(params.with_delta1(d1)),
-        BRACKET_LO * d2,
-        BRACKET_HI * d2,
-        xtol=tol * d2,
-    )
-    return _check_interior(x, params, "dynamical")
+    return _locus(params, transfer_supremum, maximize_scalar, "dynamical", tol)
 
 
 def dynamical_approx(params: RamanParams) -> float:

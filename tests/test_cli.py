@@ -329,6 +329,15 @@ class TestUnits:
             (PROBE_SPECTRUM + ["--omega-p", "1", "--duration", "785.4"],
              "omega_p = 1 is too strong for the first-order probe: peak probability 1.08e+05 "
              "exceeds PERTURBATIVE_CEILING = 0.5"),
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "inf"],
+             "tol must be positive and finite, got inf"),
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "nan"],
+             "tol must be positive and finite, got nan"),
+            (["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1.5:3", "--tol", "inf"],
+             "tol must be positive and finite, got inf"),
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
+              "--tol", "inf"],
+             "tol must be positive and finite, got inf"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

@@ -1,5 +1,7 @@
 """Tests for the resonance loci and the dynamical shift."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from lambda_crossing import (
     dynamical_shift,
     eliminate,
     gap32,
+    iterate_levels,
+    resolvent_structural_resonance,
     resonance_report,
     shift_approx,
     shift_scan,
@@ -84,6 +88,41 @@ class TestStructural:
         p1 = RamanParams(0.2, 0.5, 1.0, 1.0)
         p2 = RamanParams(0.4, 1.0, 2.0, 2.0)
         assert structural_exact(p2) == pytest.approx(2.0 * structural_exact(p1), rel=1e-8)
+
+
+FINDERS = {
+    "structural": structural_exact,
+    "dynamical": dynamical_exact_full,
+    "structural (resolvent)": resolvent_structural_resonance,
+}
+BAD_TOLS = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestLocusSearch:
+    @pytest.mark.parametrize("kind", FINDERS)
+    @pytest.mark.parametrize(
+        "omegas, reason",
+        [
+            ((0.0, 0.3), "resonance requires omega1 * omega2 > 0"),
+            ((2.0, 0.1), "locus 0.5 is at the edge of the search bracket [0.5, 1.5]"),
+            ((0.1, 2.0), "locus 1.5 is at the edge of the search bracket [0.5, 1.5]"),
+        ],
+        ids=["no-coupling", "low-edge", "high-edge"],
+    )
+    def test_bracket_failure_names_kind(self, kind, omegas, reason):
+        with pytest.raises(BracketError) as err:
+            FINDERS[kind](RamanParams(*omegas, 1.0, 1.0))
+        assert str(err.value).startswith(f"{kind} {reason}")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [structural_exact, dynamical_exact_full, resolvent_structural_resonance, iterate_levels],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_tol_is_value_error(self, entry, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            entry(RamanParams(0.2, 0.5, 1.0, 1.0), tol=tol)
 
 
 class TestDynamical:
@@ -215,6 +254,11 @@ class TestShiftScan:
     def test_rejects_large_omega2(self):
         with pytest.raises(ValueError):
             shift_scan(0.7, [0.5])
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_tol_raises_not_skipped(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            shift_scan(0.5, [0.1, 1.0], tol=tol)
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
