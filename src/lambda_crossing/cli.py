@@ -22,7 +22,7 @@ from . import probe as probe_mod
 from . import resonance as res
 from .errors import LambdaCrossingError
 from .hamiltonian import RamanParams, dressed_spectrum
-from .resolvent import DEFAULT_MAX_ITER, iterate_levels
+from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 
@@ -183,11 +183,7 @@ def cmd_probe_spectrum(args) -> int:
         nu_grid = probe_mod.default_nu_grid(params, duration)
     spectrum = probe_mod.probe_spectrum(params, omega_p, duration, nu_grid)
     if spectrum.perturbative_flag:
-        raise ValueError(
-            f"omega_p = {args.omega_p} is too strong for the first-order probe: peak "
-            f"probability {float(np.max(spectrum.probabilities)):.3g} exceeds "
-            f"PERTURBATIVE_CEILING = {probe_mod.PERTURBATIVE_CEILING}"
-        )
+        raise probe_mod._strong_probe(args.omega_p, spectrum)
     out = _resolve_output(args.output or "probe_spectrum.csv")
     _write_csv(
         out,
@@ -223,7 +219,7 @@ def cmd_resolvent(args) -> int:
     s = _scale(args)
     levels = iterate_levels(
         _params(args, s, "delta1"),
-        tol=_num(args, "tol", 1e-12),
+        tol=_num(args, "tol", _LEVEL_TOL),
         max_iter=_num(args, "max_iter", DEFAULT_MAX_ITER, parse=int),
     )
     _write_csv(

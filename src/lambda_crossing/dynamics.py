@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -49,28 +50,33 @@ def _transfer_coeffs(params: RamanParams):
     return spec.states[2, :] * spec.states[0, :], spec.energies
 
 
-def p13_full(params: RamanParams, t) -> float:
-    """Exact |<3| exp(-iHt) |1>|^2; t may be a scalar or array."""
-    coeffs, energies = _transfer_coeffs(params)
+def _three_tone(coeffs, energies, t):
+    """|sum_k c_k exp(-i eps_k t)|^2 for a scalar or array t."""
     t = np.asarray(t, dtype=float)
     amp = np.exp(-1j * energies * t[..., None]) @ coeffs
     out = np.abs(amp) ** 2
     return float(out) if out.ndim == 0 else out
 
 
+def p13_full(params: RamanParams, t) -> float:
+    """Exact |<3| exp(-iHt) |1>|^2; t may be a scalar or array."""
+    return _three_tone(*_transfer_coeffs(params), t)
+
+
 def transfer_envelope(params: RamanParams) -> float:
     """Maximum 1->3 transfer over two effective Rabi periods.
 
-    Samples p13_full on a 400-point grid over [0, 4 pi / omega_eff],
-    refines the grid peak parabolically, then polishes it in continuous
-    time on the bracketing interval.
+    Samples p13_full, from one spectrum, on a 400-point grid over
+    [0, 4 pi / omega_eff], refines the grid peak parabolically, then
+    polishes it in continuous time on the bracketing interval.
     """
     model = eliminate(params)
     if model.omega_eff == 0.0:
         raise EnvelopeError("zero effective coupling: transfer envelope is degenerate")
     t_scan = 4.0 * math.pi / abs(model.omega_eff)
     ts = np.linspace(0.0, t_scan, ENVELOPE_POINTS)
-    ps = p13_full(params, ts)
+    p13 = partial(_three_tone, *_transfer_coeffs(params))
+    ps = p13(ts)
     i = int(np.argmax(ps))
     if 0 < i < ts.size - 1:
         t_guess = parabolic_vertex(ts[i - 1], ps[i - 1], ts[i], ps[i], ts[i + 1], ps[i + 1])
@@ -79,9 +85,7 @@ def transfer_envelope(params: RamanParams) -> float:
         t_guess = ts[i]
         lo = max(ts[i] - (ts[1] - ts[0]), 0.0)
         hi = min(ts[i] + (ts[1] - ts[0]), t_scan)
-    _, p_ref = maximize_scalar(
-        lambda t: p13_full(params, t), lo, hi, xtol=1e-12 * max(t_guess, 1.0)
-    )
+    _, p_ref = maximize_scalar(p13, lo, hi, xtol=1e-12 * max(t_guess, 1.0))
     return float(max(p_ref, ps[i]))
 
 

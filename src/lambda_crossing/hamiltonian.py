@@ -85,17 +85,17 @@ def _finite_grid(delta1_grid) -> np.ndarray:
     return grid
 
 
-def _signed_eigh(matrices: np.ndarray):
+def _signed_eigh(matrices: np.ndarray) -> DressedSpectrum:
     """LAPACK eigh of a (..., 3, 3) stack, ascending energies, with each
     eigenvector's largest-magnitude component made positive."""
     energies, states = np.linalg.eigh(matrices)
     peak = np.take_along_axis(states, np.abs(states).argmax(axis=-2)[..., None, :], axis=-2)
     states *= np.where(peak < 0.0, -1.0, 1.0)
-    return energies, states
+    return DressedSpectrum(energies=energies, states=states)
 
 
 def diagonalize(h) -> DressedSpectrum:
-    """Exact spectral decomposition of a symmetric 3x3 Hamiltonian matrix.
+    """Exact spectral decomposition of a symmetric 3x3 matrix a caller passes in.
 
     Energies are returned ascending; eigenvector signs are fixed by making
     the largest-magnitude component positive, so overlaps are reproducible
@@ -106,21 +106,17 @@ def diagonalize(h) -> DressedSpectrum:
         raise ValueError("Hamiltonian must be 3x3")
     if not np.abs(m - m.T).max() <= 1e-12 * max(np.abs(m).max(), 1e-300):
         raise ValueError("Hamiltonian matrix is not symmetric")
-    energies, states = _signed_eigh(m)
-    return DressedSpectrum(energies=energies, states=states)
+    return _signed_eigh(m)
 
 
 def dressed_spectrum(params: RamanParams, delta1_grid=None) -> DressedSpectrum:
-    """Shorthand for diagonalize(build_hamiltonian(params)).
+    """diagonalize(build_hamiltonian(params)), less its checks of the matrix.
 
     With delta1_grid, the spectra at every delta1 of the grid (params.delta1
     is ignored) from one batched eigh: energies has shape (N, 3) and
     states[i] is the sign-fixed eigenvector matrix at delta1_grid[i].
     """
-    if delta1_grid is None:
-        return diagonalize(build_hamiltonian(params))
-    energies, states = _signed_eigh(build_hamiltonian(params, delta1_grid))
-    return DressedSpectrum(energies=energies, states=states)
+    return _signed_eigh(build_hamiltonian(params, delta1_grid))
 
 
 def gap32(params: RamanParams) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from ._minimize import parabolic_vertex
 from .errors import BracketError, ExtractionError, GridError
 from .hamiltonian import DressedSpectrum, RamanParams, build_hamiltonian, dressed_spectrum
-from .resonance import shift_approx
+from .resonance import _check_count, shift_approx
 
 # First-order probabilities above this are outside the perturbative regime.
 PERTURBATIVE_CEILING = 0.5
@@ -130,8 +130,7 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     are multiplied pairwise, chunk by chunk, rather than applied in a
     step loop; the nodes t_n are the step loop's clock t += dt.
     """
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    _check_count("steps", steps)
     steps = int(steps)
     spec = dressed_spectrum(params)
     fastest = max(_gap(spec), abs(probe.nu), params.omega1, params.omega2, abs(params.delta1))
@@ -233,15 +232,7 @@ def _extract_peaks(nu, p):
 
 
 def _probe_spectrum(spec: DressedSpectrum, omega_p: float, duration: float, nu) -> ProbeSpectrum:
-    gap = _gap(spec)
-    if nu[0] > -1.5 * gap or nu[-1] < 1.5 * gap:
-        raise GridError("nu_grid must span at least [-1.5 gap, 1.5 gap]")
-    spacing = float(np.max(np.diff(nu)))
-    if spacing > (2.0 * math.pi / duration) / 10.0:
-        raise GridError(
-            f"nu grid spacing {spacing:g} too coarse to resolve 2 pi / t wide peaks"
-        )
-    p = _closed_form(alpha_elements(spec), gap, omega_p, nu, duration)
+    p = _closed_form(alpha_elements(spec), _gap(spec), omega_p, nu, duration)
     return ProbeSpectrum(
         nu_grid=nu,
         probabilities=p,
@@ -253,14 +244,36 @@ def _probe_spectrum(spec: DressedSpectrum, omega_p: float, duration: float, nu) 
 def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid) -> ProbeSpectrum:
     """Evaluate the probe transition probability over a nu grid and extract peaks.
 
-    The grid must span at least [-1.5 gap, 1.5 gap] with spacing no coarser
-    than a tenth of the 2 pi / duration peak width.
+    The grid must be finite and strictly ascending, span at least
+    [-1.5 gap, 1.5 gap] and have a spacing no coarser than a tenth of the
+    2 pi / duration peak width.
     """
     _check_probe(omega_p, duration)
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or nu.size < 5:
         raise GridError("nu_grid must be a 1-D grid with at least 5 points")
-    return _probe_spectrum(dressed_spectrum(params), omega_p, duration, nu)
+    dnu = np.diff(nu)
+    if not (np.all(np.isfinite(nu)) and np.all(dnu > 0.0)):
+        raise GridError("nu_grid must be finite and strictly ascending")
+    spec = dressed_spectrum(params)
+    gap = _gap(spec)
+    if nu[0] > -1.5 * gap or nu[-1] < 1.5 * gap:
+        raise GridError("nu_grid must span at least [-1.5 gap, 1.5 gap]")
+    spacing = float(np.max(dnu))
+    if spacing > (2.0 * math.pi / duration) / 10.0:
+        raise GridError(
+            f"nu grid spacing {spacing:g} too coarse to resolve 2 pi / t wide peaks"
+        )
+    return _probe_spectrum(spec, omega_p, duration, nu)
+
+
+def _strong_probe(omega_p, spectrum: ProbeSpectrum, where: str = "") -> ValueError:
+    """The error for a probe whose spectrum has perturbative_flag set."""
+    return ValueError(
+        f"omega_p = {omega_p} is too strong for the first-order probe{where}: peak "
+        f"probability {float(np.max(spectrum.probabilities)):.3g} exceeds "
+        f"PERTURBATIVE_CEILING = {PERTURBATIVE_CEILING}"
+    )
 
 
 def measured_splitting(spectrum: ProbeSpectrum) -> float:
@@ -300,7 +313,8 @@ def probed_structural_resonance(
     For each delta1 on the grid, sweep nu, extract the negative-nu peak
     and record the measured splitting; the resonance is the parabolic
     refinement of the grid minimum. The probe prefactor omega_p^2 scales
-    the whole spectrum and cannot move the extremum.
+    the whole spectrum and cannot move the extremum, but a probe strong
+    enough to set any spectrum's perturbative_flag raises ValueError.
     """
     _check_probe(omega_p, duration)
     grid = np.asarray(delta1_grid, dtype=float)
@@ -310,6 +324,8 @@ def probed_structural_resonance(
         point = DressedSpectrum(energies=spectra.energies[i], states=spectra.states[i])
         nu = _nu_grid(_gap(point), duration)
         spectrum = _probe_spectrum(point, omega_p, duration, nu)
+        if spectrum.perturbative_flag:
+            raise _strong_probe(omega_p, spectrum, f" at delta1 = {d1:g}")
         try:
             splittings[i] = measured_splitting(spectrum)
         except ExtractionError as err:

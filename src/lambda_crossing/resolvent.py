@@ -17,9 +17,10 @@ import numpy as np
 from ._minimize import minimize_scalar
 from .errors import ConvergenceError, PoleError
 from .hamiltonian import RamanParams, build_hamiltonian
-from .resonance import DEFAULT_TOL, _check_tol, _locus
+from .resonance import DEFAULT_TOL, _check_count, _check_tol, _locus
 
 DEFAULT_MAX_ITER = 200
+_LEVEL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,18 @@ def _iterate_branch(params: RamanParams, sign: float, tol: float, max_iter: int)
 
 
 def iterate_levels(
-    params: RamanParams, tol: float = 1e-12, max_iter: int = DEFAULT_MAX_ITER
+    params: RamanParams, tol: float = _LEVEL_TOL, max_iter: int = DEFAULT_MAX_ITER
 ) -> LevelIteration:
     """Fixed-point iteration of both crossing-branch energies.
 
     Each branch iterates E <- C(E) + s * sqrt(delta_eff(E)^2 + r13(E)^2)
-    from E = 0. Raises ConvergenceError if either branch fails within
-    max_iter. Converged energies are exact eigenvalues of the full 3x3
-    Hamiltonian (characteristic residuals are returned for inspection).
+    from E = 0. max_iter must be a positive integer; raises ConvergenceError
+    if either branch fails within max_iter. Converged energies are exact
+    eigenvalues of the full 3x3 Hamiltonian (characteristic residuals are
+    returned for inspection).
     """
     _check_tol(tol)
+    _check_count("max_iter", max_iter)
     e_minus, n_minus, ok_minus = _iterate_branch(params, -1.0, tol, max_iter)
     e_plus, n_plus, ok_plus = _iterate_branch(params, +1.0, tol, max_iter)
     if not (ok_minus and ok_plus):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from ._minimize import maximize_scalar, minimize_scalar
 from .dynamics import transfer_supremum
@@ -41,6 +42,13 @@ def _check_tol(tol: float) -> None:
     """The one tolerance rule of the locus searches and iterate_levels."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """The one positive-integer rule, for the probe oracle's steps and
+    iterate_levels' max_iter: an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _locus(params: RamanParams, objective, search, what: str, tol: float) -> float:
@@ -140,8 +148,12 @@ def shift_scan(omega2: float, ratio_grid, tol: float = DEFAULT_TOL, delta2: floa
     """Dynamical shift versus coupling ratio omega1/omega2 at fixed omega2.
 
     Returns (rows, skipped) where rows are ShiftScanRow in grid order and
-    skipped collects (ratio, diagnostic) for bracket failures.
+    skipped collects (ratio, diagnostic) for bracket failures. omega2 and
+    delta2 must be finite and positive.
     """
+    for name, value in (("omega2", omega2), ("delta2", delta2)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if omega2 > 0.6 * delta2:
         raise ValueError("omega2 must be <= 0.6 delta2 for a meaningful scan")
     rows = []

@@ -338,6 +338,14 @@ class TestUnits:
             (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
               "--tol", "inf"],
              "tol must be positive and finite, got inf"),
+            (["shift-scan", "--omega2", "0", "--ratio-range", "0.1:1.5:3"],
+             "omega2 must be finite and positive, got 0.0"),
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0",
+              "--max-iter", "0"],
+             "max_iter must be a positive integer, got 0"),
+            (PROBE_RESONANCE + ["--omega-p", "1", "--duration", "785.4"],
+             "omega_p = 1.0 is too strong for the first-order probe at delta1 = 1.04: peak "
+             "probability"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

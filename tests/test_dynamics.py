@@ -9,6 +9,7 @@ from lambda_crossing import (
     EnvelopeError,
     RamanParams,
     build_hamiltonian,
+    dressed_spectrum,
     eliminate,
     evolve,
     p13_effective,
@@ -16,8 +17,30 @@ from lambda_crossing import (
     transfer_envelope,
     transfer_supremum,
 )
+from lambda_crossing import dynamics
+from lambda_crossing._minimize import maximize_scalar, parabolic_vertex
 
 RNG = np.random.default_rng(99)
+
+
+def envelope_per_evaluation(params):
+    """The envelope search with p13_full, and so one eigensolve, at every
+    evaluation: the reference for the one-spectrum transfer_envelope."""
+    t_scan = 4.0 * math.pi / abs(eliminate(params).omega_eff)
+    ts = np.linspace(0.0, t_scan, dynamics.ENVELOPE_POINTS)
+    ps = p13_full(params, ts)
+    i = int(np.argmax(ps))
+    if 0 < i < ts.size - 1:
+        t_guess = parabolic_vertex(ts[i - 1], ps[i - 1], ts[i], ps[i], ts[i + 1], ps[i + 1])
+        lo, hi = ts[i - 1], ts[i + 1]
+    else:
+        t_guess = ts[i]
+        lo = max(ts[i] - (ts[1] - ts[0]), 0.0)
+        hi = min(ts[i] + (ts[1] - ts[0]), t_scan)
+    _, p_ref = maximize_scalar(
+        lambda t: p13_full(params, t), lo, hi, xtol=1e-12 * max(t_guess, 1.0)
+    )
+    return float(max(p_ref, ps[i]))
 
 
 def rk4_evolve(params, psi0, t_final, steps):
@@ -155,3 +178,20 @@ class TestTransferEnvelope:
             assert env <= sup + 1e-12
             # the three-tone sum comes close to its supremum within the window
             assert env >= 0.98 * sup
+
+    def test_one_spectrum_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dressed_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "dressed_spectrum", counted)
+        transfer_envelope(RamanParams(0.2, 0.5, 1.03, 1.0))
+        assert len(calls) == 1
+
+    def test_matches_per_evaluation_spectra(self):
+        for _ in range(200):
+            omega1, omega2 = np.exp(RNG.uniform(math.log(1e-3), math.log(0.6), 2))
+            p = RamanParams(float(omega1), float(omega2), float(RNG.uniform(0.5, 1.5)), 1.0)
+            assert transfer_envelope(p) == envelope_per_evaluation(p)

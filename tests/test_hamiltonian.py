@@ -152,6 +152,17 @@ class TestDiagonalize:
             e = dressed_spectrum(p).energies
             assert e[0] <= e[1] <= e[2]
 
+    def test_point_spectrum_equals_checked_path(self):
+        # dressed_spectrum skips diagonalize's matrix checks, not its numbers
+        draws = list(random_params(200))
+        draws += [p.with_delta1(0.0) for p in draws[:20]]
+        draws += [RamanParams(0.0, p.omega2, p.delta1, 1.0) for p in draws[:20]]
+        draws += [RamanParams(0.0, 0.0, p.delta1, 1.0) for p in draws[:20]]
+        for p in draws:
+            spec, ref = dressed_spectrum(p), diagonalize(build_hamiltonian(p))
+            np.testing.assert_array_equal(spec.energies, ref.energies)
+            np.testing.assert_array_equal(spec.states, ref.states)
+
 
 class TestBatchedSpectrum:
     def test_matches_per_point(self):

@@ -303,10 +303,18 @@ class TestProbeSpectrum:
     def test_grid_span_validation(self):
         with pytest.raises(GridError):
             probe_spectrum(REF, 1e-4, T_REF, np.linspace(-0.05, 0.05, 2001))
+        # a descending grid that spans the peaks is refused for its order
+        with pytest.raises(GridError, match="nu_grid must be finite and strictly ascending"):
+            probe_spectrum(REF, 1e-4, T_REF, default_nu_grid(REF, T_REF)[::-1])
 
     def test_grid_spacing_validation(self):
         with pytest.raises(GridError):
             probe_spectrum(REF, 1e-4, T_REF, np.linspace(-0.12, 0.12, 51))
+        # one non-finite or repeated point in an otherwise valid grid
+        nu = default_nu_grid(REF, T_REF)
+        for value in (math.nan, math.inf, nu[100]):
+            with pytest.raises(GridError, match="nu_grid must be finite and strictly ascending"):
+                probe_spectrum(REF, 1e-4, T_REF, np.insert(nu, 100, value))
 
     def test_perturbative_flag(self):
         weak = probe_spectrum(REF, 1e-5, T_REF, default_nu_grid(REF, T_REF))
@@ -424,6 +432,15 @@ class TestProbedResonance:
     def test_rejects_non_finite_grid(self):
         with pytest.raises(ValueError, match="finite"):
             probed_structural_resonance(REF, [1.04, math.nan, 1.06], 1e-5, T_REF)
+
+    def test_strong_probe_rejected(self):
+        grid = np.linspace(1.04, 1.06, 11)
+        with pytest.raises(
+            ValueError,
+            match=r"omega_p = 0.05 is too strong for the first-order probe at delta1 = 1.04: "
+            r"peak probability .* exceeds PERTURBATIVE_CEILING = 0.5",
+        ):
+            probed_structural_resonance(REF, grid, 0.05, T_REF)
 
     def test_edge_minimum_raises(self):
         grid = np.linspace(1.2, 1.3, 11)

@@ -103,6 +103,15 @@ class TestIterateLevels:
         with pytest.raises(ValueError):
             iterate_levels(RamanParams(0.2, 0.5, 1.0, 1.0), tol=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, True])
+    def test_rejects_bad_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            iterate_levels(RamanParams(0.2, 0.5, 1.0, 1.0), max_iter=max_iter)
+
+    def test_accepts_numpy_integer_max_iter(self):
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        assert iterate_levels(p, max_iter=np.int64(200)) == iterate_levels(p)
+
 
 class TestResolventResonance:
     def test_matches_full_model_finder(self):

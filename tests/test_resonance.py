@@ -255,6 +255,23 @@ class TestShiftScan:
         with pytest.raises(ValueError):
             shift_scan(0.7, [0.5])
 
+    @pytest.mark.parametrize(
+        "omega2, delta2, name",
+        [
+            (0.0, 1.0, "omega2"),
+            (-0.1, 1.0, "omega2"),
+            (math.nan, 1.0, "omega2"),
+            (math.inf, 1.0, "omega2"),
+            (0.3, 0.0, "delta2"),
+            (0.3, -1.0, "delta2"),
+            (0.3, math.nan, "delta2"),
+            (0.3, math.inf, "delta2"),
+        ],
+    )
+    def test_rejects_non_positive_omega2_or_delta2(self, omega2, delta2, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            shift_scan(omega2, [0.5], delta2=delta2)
+
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_tol_raises_not_skipped(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
