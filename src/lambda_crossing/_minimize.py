@@ -1,8 +1,13 @@
-"""Derivative-free scalar minimization: golden section with parabolic acceleration."""
+"""Scalar extremum searches on a bracket: Brent's derivative-free minimization
+(golden section with parabolic acceleration) and a Brent-Dekker root of a slope."""
 
 import math
 
+from .errors import ConvergenceError
+
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
+# Floor of the root tolerance, relative to |x|: a few units in the last place.
+_ROOT_RTOL = 4.0 * 2.0**-52
 
 
 def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
@@ -71,6 +76,63 @@ def maximize_scalar(f, a, b, xtol=1e-10, max_iter=200):
     """Maximize f on [a, b]; returns (x, f(x))."""
     x, fneg = minimize_scalar(lambda t: -f(t), a, b, xtol=xtol, max_iter=max_iter)
     return x, -fneg
+
+
+def slope_root(g, a, b, xtol, what, max_iter=100):
+    """Minimizer on [a, b] of a function whose slope is g, to xtol.
+
+    g must be negative left of the minimizer and positive right of it;
+    only its sign and its values are used. The root is found by
+    Brent-Dekker: secant or inverse quadratic interpolation, replaced by
+    bisection whenever that step is not well behaved, on a bracket that
+    always holds a sign change. The result lies within max(xtol, 4 ulp)
+    of the sign change. When g does not change sign on [a, b], returns
+    the end g descends to: a if g(a) >= 0, else b if g(b) <= 0. Returns
+    (x, g(x)); raises ConvergenceError naming the locus kind what when
+    max_iter evaluations past the two ends do not reach xtol.
+    """
+    if not b > a:
+        raise ValueError("bracket must satisfy a < b")
+    fa, fb = g(a), g(b)
+    if fa >= 0.0:
+        return a, fa
+    if fb <= 0.0:
+        return b, fb
+    # b is the best estimate; [b, c] holds the sign change; a is b's predecessor.
+    c, fc = a, fa
+    step = prev_step = b - a
+    for _ in range(max_iter):
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb = c, fc
+            c, fc = a, fa
+        tol1 = 0.5 * max(xtol, _ROOT_RTOL * abs(b))
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) < tol1:
+            return b, fb
+        if abs(prev_step) > tol1 and abs(fb) < abs(fa):
+            if a == c:
+                trial = -fb * (b - a) / (fb - fa)
+            else:
+                # Inverse quadratic interpolation through a, b and c.
+                da = (fa - fb) / (a - b)
+                dc = (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - tol1):
+                prev_step, step = step, trial
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol1 else math.copysign(tol1, half)
+        fb = g(b)
+        if (fb < 0.0) != (fa < 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+    raise ConvergenceError(
+        f"{what} locus: slope root not found to xtol = {xtol:g} within {max_iter} iterations"
+    )
 
 
 def parabolic_vertex(x0, y0, x1, y1, x2, y2):

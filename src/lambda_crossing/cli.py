@@ -4,12 +4,14 @@ Subcommands: levels, resonance, shift-scan, probe-spectrum,
 probe-resonance, resolvent, experiment. Flags may be preloaded from a
 flat `key = value` config file (# comments allowed); flags override file
 values. With --units hz all frequency inputs are ordinary frequencies,
-converted to angular internally and converted back on output.
+converted to angular internally and converted back on output; an error
+from the library then quotes angular values and says so.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,6 +27,13 @@ from .hamiltonian import RamanParams, dressed_spectrum
 from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
+# Appended to a library error under --units hz: the library sees, and its
+# messages quote, angular frequencies.
+_HZ_NOTE = " (frequencies quoted in angular units, 2π × Hz)"
+
+
+class _FlagError(ValueError):
+    """A bad flag value, quoted as the user gave it (so never angular)."""
 
 
 def _fmt(value) -> str:
@@ -50,7 +59,7 @@ def _parse_range(text: str, key: str) -> np.ndarray:
     if count < 2:
         raise SystemExit(f"error: {key}: range count must be >= 2")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"{key}: range bounds must be finite, got {text!r}")
+        raise _FlagError(f"{key}: range bounds must be finite, got {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -109,7 +118,7 @@ def _num(args, key, default=None, parse=float):
     try:
         return parse(value)
     except ValueError:
-        raise ValueError(f"{key}: malformed number {value!r}") from None
+        raise _FlagError(f"{key}: malformed number {value!r}") from None
 
 
 def _scale(args) -> float:
@@ -183,7 +192,7 @@ def cmd_probe_spectrum(args) -> int:
         nu_grid = probe_mod.default_nu_grid(params, duration)
     spectrum = probe_mod.probe_spectrum(params, omega_p, duration, nu_grid)
     if spectrum.perturbative_flag:
-        raise probe_mod._strong_probe(args.omega_p, spectrum)
+        raise _FlagError(*probe_mod._strong_probe(args.omega_p, spectrum).args)
     out = _resolve_output(args.output or "probe_spectrum.csv")
     _write_csv(
         out,
@@ -298,7 +307,9 @@ FLAG_SETTINGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="lambda-crossing",
         description="Avoided-crossing resonance analysis of a driven 3-level Lambda system",
@@ -319,7 +330,9 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (LambdaCrossingError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        angular = args.units == "hz" and args.command != "experiment"
+        angular = angular and not isinstance(err, (_FlagError, OSError))
+        print(f"error: {err}{_HZ_NOTE if angular else ''}", file=sys.stderr)
         return 1
 
 

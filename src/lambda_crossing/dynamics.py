@@ -100,3 +100,26 @@ def transfer_supremum(params: RamanParams) -> float:
     """
     coeffs, _ = _transfer_coeffs(params)
     return float(np.abs(coeffs).sum() ** 2)
+
+
+def transfer_supremum_slope(energies, states) -> float:
+    """d(sum_k |c_k|)/d delta1 times (eps3 - eps2)^3, from the eigh of a
+    Hamiltonian (eigenvector signs are free); its sign is that of the
+    delta1-slope of transfer_supremum.
+
+    With dH/d delta1 = diag(0, -1, -1), first-order perturbation gives
+    dv_k = sum_{j != k} v_j v_{0,j} v_{0,k} / (eps_k - eps_j), so with
+    s_k = sign(c_k) the slope of sum_k |c_k| is the sum over pairs j < k of
+    (s_k - s_j) v_{0,j} v_{0,k} (v_{0,j} v_{2,k} + v_{0,k} v_{2,j}) / (eps_k - eps_j).
+    The positive gap factor leaves the root, the dynamical locus, in place
+    and makes the slope nearly linear in delta1 across the crossing.
+    """
+    e = energies.tolist()
+    u, _, w = states.tolist()
+    s = [math.copysign(1.0, u[k] * w[k]) for k in range(3)]
+    slope = 0.0
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        if s[j] != s[k]:
+            uu = u[j] * u[k]
+            slope += (s[k] - s[j]) * uu * (u[j] * w[k] + u[k] * w[j]) / (e[k] - e[j])
+    return slope * (e[2] - e[1]) ** 3

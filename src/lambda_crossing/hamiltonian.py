@@ -71,6 +71,21 @@ def build_hamiltonian(params: RamanParams, delta1=None) -> np.ndarray:
     return m
 
 
+def _eigh_along_delta1(params: RamanParams):
+    """The function delta1 -> np.linalg.eigh of the Hamiltonian at delta1,
+    the other parameters taken from params: the evaluator of a 1-D delta1
+    search. It refills one matrix in place and leaves eigenvector signs as
+    LAPACK returns them, so only sign-invariant quantities may be read."""
+    m = build_hamiltonian(params)
+
+    def eigh_at(delta1: float):
+        m[1, 1] = -delta1
+        m[2, 2] = -(delta1 - params.delta2)
+        return np.linalg.eigh(m)
+
+    return eigh_at
+
+
 def bare_levels(params: RamanParams) -> np.ndarray:
     """Uncoupled (drive-off) level energies in bare-basis order: (0, -d1, d2-d1)."""
     return np.array([0.0, -params.delta1, params.delta2 - params.delta1])
@@ -123,6 +138,20 @@ def gap32(params: RamanParams) -> float:
     """Energy splitting between the two upper dressed levels, eps3 - eps2 >= 0."""
     e = dressed_spectrum(params).energies
     return float(e[2] - e[1])
+
+
+def gap32_slope(energies, states) -> float:
+    """(eps3 - eps2) d(eps3 - eps2)/d delta1, half the delta1-slope of gap32**2,
+    from the eigh of a Hamiltonian (eigenvector signs are free).
+
+    dH/d delta1 = diag(0, -1, -1), so d eps_k/d delta1 = v_{0,k}^2 - 1
+    (Hellmann-Feynman). The positive gap factor leaves the root, the
+    structural locus, in place and makes the slope nearly linear in delta1
+    across the crossing.
+    """
+    _, e2, e3 = energies.tolist()
+    _, v2, v3 = states[0].tolist()
+    return (e3 - e2) * (v3 * v3 - v2 * v2)
 
 
 @dataclass(frozen=True)

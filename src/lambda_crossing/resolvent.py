@@ -127,8 +127,8 @@ def adiabatic_limit(params: RamanParams) -> ImplicitModel:
 def resolvent_structural_resonance(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """Structural locus from the iterated branch splitting E_plus - E_minus."""
 
-    def splitting(p: RamanParams) -> float:
-        levels = iterate_levels(p)
+    def splitting(d1: float) -> float:
+        levels = iterate_levels(params.with_delta1(d1))
         return levels.e_plus - levels.e_minus
 
     return _locus(params, splitting, minimize_scalar, "structural (resolvent)", tol)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 
-from ._minimize import maximize_scalar, minimize_scalar
-from .dynamics import transfer_supremum
+from ._minimize import slope_root
+from .dynamics import transfer_supremum_slope
 from .errors import BracketError
-from .hamiltonian import RamanParams, gap32
+from .hamiltonian import RamanParams, _eigh_along_delta1, gap32_slope
 
 # Search bracket around the delta1 ~ delta2 crossing, in units of delta2.
 BRACKET_LO = 0.5
@@ -51,14 +52,20 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _locus(params: RamanParams, objective, search, what: str, tol: float) -> float:
-    """delta1 where search (minimize_scalar or maximize_scalar) finds the
-    extremum of objective(params at delta1) over [BRACKET_LO, BRACKET_HI] *
-    delta2, to tol * delta2.
+def _locus(params: RamanParams, f, search, what: str, tol: float) -> float:
+    """delta1 where search(f, lo, hi, xtol=tol * delta2) puts the locus in
+    [lo, hi] = [BRACKET_LO, BRACKET_HI] * delta2; f is a function of delta1.
 
-    Callers pass objective and search from their own module globals at call
-    time: those module attributes are the benchmark's trace and fault sites,
-    so nothing here may bind them when it is defined. A bad tol raises
+    structural_exact and dynamical_exact_full pass an analytic slope and
+    slope_root, which places its sign change to max(tol * delta2, 4 ulp),
+    in a median of 6 (structural) and 8 (dynamical) slope evaluations over
+    log-uniform couplings; resolvent_structural_resonance passes its splitting
+    and minimize_scalar, a value-only search that resolves a flat minimum
+    to no better than about sqrt(eps).
+
+    Callers pass f and search from their own module globals at call time:
+    those module attributes are the benchmark's trace and fault sites, so
+    nothing here may bind them when it is defined. A bad tol raises
     ValueError; missing couplings or a locus at the bracket edge raise
     BracketError naming the locus kind what.
     """
@@ -67,7 +74,7 @@ def _locus(params: RamanParams, objective, search, what: str, tol: float) -> flo
         raise BracketError(f"{what} resonance requires omega1 * omega2 > 0")
     d2 = params.delta2
     lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
-    x, _ = search(lambda d1: objective(params.with_delta1(d1)), lo, hi, xtol=tol * d2)
+    x, _ = search(f, lo, hi, xtol=tol * d2)
     if min(x - lo, hi - x) < _EDGE_MARGIN * d2:
         raise BracketError(
             f"{what} locus {x:g} is at the edge of the search bracket [{lo:g}, {hi:g}]; "
@@ -76,9 +83,19 @@ def _locus(params: RamanParams, objective, search, what: str, tol: float) -> flo
     return x
 
 
+def _slope_locus(params: RamanParams, slope, sign: float, what: str, tol: float) -> float:
+    """_locus as the root of sign * slope(eigh at delta1), one eigh per step;
+    sign is -1 for a slope that is positive left of the locus."""
+    eigh_at = _eigh_along_delta1(params)
+    return _locus(
+        params, lambda d1: sign * slope(*eigh_at(d1)), partial(slope_root, what=what), what, tol
+    )
+
+
 def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
-    """delta1 minimizing the full-model splitting gap32 over the crossing bracket."""
-    return _locus(params, gap32, minimize_scalar, "structural", tol)
+    """delta1 minimizing the full-model splitting gap32 over the crossing
+    bracket: the root of gap32_slope."""
+    return _slope_locus(params, gap32_slope, 1.0, "structural", tol)
 
 
 def structural_approx(params: RamanParams) -> float:
@@ -99,8 +116,9 @@ def dynamical_exact_effective(params: RamanParams) -> float:
 
 
 def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
-    """delta1 maximizing the full-model transfer amplitude over the bracket."""
-    return _locus(params, transfer_supremum, maximize_scalar, "dynamical", tol)
+    """delta1 maximizing the full-model transfer supremum over the bracket:
+    the root of transfer_supremum_slope."""
+    return _slope_locus(params, transfer_supremum_slope, -1.0, "dynamical", tol)
 
 
 def dynamical_approx(params: RamanParams) -> float:

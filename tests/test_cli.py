@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lambda_crossing import RamanParams, dressed_spectrum, resonance_report
+from lambda_crossing import RamanParams, dressed_spectrum, resonance, resonance_report
 from lambda_crossing.cli import OUTDIR_ENV, build_parser, main
 
 
@@ -98,6 +98,21 @@ class TestResonance:
         report = resonance_report(RamanParams(0.2, 0.5, 1.0, 1.0))
         for name, value in zip(header, rows[0]):
             assert value == pytest.approx(getattr(report, name), rel=1e-12)
+
+
+    @pytest.mark.parametrize("attr", ["structural_exact", "dynamical_exact_full"])
+    def test_reads_locus_through_resonance_module(self, tmp_path, monkeypatch, attr):
+        # the benchmark injects its CLI resonance faults at these attributes
+        argv = ["resonance", "--omega1", "0.2", "--omega2", "0.5", "--output"]
+        clean, faulty = tmp_path / "clean.csv", tmp_path / "faulty.csv"
+        assert main(argv + [str(clean)]) == 0
+        original = getattr(resonance, attr)
+        monkeypatch.setattr(resonance, attr, lambda *a, **k: original(*a, **k) + 1e-6)
+        assert main(argv + [str(faulty)]) == 0
+        header, rows_clean = read_csv(clean)
+        _, rows_faulty = read_csv(faulty)
+        column = header.index(attr)
+        assert rows_faulty[0][column] == pytest.approx(rows_clean[0][column] + 1e-6, abs=1e-15)
 
 
 class TestShiftScan:
@@ -257,6 +272,17 @@ class TestConfigHandling:
         assert main(args + ["--delta2", "2", "--output", str(from_flag)]) == 0
         assert from_file.read_bytes() == from_flag.read_bytes()
 
+    def test_calls_share_no_state(self, tmp_path):
+        # the parser is built once per process; a flag a config file filled
+        # in one call must not leak into the next
+        assert build_parser() is build_parser()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega1 = 0.3\n")
+        args = ["levels", "--omega2", "0.4", "--delta1-range", "0.5:1.5:11"]
+        assert main(args + ["--config", str(cfg), "--output", str(tmp_path / "a.csv")]) == 0
+        with pytest.raises(SystemExit, match="missing required option --omega1"):
+            main(args + ["--output", str(tmp_path / "b.csv")])
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega9 = 0.3\n")
@@ -278,6 +304,7 @@ class TestConfigHandling:
         assert (tmp_path / "sub.csv").exists()
 
 
+HZ_NOTE = " (frequencies quoted in angular units, 2π × Hz)"
 PROBE_SPECTRUM = ["probe-spectrum", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0"]
 PROBE_RESONANCE = [
     "probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range", "1.04:1.06:11"
@@ -346,6 +373,13 @@ class TestUnits:
             (PROBE_RESONANCE + ["--omega-p", "1", "--duration", "785.4"],
              "omega_p = 1.0 is too strong for the first-order probe at delta1 = 1.04: peak "
              "probability"),
+            (["resonance", "--omega1", "2", "--omega2", "0.1", "--units", "hz"],
+             "structural locus 3.14159 is at the edge of the search bracket [3.14159, 9.42478]; "
+             "parameters are outside the isolated-crossing regime" + HZ_NOTE),
+            (PROBE_RESONANCE + ["--omega-p", "1", "--duration", "785.4", "--units", "hz"],
+             "omega_p = 6.283185307179586 is too strong for the first-order probe at "
+             "delta1 = 6.53451: peak probability 2.07e+06 exceeds PERTURBATIVE_CEILING = 0.5"
+             + HZ_NOTE),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
@@ -355,6 +389,23 @@ class TestUnits:
         assert err.startswith(f"error: {message}")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            PROBE_SPECTRUM + ["--omega-p", "1", "--duration", "785.4", "--units", "hz"],
+            ["resonance", "--omega1", "0.2x", "--omega2", "0.5", "--units", "hz"],
+            ["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "nan:1:5",
+             "--units", "hz"],
+            ["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "300e3",
+             "--delta2", "0", "--units", "hz"],
+        ],
+        ids=["probe-spectrum-flag", "malformed-number", "range", "experiment"],
+    )
+    def test_hz_note_only_for_angular_values(self, tmp_path, capsys, argv):
+        # these messages quote the flags as given, or experiment's Hz inputs
+        assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 1
+        assert HZ_NOTE not in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         # bracket failure inside the library surfaces as exit 1, one line

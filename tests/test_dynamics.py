@@ -10,6 +10,7 @@ from lambda_crossing import (
     RamanParams,
     build_hamiltonian,
     dressed_spectrum,
+    dynamical_exact_effective,
     eliminate,
     evolve,
     p13_effective,
@@ -17,8 +18,9 @@ from lambda_crossing import (
     transfer_envelope,
     transfer_supremum,
 )
-from lambda_crossing import dynamics
+from lambda_crossing import dynamics, gap32
 from lambda_crossing._minimize import maximize_scalar, parabolic_vertex
+from lambda_crossing.dynamics import transfer_supremum_slope
 
 RNG = np.random.default_rng(99)
 
@@ -195,3 +197,34 @@ class TestTransferEnvelope:
             omega1, omega2 = np.exp(RNG.uniform(math.log(1e-3), math.log(0.6), 2))
             p = RamanParams(float(omega1), float(omega2), float(RNG.uniform(0.5, 1.5)), 1.0)
             assert transfer_envelope(p) == envelope_per_evaluation(p)
+
+
+class TestTransferSupremumSlope:
+    @pytest.mark.parametrize(
+        "omegas", [(0.2, 0.5), (0.01, 0.03), (0.5, 0.05), (0.002, 0.003)], ids=str
+    )
+    def test_equals_central_difference(self, omegas):
+        # gap32^3 times the central difference of sqrt(transfer_supremum) =
+        # sum_k |c_k|, at a step of 1e-4 crossing widths
+        p = RamanParams(*omegas, 1.0, 1.0)
+        width = p.omega1 * p.omega2 / 2.0
+        centre = dynamical_exact_effective(p)
+        h = 1e-4 * width
+        for d1 in (0.6, centre - 3.0 * width, centre - 0.3 * width, centre + 0.5 * width,
+                   centre + 4.0 * width, 1.4):
+            q = p.with_delta1(d1)
+            s_plus = math.sqrt(transfer_supremum(q.with_delta1(d1 + h)))
+            s_minus = math.sqrt(transfer_supremum(q.with_delta1(d1 - h)))
+            spec = dressed_spectrum(q)
+            assert transfer_supremum_slope(spec.energies, spec.states) == pytest.approx(
+                gap32(q) ** 3 * (s_plus - s_minus) / (2.0 * h), rel=1e-5
+            )
+
+    def test_eigenvector_signs_are_free(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2))
+            p = RamanParams(float(omega1), float(omega2), float(rng.uniform(0.5, 1.5)), 1.0)
+            e, v = np.linalg.eigh(build_hamiltonian(p))
+            flipped = v * rng.choice([-1.0, 1.0], size=3)
+            assert transfer_supremum_slope(e, flipped) == transfer_supremum_slope(e, v)

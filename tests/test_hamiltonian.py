@@ -18,7 +18,7 @@ from lambda_crossing import (
     gap32,
     track_character,
 )
-from lambda_crossing.hamiltonian import _dominant
+from lambda_crossing.hamiltonian import _dominant, _eigh_along_delta1, gap32_slope
 
 RNG = np.random.default_rng(20260823)
 
@@ -232,6 +232,51 @@ class TestGap32:
         full_min = min(gaps)
         eff_min = p.omega1 * p.omega2 / (2.0 * dynamical_exact_effective(p))
         assert abs(full_min - eff_min) < (0.5) ** 4
+
+
+SLOPE_COUPLINGS = [(0.2, 0.5), (0.01, 0.03), (0.5, 0.05), (0.002, 0.003)]
+
+
+def crossing_points(p):
+    """(delta1, width): delta1 values across the delta1 ~ delta2 crossing,
+    from the bracket ends in to a fraction of its width."""
+    centre = dynamical_exact_effective(p)
+    width = p.omega1 * p.omega2 / (2.0 * p.delta2)
+    offsets = (-3.0, -0.3, 0.5, 4.0)
+    return [0.6 * p.delta2, *(centre + k * width for k in offsets), 1.4 * p.delta2], width
+
+
+class TestGap32Slope:
+    @pytest.mark.parametrize("omegas", SLOPE_COUPLINGS, ids=str)
+    def test_equals_central_difference(self, omegas):
+        # gap32 times the central difference of gap32, at a step of 1e-4 widths
+        p = RamanParams(*omegas, 1.0, 1.0)
+        points, width = crossing_points(p)
+        h = 1e-4 * width
+        for d1 in points:
+            q = p.with_delta1(d1)
+            diff = (gap32(q.with_delta1(d1 + h)) - gap32(q.with_delta1(d1 - h))) / (2.0 * h)
+            spec = dressed_spectrum(q)
+            assert gap32_slope(spec.energies, spec.states) == pytest.approx(
+                gap32(q) * diff, rel=1e-5
+            )
+
+    def test_eigenvector_signs_are_free(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2))
+            p = RamanParams(float(omega1), float(omega2), float(rng.uniform(0.5, 1.5)), 1.0)
+            e, v = np.linalg.eigh(build_hamiltonian(p))
+            flipped = v * rng.choice([-1.0, 1.0], size=3)
+            assert gap32_slope(e, flipped) == gap32_slope(e, v)
+
+    def test_eigh_along_delta1_matches_fresh_matrix(self):
+        p = RamanParams(0.2, 0.5, 1.0, 1.3)
+        eigh_at = _eigh_along_delta1(p)
+        for d1 in (0.7, 1.3, 1.9, 1.3):
+            e, v = eigh_at(d1)
+            e_ref, v_ref = np.linalg.eigh(build_hamiltonian(p.with_delta1(d1)))
+            assert np.array_equal(e, e_ref) and np.array_equal(v, v_ref)
 
 
 class TestAvoidedCrossingScan:

@@ -1,12 +1,18 @@
 """Tests for the resonance loci and the dynamical shift."""
 
+import functools
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_crossing import (
     BracketError,
+    ConvergenceError,
     RamanParams,
     dynamical_approx,
     dynamical_exact_effective,
@@ -23,7 +29,14 @@ from lambda_crossing import (
     structural_exact,
     transfer_supremum,
 )
-from lambda_crossing._minimize import parabolic_vertex
+from lambda_crossing import resolvent, resonance
+from lambda_crossing._minimize import (
+    maximize_scalar,
+    minimize_scalar,
+    parabolic_vertex,
+    slope_root,
+)
+from lambda_crossing.resonance import DEFAULT_TOL
 
 RNG = np.random.default_rng(1234)
 
@@ -282,3 +295,123 @@ class TestShiftScan:
             shift_scan(0.2, [0.0])
         with pytest.raises(ValueError):
             shift_scan(0.2, [1.6])
+
+
+def mp_locus(params, quantity, guess):
+    """50-digit reference locus: the root, near guess, of the numerical
+    delta1-derivative (mpmath.diff) of quantity(energies, states) of an
+    mpmath.eigsy spectrum. It shares no formula with the library's slopes."""
+    with mpmath.workdps(50):
+        half1, half2 = mpmath.mpf(params.omega1) / 2, mpmath.mpf(params.omega2) / 2
+        d2 = mpmath.mpf(params.delta2)
+
+        def value(d1):
+            h = mpmath.matrix([[0, half1, 0], [half1, -d1, half2], [0, half2, d2 - d1]])
+            energies, states = mpmath.eigsy(h)
+            order = sorted(range(3), key=lambda k: energies[k])
+            return quantity([energies[k] for k in order], [states[:, k] for k in order])
+
+        step = 1e-6 * params.omega1 * params.omega2
+        root = mpmath.findroot(
+            lambda d1: mpmath.diff(value, d1),
+            (mpmath.mpf(guess) - step, mpmath.mpf(guess) + step),
+            solver="secant",
+            tol=mpmath.mpf(10) ** -40,
+        )
+        return float(root)
+
+
+def mp_gap(energies, states):
+    return energies[2] - energies[1]
+
+
+def mp_transfer(energies, states):
+    return sum(abs(v[0] * v[2]) for v in states)
+
+
+REFERENCE_GRID = [
+    (float(o1), float(o2))
+    for o1 in np.geomspace(0.002, 0.55, 3)
+    for o2 in np.geomspace(0.003, 0.5, 3)
+]
+
+
+class TestExactLociReference:
+    @pytest.mark.parametrize("omegas", REFERENCE_GRID, ids=lambda o: f"{o[0]:.3g}-{o[1]:.3g}")
+    def test_both_loci_match_50_digits(self, omegas):
+        p = RamanParams(*omegas, 1.0, 1.0)
+        for finder, quantity in ((structural_exact, mp_gap), (dynamical_exact_full, mp_transfer)):
+            tight = finder(p, 1e-15)
+            reference = mp_locus(p, quantity, tight)
+            assert abs(tight - reference) <= 1e-14
+            assert abs(finder(p) - reference) <= DEFAULT_TOL
+
+    def test_scaled_delta2(self):
+        p = RamanParams(0.3, 0.9, 2.0, 2.0)
+        for finder, quantity in ((structural_exact, mp_gap), (dynamical_exact_full, mp_transfer)):
+            tight = finder(p, 1e-15)
+            assert abs(tight - mp_locus(p, quantity, tight)) <= 1e-14 * p.delta2
+
+
+CERTIFICATE_TOL = 1e-7
+LOG_COUPLING = st.floats(math.log(1e-3), math.log(0.6))
+
+
+class TestExactLociProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(log_omega1=LOG_COUPLING, log_omega2=LOG_COUPLING)
+    def test_certified_and_near_value_search(self, log_omega1, log_omega2):
+        p = RamanParams(math.exp(log_omega1), math.exp(log_omega2), 1.0, 1.0)
+        gap = lambda d1: gap32(p.with_delta1(d1))  # noqa: E731
+        supremum = lambda d1: transfer_supremum(p.with_delta1(d1))  # noqa: E731
+        with mock.patch.object(resonance, "gap32_slope", wraps=resonance.gap32_slope) as s_calls:
+            structural = structural_exact(p)
+        with mock.patch.object(
+            resonance, "transfer_supremum_slope", wraps=resonance.transfer_supremum_slope
+        ) as d_calls:
+            dynamical = dynamical_exact_full(p)
+        assert s_calls.call_count <= 12 and d_calls.call_count <= 12
+        # within 1e-8 delta2 of value-only Brent searches, which resolve a
+        # flat extremum only to about sqrt(eps)
+        assert abs(structural - minimize_scalar(gap, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
+        assert abs(dynamical - maximize_scalar(supremum, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
+        # certificates at +-10 tol delta2: tol = 1e-7 makes that step move
+        # gap32 and transfer_supremum by far more than their rounding noise
+        step = 10.0 * CERTIFICATE_TOL
+        s_star = structural_exact(p, CERTIFICATE_TOL)
+        assert gap(s_star - step) > gap(s_star) < gap(s_star + step)
+        d_star = dynamical_exact_full(p, CERTIFICATE_TOL)
+        assert supremum(d_star - step) < supremum(d_star) > supremum(d_star + step)
+
+
+class TestLocusConvergence:
+    @pytest.mark.parametrize("finder, kind", [(structural_exact, "structural"),
+                                              (dynamical_exact_full, "dynamical")])
+    def test_out_of_iterations_names_kind(self, monkeypatch, finder, kind):
+        monkeypatch.setattr(resonance, "slope_root", functools.partial(slope_root, max_iter=1))
+        with pytest.raises(ConvergenceError, match=f"^{kind} locus: slope root not found"):
+            finder(RamanParams(0.2, 0.5, 1.0, 1.0), 1e-15)
+
+
+class TestFaultSites:
+    """The module attributes through which the benchmark injects its faults
+    must be the ones these entry points reach."""
+
+    @pytest.mark.parametrize("attr", ["structural_exact", "dynamical_exact_full"])
+    def test_report_reads_locus_through_module(self, monkeypatch, attr):
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        clean = getattr(resonance_report(p), attr)
+        original = getattr(resonance, attr)
+        monkeypatch.setattr(resonance, attr, lambda *a, **k: original(*a, **k) + 1e-6)
+        assert getattr(resonance_report(p), attr) == clean + 1e-6
+
+    def test_resolvent_locus_reads_minimize_scalar_through_module(self, monkeypatch):
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        clean = resolvent_structural_resonance(p)
+
+        def nudged(*a, **k):
+            x, fx = minimize_scalar(*a, **k)
+            return x + 1e-6, fx
+
+        monkeypatch.setattr(resolvent, "minimize_scalar", nudged)
+        assert resolvent_structural_resonance(p) == clean + 1e-6
