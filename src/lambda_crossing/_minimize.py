@@ -72,12 +72,6 @@ def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
     return x, fx
 
 
-def maximize_scalar(f, a, b, xtol=1e-10, max_iter=200):
-    """Maximize f on [a, b]; returns (x, f(x))."""
-    x, fneg = minimize_scalar(lambda t: -f(t), a, b, xtol=xtol, max_iter=max_iter)
-    return x, -fneg
-
-
 def slope_root(g, a, b, xtol, what, max_iter=100):
     """Minimizer on [a, b] of a function whose slope is g, to xtol.
 

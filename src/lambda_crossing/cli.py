@@ -11,6 +11,7 @@ from the library then quotes angular values and says so.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -149,15 +150,7 @@ def cmd_levels(args) -> int:
 def cmd_resonance(args) -> int:
     s = _scale(args)
     report = res.resonance_report(_params(args, s), _num(args, "tol", res.DEFAULT_TOL))
-    header = [
-        "structural_exact",
-        "structural_approx",
-        "dynamical_exact_effective",
-        "dynamical_exact_full",
-        "dynamical_approx",
-        "shift_exact",
-        "shift_approx",
-    ]
+    header = [field.name for field in dataclasses.fields(report)]
     row = [getattr(report, name) / s for name in header]
     _write_csv(_resolve_output(args.output or "resonance.csv"), header, [row])
     return 0

@@ -7,8 +7,9 @@ from functools import partial
 
 import numpy as np
 
-from ._minimize import maximize_scalar, parabolic_vertex
-from .effective import eliminate
+from . import _minimize
+from ._minimize import parabolic_vertex
+from .effective import effective_energies, eliminate
 from .errors import EnvelopeError
 from .hamiltonian import RamanParams, dressed_spectrum
 
@@ -37,11 +38,10 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
 def p13_effective(params: RamanParams, t: float) -> float:
     """Two-level Rabi transfer probability |1> -> |3> of the effective model."""
     model = eliminate(params)
-    rabi = math.hypot(model.delta_eff, model.omega_eff)
+    _, rabi = effective_energies(model)
     if rabi == 0.0:
         return 0.0
-    envelope = model.omega_eff**2 / rabi**2
-    return envelope * math.sin(t * rabi) ** 2
+    return model.omega_eff**2 / rabi**2 * math.sin(t * rabi) ** 2
 
 
 def _transfer_coeffs(params: RamanParams):
@@ -85,8 +85,9 @@ def transfer_envelope(params: RamanParams) -> float:
         t_guess = ts[i]
         lo = max(ts[i] - (ts[1] - ts[0]), 0.0)
         hi = min(ts[i] + (ts[1] - ts[0]), t_scan)
-    _, p_ref = maximize_scalar(p13, lo, hi, xtol=1e-12 * max(t_guess, 1.0))
-    return float(max(p_ref, ps[i]))
+    # Read from the module at call time, so a patched minimize_scalar sees this polish.
+    _, p_neg = _minimize.minimize_scalar(lambda t: -p13(t), lo, hi, xtol=1e-12 * max(t_guess, 1.0))
+    return float(max(-p_neg, ps[i]))
 
 
 def transfer_supremum(params: RamanParams) -> float:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+_AMBIG_TOL = 1e-9  # track_character's top-two squared-overlap gap for 'ambiguous'
+
 
 @dataclass(frozen=True)
 class RamanParams:
@@ -178,7 +180,7 @@ def _dominant(weights: np.ndarray, ambig_tol: float):
     return order[..., -1, :], ranked[..., 1, :] - ranked[..., 0, :] <= ambig_tol
 
 
-def track_character(params: RamanParams, delta1_grid, ambig_tol: float = 1e-9) -> CharacterScan:
+def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
     """Track which bare state dominates each dressed level across a delta1 scan."""
     grid = _finite_grid(delta1_grid)
     if grid.size < 2:
@@ -186,7 +188,7 @@ def track_character(params: RamanParams, delta1_grid, ambig_tol: float = 1e-9) -
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("delta1_grid must be monotone")
-    labels, ambiguous = _dominant(dressed_spectrum(params, grid).states ** 2, ambig_tol)
+    labels, ambiguous = _dominant(dressed_spectrum(params, grid).states ** 2, _AMBIG_TOL)
     return CharacterScan(delta1_grid=grid, labels=labels, ambiguous=ambiguous)
 
 

@@ -32,7 +32,6 @@ class ImplicitModel:
     r13: float
     delta_eff_of_e: float
     offset_c_of_e: float
-    energy_e: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ def level_shift(params: RamanParams, e: float) -> ImplicitModel:
         r13=params.omega1 * params.omega2 / quarter,
         delta_eff_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq - o1sq) / quarter),
         offset_c_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq + o1sq) / quarter),
-        energy_e=e,
     )
 
 

@@ -19,7 +19,7 @@ from lambda_crossing import (
     transfer_supremum,
 )
 from lambda_crossing import dynamics, gap32
-from lambda_crossing._minimize import maximize_scalar, parabolic_vertex
+from lambda_crossing._minimize import minimize_scalar, parabolic_vertex
 from lambda_crossing.dynamics import transfer_supremum_slope
 
 RNG = np.random.default_rng(99)
@@ -39,10 +39,10 @@ def envelope_per_evaluation(params):
         t_guess = ts[i]
         lo = max(ts[i] - (ts[1] - ts[0]), 0.0)
         hi = min(ts[i] + (ts[1] - ts[0]), t_scan)
-    _, p_ref = maximize_scalar(
-        lambda t: p13_full(params, t), lo, hi, xtol=1e-12 * max(t_guess, 1.0)
+    _, p_neg = minimize_scalar(
+        lambda t: -p13_full(params, t), lo, hi, xtol=1e-12 * max(t_guess, 1.0)
     )
-    return float(max(p_ref, ps[i]))
+    return float(max(-p_neg, ps[i]))
 
 
 def rk4_evolve(params, psi0, t_final, steps):

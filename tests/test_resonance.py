@@ -31,7 +31,6 @@ from lambda_crossing import (
 )
 from lambda_crossing import resolvent, resonance
 from lambda_crossing._minimize import (
-    maximize_scalar,
     minimize_scalar,
     parabolic_vertex,
     slope_root,
@@ -374,7 +373,8 @@ class TestExactLociProperties:
         # within 1e-8 delta2 of value-only Brent searches, which resolve a
         # flat extremum only to about sqrt(eps)
         assert abs(structural - minimize_scalar(gap, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
-        assert abs(dynamical - maximize_scalar(supremum, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
+        neg_supremum = lambda d1: -supremum(d1)  # noqa: E731
+        assert abs(dynamical - minimize_scalar(neg_supremum, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
         # certificates at +-10 tol delta2: tol = 1e-7 makes that step move
         # gap32 and transfer_supremum by far more than their rounding noise
         step = 10.0 * CERTIFICATE_TOL
