@@ -18,18 +18,24 @@ from .hamiltonian import RamanParams, dressed_spectrum
 ENVELOPE_POINTS = 400
 
 
+def _check_time(t) -> None:
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
+
+
 def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
     """Spectral propagation psi(t) = sum_k exp(-i eps_k t) <eps_k|psi0> |eps_k>.
 
     Exact for the time-independent Hamiltonian; psi0 must be normalized
-    (tolerance 1e-6).
+    (tolerance 1e-6) and t finite.
     """
+    _check_time(t)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,):
         raise ValueError("state vector must have 3 components")
     norm = np.linalg.norm(psi0)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("initial state is not normalized")
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"initial state psi0 is not normalized, norm {norm:g}")
     spec = dressed_spectrum(params)
     coeff = spec.states.T @ psi0
     return spec.states @ (np.exp(-1j * spec.energies * t) * coeff)
@@ -59,7 +65,8 @@ def _three_tone(coeffs, energies, t):
 
 
 def p13_full(params: RamanParams, t) -> float:
-    """Exact |<3| exp(-iHt) |1>|^2; t may be a scalar or array."""
+    """Exact |<3| exp(-iHt) |1>|^2; t may be a scalar or array of finite times."""
+    _check_time(t)
     return _three_tone(*_transfer_coeffs(params), t)
 
 
@@ -96,8 +103,8 @@ def transfer_supremum(params: RamanParams) -> float:
     The transfer amplitude is a three-tone trigonometric sum with spectral
     coefficients c_k; its supremum (sum_k |c_k|)^2 is approached within the
     envelope window to far better accuracy than any time grid resolves,
-    and unlike a sampled maximum it is smooth in delta1. Used by the
-    dynamical resonance finder.
+    and unlike a sampled maximum it is smooth in delta1. The dynamical
+    resonance finder roots its delta1-slope, transfer_supremum_slope.
     """
     coeffs, _ = _transfer_coeffs(params)
     return float(np.abs(coeffs).sum() ** 2)

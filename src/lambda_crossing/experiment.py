@@ -99,10 +99,12 @@ def scattering_rate(spec: AlkaliSpec, omega1: float, omega2: float, delta1: floa
 
     omega1, omega2, delta1 in any common frequency unit (only their ratios
     enter); the decay rate converts to angular units so the result is a
-    true rate.
+    true rate. Raises ValueError at delta1 = 0, where the rate diverges.
     """
     if spec.gamma_excited is None:
         raise ScenarioError("scattering rate requires gamma_excited (optical scenario)")
+    if delta1 == 0.0:
+        raise ValueError("delta1 must be nonzero: the scattering rate diverges at delta1 = 0")
     gamma_angular = 2.0 * math.pi * spec.gamma_excited
     return gamma_angular * (omega1**2 + omega2**2) / (8.0 * delta1**2)
 
@@ -120,13 +122,13 @@ def scenario_report(
     The optical scenario is viable only if scattering broadening stays
     well below the dynamical shift; the microwave scenario has no
     spontaneous emission and is limited only by the probe-time and
-    probe-amplitude bounds.
+    probe-amplitude bounds. The drive values are checked as RamanParams
+    checks them (delta1 defaults to delta2).
     """
     if scenario not in ("optical", "microwave"):
         raise ValueError(f"unknown scenario {scenario!r}")
-    if delta1 is None:
-        delta1 = delta2
-    shift = shift_approx(RamanParams(omega1, omega2, delta2, delta2))
+    params = RamanParams(omega1, omega2, delta2 if delta1 is None else delta1, delta2)
+    shift = shift_approx(params)
     time_bound = 1.0 / shift if shift > 0 else math.inf
     rabi_bound = 2.0 * shift
     de31, de23, de21 = splittings(spec)
@@ -136,7 +138,7 @@ def scenario_report(
         "detuning to the transition frequency (~1e-4 here) and are not computed."
     )
     if scenario == "optical":
-        rate = scattering_rate(spec, omega1, omega2, delta1)
+        rate = scattering_rate(spec, params.omega1, params.omega2, params.delta1)
         # Broadening must stay an order of magnitude below the shift
         # (compared in angular units) to leave the shift resolvable.
         feasible = rate < 0.1 * (2.0 * math.pi * shift)

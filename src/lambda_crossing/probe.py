@@ -51,6 +51,8 @@ class ProbeParams:
 
     def __post_init__(self):
         _check_probe(self.omega_p, self.duration)
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu!r}")
 
 
 @dataclass(frozen=True)
@@ -314,10 +316,13 @@ def probed_structural_resonance(
     and record the measured splitting; the resonance is the parabolic
     refinement of the grid minimum. The probe prefactor omega_p^2 scales
     the whole spectrum and cannot move the extremum, but a probe strong
-    enough to set any spectrum's perturbative_flag raises ValueError.
+    enough to set any spectrum's perturbative_flag raises ValueError, and
+    so does a grid of fewer than 3 points.
     """
     _check_probe(omega_p, duration)
     grid = np.asarray(delta1_grid, dtype=float)
+    if grid.size < 3:
+        raise ValueError(f"delta1_grid must have at least 3 points, got {grid.size}")
     spectra = dressed_spectrum(params, grid)
     splittings = np.empty(grid.size)
     for i, d1 in enumerate(grid):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from lambda_crossing import RamanParams, dressed_spectrum, resonance, resonance_report
+from lambda_crossing import RB87, RamanParams, dressed_spectrum, resonance, resonance_report
+from lambda_crossing import scattering_rate, scenario_report
 from lambda_crossing.cli import OUTDIR_ENV, build_parser, main
 
 
@@ -89,6 +90,21 @@ class TestLevels:
             main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "0:2"])
         assert "delta1-range" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:2:x", "error: delta1-range: malformed range '0:2:x'"),
+            ("0:2:1", "error: delta1-range: range count must be >= 2"),
+        ],
+    )
+    def test_bad_range(self, tmp_path, text, message):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", text,
+                  "--output", str(out)])
+        assert str(exc.value) == message
+        assert not out.exists()
+
 
 class TestResonance:
     def test_report_row(self, tmp_path):
@@ -149,6 +165,13 @@ class TestProbeSpectrum:
         peaks_header, peaks = read_csv(tmp_path / "spec_peaks.csv")
         assert peaks_header == ["position", "height", "width"]
         assert peaks
+
+    def test_nu_range_sets_grid(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        argv = PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "785.4"]
+        assert main(argv + ["--nu-range=-0.2:0.2:801", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        np.testing.assert_array_equal([row[0] for row in rows], np.linspace(-0.2, 0.2, 801))
 
 
 class TestProbeResonance:
@@ -215,6 +238,26 @@ class TestExperiment:
         assert float(values["dynamical_shift_Hz"]) == pytest.approx(2025.0, rel=0.001)
         assert float(values["probe_time_bound_s"]) == pytest.approx(500e-6, rel=0.02)
         assert values["feasible"] == "true"
+
+    def test_optical_report_has_scattering_rate(self, tmp_path):
+        out = tmp_path / "exp.txt"
+        argv = ["experiment", "--preset", "rb87", "--scenario", "optical",
+                "--omega", "200e6", "--delta2", "10e9", "--output", str(out)]
+        assert main(argv) == 0
+        values = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
+        rate = scattering_rate(RB87, 200e6, 200e6, 10e9)
+        assert values["scattering_rate_per_s"] == f"{rate:.17g}"
+        assert values["feasible"] == "false"
+
+    def test_separate_couplings(self, tmp_path):
+        out = tmp_path / "exp.txt"
+        argv = ["experiment", "--preset", "rb87", "--scenario", "microwave",
+                "--omega1", "100e3", "--omega2", "300e3", "--delta2", "1e6", "--output", str(out)]
+        assert main(argv) == 0
+        values = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
+        shift = scenario_report(RB87, 100e3, 300e3, 1e6).dynamical_shift
+        assert values["dynamical_shift_Hz"] == f"{shift:.17g}"
+        assert "scattering_rate_per_s" not in values
 
     def test_delta2_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -283,6 +326,25 @@ class TestConfigHandling:
         with pytest.raises(SystemExit, match="missing required option --omega1"):
             main(args + ["--output", str(tmp_path / "b.csv")])
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "error: config: [Errno 2] No such file or directory: "),
+            ("omega1 = 0.3\nomega2 0.4\n", "error: config line 2: expected key = value"),
+            ("units = bogus\n", "error: units must be dimensionless or hz, got 'bogus'"),
+        ],
+        ids=["missing-file", "no-equals", "bogus-units"],
+    )
+    def test_bad_config(self, tmp_path, text, message):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        if text is not None:
+            cfg.write_text(text)
+        args = ["--omega1", "0.3", "--omega2", "0.4", "--delta1-range", "0.5:1.5:5"]
+        with pytest.raises(SystemExit) as exc:
+            main(["levels", "--config", str(cfg)] + args + ["--output", str(out)])
+        assert str(exc.value).startswith(message)
+        assert not out.exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega9 = 0.3\n")
@@ -308,6 +370,10 @@ HZ_NOTE = " (frequencies quoted in angular units, 2π × Hz)"
 PROBE_SPECTRUM = ["probe-spectrum", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0"]
 PROBE_RESONANCE = [
     "probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range", "1.04:1.06:11"
+]
+OPTICAL = [
+    "experiment", "--preset", "rb87", "--scenario", "optical", "--omega", "200e6",
+    "--delta2", "10e9",
 ]
 
 
@@ -380,6 +446,9 @@ class TestUnits:
              "omega_p = 6.283185307179586 is too strong for the first-order probe at "
              "delta1 = 6.53451: peak probability 2.07e+06 exceeds PERTURBATIVE_CEILING = 0.5"
              + HZ_NOTE),
+            (OPTICAL + ["--delta1", "0"], "delta1 must be nonzero"),
+            (OPTICAL + ["--delta1", "nan"], "delta1 must be finite, got nan"),
+            (OPTICAL + ["--delta1", "inf"], "delta1 must be finite, got inf"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

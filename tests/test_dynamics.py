@@ -105,6 +105,19 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(p, np.array([1.0, 1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize(
+        "psi0, t, message",
+        [
+            ([math.nan, 0.0, 0.0], 1.0, "psi0 is not normalized, norm nan"),
+            ([math.inf, 0.0, 0.0], 1.0, "psi0 is not normalized, norm inf"),
+            ([1.0, 0.0, 0.0], math.nan, "t must be finite"),
+            ([1.0, 0.0, 0.0], math.inf, "t must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, psi0, t, message):
+        with pytest.raises(ValueError, match=message):
+            evolve(RamanParams(0.2, 0.5, 1.0, 1.0), psi0, t)
+
 
 class TestP13Effective:
     def test_maximum_on_dynamical_resonance(self):
@@ -144,6 +157,11 @@ class TestP13Full:
         vec = p13_full(p, ts)
         for t, v in zip(ts, vec):
             assert v == pytest.approx(p13_full(p, float(t)), rel=1e-14)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, math.nan]])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            p13_full(RamanParams(0.2, 0.5, 1.0, 1.0), t)
 
     def test_time_average_below_envelope(self):
         p = RamanParams(0.2, 0.4, 1.05, 1.0)

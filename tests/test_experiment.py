@@ -147,6 +147,23 @@ class TestScenarioReport:
         with pytest.raises(ValueError):
             scenario_report(RB87, 1.0, 1.0, 10.0, scenario="rf")
 
+    @pytest.mark.parametrize(
+        "delta1, message",
+        [
+            (0.0, "delta1 must be nonzero"),
+            (math.nan, "delta1 must be finite, got nan"),
+            (math.inf, "delta1 must be finite, got inf"),
+        ],
+    )
+    def test_bad_delta1_named(self, delta1, message):
+        # delta1 enters only the optical scattering rate; it is checked as
+        # the other drive values are, and delta1 = 0 would divide by zero
+        with pytest.raises(ValueError, match=message):
+            scenario_report(RB87, 200e6, 200e6, 10e9, delta1=delta1, scenario="optical")
+        if delta1 == 0.0:
+            with pytest.raises(ValueError, match=message):
+                scattering_rate(RB87, 200e6, 200e6, delta1)
+
     def test_verdict_unit_invariance(self):
         # the feasibility comparison is dimensionless: scaling every input
         # frequency by 2 pi leaves the verdict unchanged

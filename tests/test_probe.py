@@ -53,6 +53,11 @@ class TestProbeInputs:
         with pytest.raises(ValueError, match=message):
             ProbeParams(omega_p, 0.05, duration)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_probe_params_rejects_non_finite_nu(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite"):
+            ProbeParams(1e-4, nu, 785.4)
+
     @pytest.mark.parametrize("omega_p, duration, message", BAD_PROBE)
     def test_entry_points_reject_before_any_grid(self, omega_p, duration, message):
         nu = np.linspace(-1.0, 1.0, 11)
@@ -428,6 +433,11 @@ class TestProbedResonance:
             point = REF.with_delta1(float(d1))
             spectrum = probe_spectrum(point, 1e-5, T_REF, default_nu_grid(point, T_REF))
             assert split == measured_splitting(spectrum)
+
+    @pytest.mark.parametrize("grid", [[], [1.05], [1.04, 1.06]])
+    def test_rejects_grid_under_three_points(self, grid):
+        with pytest.raises(ValueError, match="delta1_grid must have at least 3 points"):
+            probed_structural_resonance(REF, grid, 1e-5, T_REF)
 
     def test_rejects_non_finite_grid(self):
         with pytest.raises(ValueError, match="finite"):
