@@ -43,6 +43,7 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
 
 def p13_effective(params: RamanParams, t: float) -> float:
     """Two-level Rabi transfer probability |1> -> |3> of the effective model."""
+    _check_time(t)
     model = eliminate(params)
     _, rabi = effective_energies(model)
     if rabi == 0.0:

@@ -158,10 +158,20 @@ class TestP13Full:
         for t, v in zip(ts, vec):
             assert v == pytest.approx(p13_full(p, float(t)), rel=1e-14)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, math.nan]])
-    def test_rejects_non_finite_time(self, t):
+    @pytest.mark.parametrize(
+        "p13, t",
+        [
+            (p13_full, math.nan),
+            (p13_full, math.inf),
+            (p13_full, [0.0, math.nan]),
+            (p13_effective, math.nan),
+            (p13_effective, math.inf),
+        ],
+        ids=["full-nan", "full-inf", "full-array", "effective-nan", "effective-inf"],
+    )
+    def test_rejects_non_finite_time(self, p13, t):
         with pytest.raises(ValueError, match="t must be finite"):
-            p13_full(RamanParams(0.2, 0.5, 1.0, 1.0), t)
+            p13(RamanParams(0.2, 0.5, 1.0, 1.0), t)
 
     def test_time_average_below_envelope(self):
         p = RamanParams(0.2, 0.4, 1.05, 1.0)
