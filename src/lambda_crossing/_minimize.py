@@ -3,6 +3,8 @@
 
 import math
 
+import numpy as np
+
 from .errors import ConvergenceError
 
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
@@ -132,10 +134,14 @@ def slope_root(g, a, b, xtol, what, max_iter=100):
 def parabolic_vertex(x0, y0, x1, y1, x2, y2):
     """Abscissa of the vertex of the parabola through three points.
 
-    Falls back to x1 when the three points are collinear.
+    Falls back to x1 when the three points are collinear. Arrays are taken
+    elementwise, with the same arithmetic as scalars: squares are products,
+    never pow, so both agree to the last bit.
     """
-    denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if denom == 0.0:
-        return x1
-    num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-    return x1 - 0.5 * num / denom
+    d0, d2 = x1 - x0, x1 - x2
+    denom = d0 * (y1 - y2) - d2 * (y1 - y0)
+    num = d0 * d0 * (y1 - y2) - d2 * d2 * (y1 - y0)
+    if isinstance(denom, float):
+        return x1 if denom == 0.0 else x1 - 0.5 * num / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, x1, x1 - 0.5 * num / denom)

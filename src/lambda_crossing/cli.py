@@ -42,10 +42,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write a header line and one line per row, every value as _fmt does,
+    formatted by one template over the whole table and written once."""
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (line * len(values)) % tuple(values.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _parse_range(text: str, key: str) -> np.ndarray:
@@ -185,12 +188,12 @@ def cmd_probe_spectrum(args) -> int:
         nu_grid = probe_mod.default_nu_grid(params, duration)
     spectrum = probe_mod.probe_spectrum(params, omega_p, duration, nu_grid)
     if spectrum.perturbative_flag:
-        raise _FlagError(*probe_mod._strong_probe(args.omega_p, spectrum).args)
+        raise _FlagError(*probe_mod._strong_probe(args.omega_p, spectrum.probabilities).args)
     out = _resolve_output(args.output or "probe_spectrum.csv")
     _write_csv(
         out,
         ["nu", "probability"],
-        [[nu / s, p] for nu, p in zip(spectrum.nu_grid, spectrum.probabilities)],
+        np.column_stack([spectrum.nu_grid / s, spectrum.probabilities]),
     )
     peaks_path = out.with_name(out.stem + "_peaks.csv")
     _write_csv(
@@ -211,7 +214,7 @@ def cmd_probe_resonance(args) -> int:
     _write_csv(
         _resolve_output(args.output or "probe_resonance.csv"),
         ["delta1", "measured_splitting"],
-        [[d1 / s, sp / s] for d1, sp in zip(result.delta1_grid, result.splittings)],
+        np.column_stack([result.delta1_grid / s, result.splittings / s]),
     )
     print(f"probed_structural_resonance = {_fmt(result.delta1 / s)}")
     return 0

@@ -194,7 +194,10 @@ def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
 
 def character_swap_point(scan: CharacterScan, level: int = 1) -> float:
     """delta1 where the given dressed level swaps its dominant bare state
-    between |1> and |3> (midpoint of the bracketing grid step)."""
+    between |1> and |3> (midpoint of the bracketing grid step). level must
+    be 0, 1 or 2."""
+    if level not in (0, 1, 2):
+        raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
     lab = scan.labels[:, level]
     for i in range(len(lab) - 1):
         a, b = lab[i], lab[i + 1]

@@ -27,6 +27,8 @@ PERTURBATIVE_CEILING = 0.5
 TIME_RATIO_PASS = 10.0
 RABI_RATIO_PASS = 0.1
 
+_NO_PEAK = "no probe peak found at negative nu"
+
 # Steps per chunk of the oracle's pairwise product (a power of two); bounds
 # its (3, 3, chunk) temporaries.
 _CHUNK = 1024
@@ -57,7 +59,8 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class AlphaElements:
-    """Dressed-bare overlap products entering the probe matrix element."""
+    """Dressed-bare overlap products entering the probe matrix element:
+    floats for one spectrum, arrays over the grid of a stacked one."""
 
     alpha13: float
     alpha31: float
@@ -82,16 +85,16 @@ class ProbeSpectrum:
 
 def alpha_elements(spectrum: DressedSpectrum) -> AlphaElements:
     """alpha13 = <eps3|1><3|eps2>, alpha31 = <eps3|3><1|eps2> from the
-    sign-fixed eigenvectors."""
+    sign-fixed eigenvectors; arrays over the grid of a stacked spectrum."""
     v = spectrum.states
-    return AlphaElements(
-        alpha13=float(v[0, 2] * v[2, 1]),
-        alpha31=float(v[2, 2] * v[0, 1]),
-    )
+    alpha13, alpha31 = v[..., 0, 2] * v[..., 2, 1], v[..., 2, 2] * v[..., 0, 1]
+    if v.ndim == 2:
+        alpha13, alpha31 = float(alpha13), float(alpha31)
+    return AlphaElements(alpha13=alpha13, alpha31=alpha31)
 
 
-def _gap(spectrum: DressedSpectrum) -> float:
-    return float(spectrum.energies[2] - spectrum.energies[1])
+def _gap(spectrum: DressedSpectrum):
+    return spectrum.energies[..., 2] - spectrum.energies[..., 1]
 
 
 def _sinc_half(x, t):
@@ -99,11 +102,17 @@ def _sinc_half(x, t):
     return 0.5 * t * np.sinc(np.asarray(x) * t / (2.0 * math.pi))
 
 
-def _closed_form(alpha: AlphaElements, gap: float, omega_p: float, nu, t: float):
+def _closed_form(alpha: AlphaElements, gap, omega_p: float, nu, t: float):
+    """First-order probability at nu; the alpha fields and gap broadcast
+    against nu. Squares are products, so a row of a stack and the same
+    spectrum alone agree to the last bit."""
+    a13, a31 = alpha.alpha13, alpha.alpha31
     f_plus = _sinc_half(gap + np.asarray(nu), t)
     f_minus = _sinc_half(gap - np.asarray(nu), t)
-    cross = 2.0 * alpha.alpha13 * alpha.alpha31 * f_plus * f_minus * np.cos(np.asarray(nu) * t)
-    return omega_p**2 * (alpha.alpha31**2 * f_plus**2 + alpha.alpha13**2 * f_minus**2 + cross)
+    cross = 2.0 * a13 * a31 * f_plus * f_minus * np.cos(np.asarray(nu) * t)
+    return (omega_p * omega_p) * (
+        a31 * a31 * (f_plus * f_plus) + a13 * a13 * (f_minus * f_minus) + cross
+    )
 
 
 def probe_transition_probability(params: RamanParams, probe: ProbeParams) -> float:
@@ -208,20 +217,35 @@ def _pairwise_product(e: np.ndarray) -> np.ndarray:
     return e[:, :, 0]
 
 
+def _refined_maxima(nu, p):
+    """Interior local maxima of p along the last axis and their positions.
+
+    Returns (at, position): at indexes the maxima in p, in row-major order.
+    A maximum is an interior point with p[i] > p[i-1], p[i] >= p[i+1] and
+    p[i] > 0, so NaN padding never is one or borders one. Its position is
+    the vertex of the parabola through log p at i-1, i, i+1, clamped to
+    [nu[i-1], nu[i+1]], or nu[i] when a neighbour has p <= 0.
+    """
+    mid = p[..., 1:-1]
+    *rows, i = np.nonzero((mid > p[..., :-2]) & (mid >= p[..., 2:]) & (mid > 0.0))
+    at, left, right = (*rows, i + 1), (*rows, i), (*rows, i + 2)
+    finite = (p[left] > 0.0) & (p[right] > 0.0)
+    lo, hi = nu[left], nu[right]
+    log_lo, log_hi = (np.log(np.where(finite, p[k], 1.0)) for k in (left, right))
+    pos = parabolic_vertex(lo, log_lo, nu[at], np.log(p[at]), hi, log_hi)
+    pos = np.where(lo > pos, lo, pos)
+    pos = np.where(hi < pos, hi, pos)
+    return at, np.where(finite, pos, nu[at])
+
+
 def _extract_peaks(nu, p):
-    """Local maxima with parabolic sub-grid refinement and FWHM estimate."""
-    inner = p[1:-1]
-    maxima = 1 + np.flatnonzero((inner > p[:-2]) & (inner >= p[2:]) & (inner > 0.0))
-    logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf).tolist()
+    """Local maxima (see _refined_maxima) with their heights and an FWHM
+    estimate, for the peak list of one spectrum."""
+    (maxima,), positions = _refined_maxima(nu, p)
     nu, p = nu.tolist(), p.tolist()
     last = len(nu) - 1
     peaks = []
-    for i in maxima.tolist():
-        if math.isfinite(logp[i - 1]) and math.isfinite(logp[i + 1]):
-            pos = parabolic_vertex(nu[i - 1], logp[i - 1], nu[i], logp[i], nu[i + 1], logp[i + 1])
-            pos = min(max(pos, nu[i - 1]), nu[i + 1])
-        else:
-            pos = nu[i]
+    for i, position in zip(maxima.tolist(), positions.tolist()):
         half = 0.5 * p[i]
         lo = i
         while lo > 0 and p[lo] > half:
@@ -229,7 +253,7 @@ def _extract_peaks(nu, p):
         hi = i
         while hi < last and p[hi] > half:
             hi += 1
-        peaks.append(Peak(position=pos, height=p[i], width=nu[hi] - nu[lo]))
+        peaks.append(Peak(position=position, height=p[i], width=nu[hi] - nu[lo]))
     return tuple(peaks)
 
 
@@ -269,22 +293,46 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
     return _probe_spectrum(spec, omega_p, duration, nu)
 
 
-def _strong_probe(omega_p, spectrum: ProbeSpectrum, where: str = "") -> ValueError:
-    """The error for a probe whose spectrum has perturbative_flag set."""
+def _strong_probe(omega_p, probabilities, where: str = "") -> ValueError:
+    """The error for a probe whose spectrum, probabilities, rises above
+    PERTURBATIVE_CEILING."""
     return ValueError(
         f"omega_p = {omega_p} is too strong for the first-order probe{where}: peak "
-        f"probability {float(np.max(spectrum.probabilities)):.3g} exceeds "
+        f"probability {float(np.max(probabilities)):.3g} exceeds "
         f"PERTURBATIVE_CEILING = {PERTURBATIVE_CEILING}"
     )
 
 
-def measured_splitting(spectrum: ProbeSpectrum) -> float:
-    """Splitting estimate |nu| of the highest peak at negative nu."""
-    negative = [pk for pk in spectrum.peaks if pk.position < 0.0]
-    if not negative:
-        raise ExtractionError("no probe peak found at negative nu")
-    best = max(negative, key=lambda pk: pk.height)
-    return abs(best.position)
+def measured_splitting(spectrum: ProbeSpectrum):
+    """Splitting estimate |nu| of the highest peak at negative nu.
+
+    Reads only spectrum.nu_grid and spectrum.probabilities, along their last
+    axis. A peak is an interior point with p[i] > p[i-1], p[i] >= p[i+1]
+    and p[i] > 0, at the vertex of the parabola through log p at i-1, i,
+    i+1 clamped to [nu[i-1], nu[i+1]]. It counts when that refined position
+    is below 0; the highest such peak wins, the first on a tie.
+
+    For one spectrum returns a float, and raises ExtractionError when no
+    peak counts. For an (N, M) stack of spectra, whose rows may end in NaN
+    padding, returns an array of N splittings, NaN where a row has none.
+    """
+    p = np.asarray(spectrum.probabilities)
+    at, pos = _refined_maxima(np.asarray(spectrum.nu_grid), p)
+    negative = pos < 0.0
+    at = tuple(k[negative] for k in at)
+    # One spare column past the last point keeps argmax defined for M = 0.
+    height = np.full((*p.shape[:-1], p.shape[-1] + 1), -math.inf)
+    height[at] = p[at]
+    position = np.zeros(height.shape)
+    position[at] = pos[negative]
+    best = np.argmax(height, axis=-1)[..., None]
+    found = np.take_along_axis(height, best, axis=-1)[..., 0] > -math.inf
+    split = np.where(found, np.abs(np.take_along_axis(position, best, axis=-1)[..., 0]), math.nan)
+    if split.ndim:
+        return split
+    if math.isnan(split):
+        raise ExtractionError(_NO_PEAK)
+    return float(split)
 
 
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
@@ -314,27 +362,36 @@ def probed_structural_resonance(
 
     For each delta1 on the grid, sweep nu, extract the negative-nu peak
     and record the measured splitting; the resonance is the parabolic
-    refinement of the grid minimum. The probe prefactor omega_p^2 scales
-    the whole spectrum and cannot move the extremum, but a probe strong
-    enough to set any spectrum's perturbative_flag raises ValueError, and
-    so does a grid of fewer than 3 points.
+    refinement of the grid minimum. The spectra are one (N, M) array, each
+    row on its own default nu grid padded with NaN, and measured_splitting
+    reads all N splittings from it at once. The probe prefactor omega_p^2
+    scales the whole spectrum and cannot move the extremum, but a probe
+    strong enough to set any spectrum's perturbative_flag raises
+    ValueError, and so does a grid of fewer than 3 points. At the first
+    delta1 whose spectrum is too strong or has no negative-nu peak, the
+    ValueError or ExtractionError names that delta1.
     """
     _check_probe(omega_p, duration)
     grid = np.asarray(delta1_grid, dtype=float)
     if grid.size < 3:
         raise ValueError(f"delta1_grid must have at least 3 points, got {grid.size}")
     spectra = dressed_spectrum(params, grid)
-    splittings = np.empty(grid.size)
-    for i, d1 in enumerate(grid):
-        point = DressedSpectrum(energies=spectra.energies[i], states=spectra.states[i])
-        nu = _nu_grid(_gap(point), duration)
-        spectrum = _probe_spectrum(point, omega_p, duration, nu)
-        if spectrum.perturbative_flag:
-            raise _strong_probe(omega_p, spectrum, f" at delta1 = {d1:g}")
-        try:
-            splittings[i] = measured_splitting(spectrum)
-        except ExtractionError as err:
-            raise ExtractionError(f"delta1 = {d1:g}: {err}") from err
+    gaps = _gap(spectra)
+    rows = [_nu_grid(gap, duration) for gap in gaps.tolist()]
+    nu = np.full((grid.size, max(row.size for row in rows)), math.nan)
+    for i, row in enumerate(rows):
+        nu[i, : row.size] = row
+    alpha = alpha_elements(spectra)
+    column = AlphaElements(alpha.alpha13[:, None], alpha.alpha31[:, None])
+    p = _closed_form(column, gaps[:, None], omega_p, nu, duration)
+    strong = np.any(p > PERTURBATIVE_CEILING, axis=1)
+    splittings = measured_splitting(ProbeSpectrum(nu, p, (), bool(strong.any())))
+    bad = strong | np.isnan(splittings)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if strong[i]:
+            raise _strong_probe(omega_p, p[i, : rows[i].size], f" at delta1 = {grid[i]:g}")
+        raise ExtractionError(f"delta1 = {grid[i]:g}: {_NO_PEAK}")
     i = int(np.argmin(splittings))
     if i == 0 or i == grid.size - 1:
         raise BracketError("measured-splitting minimum is on the delta1 grid edge")

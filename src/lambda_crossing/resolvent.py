@@ -49,9 +49,11 @@ def level_shift(params: RamanParams, e: float) -> ImplicitModel:
     """Closed-form level-shift elements at energy E.
 
     The single intermediate level makes the shift matrix rank one:
-    r13^2 = r11 * r33 identically. Raises PoleError when E approaches the
-    bare intermediate energy -delta1.
+    r13^2 = r11 * r33 identically. Raises ValueError for a non-finite E
+    and PoleError when E approaches the bare intermediate energy -delta1.
     """
+    if not math.isfinite(e):
+        raise ValueError(f"e must be finite, got {e!r}")
     denom = e + params.delta1
     if abs(denom) <= 1e-12 * params.delta2:
         raise PoleError("energy E too close to the bare intermediate level -delta1")

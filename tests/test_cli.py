@@ -8,7 +8,7 @@ import pytest
 
 from lambda_crossing import RB87, RamanParams, dressed_spectrum, resonance, resonance_report
 from lambda_crossing import scattering_rate, scenario_report
-from lambda_crossing.cli import OUTDIR_ENV, build_parser, main
+from lambda_crossing.cli import OUTDIR_ENV, _write_csv, build_parser, main
 
 
 def read_csv(path):
@@ -45,6 +45,35 @@ def test_parser_surface():
         if name == "experiment":
             expected["--scenario"] = ["optical", "microwave"]
         assert choices == expected, name
+
+
+def per_value_csv(path, header, rows):
+    """Reference writer: each value formatted on its own."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+SPECIAL = [-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324, -5e-324, 0.1, 1.0 / 3.0]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [SPECIAL[i : i + 3] for i in range(0, 9, 3)],
+            np.random.default_rng(7).standard_normal((40, 3)) * 1e-7,
+            [[1, np.int64(2), np.float64(2.5)], [True, 0.0, -1e-310]],
+            [],
+        ],
+        ids=["special", "array", "mixed", "empty"],
+    )
+    def test_bytes_match_per_value_writer(self, tmp_path, rows):
+        header = ["a", "b", "c"]
+        per_value_csv(tmp_path / "ref.csv", header, rows)
+        _write_csv(tmp_path / "out.csv", header, rows)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestLevels:

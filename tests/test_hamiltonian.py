@@ -385,6 +385,13 @@ class TestTrackCharacter:
         with pytest.raises(ValueError):
             track_character(p, np.array([1.0, 0.9, 1.1]))
 
+    @pytest.mark.parametrize("level", [-1, 3, 5])
+    def test_swap_point_rejects_bad_level(self, level):
+        # -1 would silently read level 2; 5 would be numpy's IndexError
+        scan = track_character(RamanParams(0.2, 0.5, 1.0, 1.0), np.linspace(0.9, 1.2, 3))
+        with pytest.raises(ValueError, match=f"level must be 0, 1 or 2, got {level}"):
+            character_swap_point(scan, level=level)
+
     def test_no_swap_raises(self):
         p = RamanParams(0.1, 0.1, 1.0, 1.0)
         scan = track_character(p, np.linspace(0.5, 0.6, 11))

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_crossing import (
     BracketError,
@@ -27,6 +29,7 @@ from lambda_crossing import (
     probed_structural_resonance,
     structural_exact,
 )
+from lambda_crossing import probe
 from lambda_crossing._minimize import parabolic_vertex
 from lambda_crossing.probe import _CHUNK, _extract_peaks
 
@@ -409,8 +412,162 @@ class TestMeasuredSplitting:
         with pytest.raises(ExtractionError):
             measured_splitting(empty)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_too_short_for_a_peak_raises(self, n):
+        # no interior point, so no peak, and no numpy error on an empty grid
+        short = ProbeSpectrum(np.linspace(-1.0, -0.5, n), np.ones(n), (), False)
+        with pytest.raises(ExtractionError, match="no probe peak found at negative nu"):
+            measured_splitting(short)
+
+
+def stack(spectra):
+    """(N, M) ProbeSpectrum of the rows' grids and probabilities, each row
+    padded with NaN to the longest."""
+    width = max(sp.nu_grid.size for sp in spectra)
+    nu, p = np.full((2, len(spectra), width), math.nan)
+    for i, sp in enumerate(spectra):
+        nu[i, : sp.nu_grid.size] = sp.nu_grid
+        p[i, : sp.nu_grid.size] = sp.probabilities
+    return ProbeSpectrum(nu, p, (), False)
+
+
+def loop_splittings(spectra):
+    """Reference: measured_splitting one spectrum at a time, NaN for none."""
+    out = []
+    for sp in spectra:
+        try:
+            out.append(measured_splitting(sp))
+        except ExtractionError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def synthetic(nu, p):
+    return ProbeSpectrum(np.array(nu, dtype=float), np.array(p, dtype=float), (), False)
+
+
+# A maximum at a grid point on one side of nu = 0 whose refined position lies
+# on the other side, on grids with an uneven step across 0.
+CROSSES_UP = synthetic([-3, -2, -1.1, -0.2, 1.0, 2, 3], [0, 0.5, 0.1, 1.0, 0.999, 0.1, 0])
+CROSSES_DOWN = synthetic([-3, -2, -1.0, 0.2, 1.1, 2, 3], [0, 0.5, 0.999, 1.0, 0.1, 0.5, 0])
+# Two equal negative peaks, the first at -3, the second at -1.
+EQUAL = synthetic(np.arange(-4.0, 5.0), [0.1, 1, 0.1, 1, 0.1, 0, 0, 0, 0])
+NO_NEGATIVE = synthetic(np.arange(-4.0, 5.0), [0, 0, 0, 0, 0, 0, 1, 0, 0])
+
+
+class TestBatchedPick:
+    def test_refined_position_decides_the_side(self):
+        # the higher peak of CROSSES_UP sits at nu = -0.2 but refines past 0,
+        # so the lower one at -2 is measured; CROSSES_DOWN is the converse
+        up = _extract_peaks(CROSSES_UP.nu_grid, CROSSES_UP.probabilities)
+        down = _extract_peaks(CROSSES_DOWN.nu_grid, CROSSES_DOWN.probabilities)
+        assert up[1].height == 1.0 and CROSSES_UP.nu_grid[3] < 0.0 < up[1].position
+        assert down[0].height == 1.0 and down[0].position < 0.0 < CROSSES_DOWN.nu_grid[3]
+        assert measured_splitting(CROSSES_UP) == 2.0
+        assert measured_splitting(CROSSES_DOWN) == -down[0].position
+
+    def test_first_of_equal_peaks_wins(self):
+        assert measured_splitting(EQUAL) == 3.0
+        assert measured_splitting(stack([NO_NEGATIVE, EQUAL]))[1] == 3.0
+
+    def test_stack_matches_rows(self):
+        rows = [CROSSES_UP, EQUAL, NO_NEGATIVE, CROSSES_DOWN]
+        rows += [probe_spectrum(REF, 1e-5, T_REF, default_nu_grid(REF, T_REF))]
+        got = measured_splitting(stack(rows))
+        np.testing.assert_array_equal(got, loop_splittings(rows))
+        assert math.isnan(got[2]) and np.isfinite(np.delete(got, 2)).all()
+        with pytest.raises(ExtractionError, match="no probe peak found at negative nu"):
+            measured_splitting(NO_NEGATIVE)
+
+
+def loop_probed_splittings(params, grid, omega_p, duration):
+    """Reference: the per-delta1 loop over one probe_spectrum at a time,
+    with its errors."""
+    splittings = []
+    for d1 in np.asarray(grid, dtype=float):
+        point = params.with_delta1(float(d1))
+        spectrum = probe_spectrum(point, omega_p, duration, default_nu_grid(point, duration))
+        if spectrum.perturbative_flag:
+            raise ValueError(
+                f"omega_p = {omega_p} is too strong for the first-order probe at "
+                f"delta1 = {d1:g}: peak probability "
+                f"{float(np.max(spectrum.probabilities)):.3g} exceeds PERTURBATIVE_CEILING = 0.5"
+            )
+        try:
+            splittings.append(measured_splitting(spectrum))
+        except ExtractionError as err:
+            raise ExtractionError(f"delta1 = {d1:g}: {err}") from err
+    return np.array(splittings)
+
+
+def outcome(call):
+    """The splittings a call returns, or the type and message it raises."""
+    try:
+        return call()
+    except (ValueError, ExtractionError) as err:
+        return type(err), str(err)
+
 
 class TestProbedResonance:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        log_omega=st.tuples(*[st.floats(math.log(0.03), math.log(0.6))] * 2),
+        log_points=st.floats(math.log(30.0), math.log(300.0)),
+        log_strength=st.floats(math.log(0.02), math.log(3.0)),
+        n=st.integers(3, 9),
+        offset=st.floats(-1.0, 1.0),
+        half=st.floats(0.2, 3.0),
+    )
+    def test_batched_pick_matches_per_row_loop(
+        self, log_omega, log_points, log_strength, n, offset, half
+    ):
+        params = RamanParams(*np.exp(log_omega).tolist(), 1.0, 1.0)
+        star = structural_exact(params)
+        gap = gap32(params.with_delta1(star))
+        grid = np.linspace(star + (offset - half) * gap, star + (offset + half) * gap, n)
+        duration = 2.0 * math.pi * math.exp(log_points) / (3.2 * 12.0 * gap)
+        omega_p = math.exp(log_strength) / duration
+        expected = outcome(lambda: loop_probed_splittings(params, grid, omega_p, duration))
+        try:
+            result = probed_structural_resonance(params, grid, omega_p, duration)
+        except BracketError:
+            assert isinstance(expected, np.ndarray) and np.argmin(expected) in (0, n - 1)
+        except (ValueError, ExtractionError) as err:
+            assert (type(err), str(err)) == expected
+        else:
+            assert isinstance(expected, np.ndarray)
+            assert (result.splittings == expected).all()
+
+    def test_row_without_negative_peak_named(self, monkeypatch):
+        # a zero probe amplitude leaves no peak at all, so the first delta1 is named
+        grid = np.linspace(1.04, 1.06, 5)
+        expected = outcome(lambda: loop_probed_splittings(REF, grid, 0.0, T_REF))
+        assert expected == (ExtractionError, "delta1 = 1.04: no probe peak found at negative nu")
+        assert outcome(lambda: probed_structural_resonance(REF, grid, 0.0, T_REF)) == expected
+        # a flat row past the first: its own delta1 is named
+        original = probe.alpha_elements
+
+        def flat_row(spectrum):
+            alpha = original(spectrum)
+            if np.ndim(alpha.alpha13):
+                alpha.alpha13[2] = alpha.alpha31[2] = 0.0
+            return alpha
+
+        monkeypatch.setattr(probe, "alpha_elements", flat_row)
+        with pytest.raises(
+            ExtractionError, match=r"^delta1 = 1.05: no probe peak found at negative nu$"
+        ):
+            probed_structural_resonance(REF, grid, 1e-5, T_REF)
+
+    def test_strong_probe_named_at_its_row(self):
+        # the peak probability grows away from the locus: with this probe the
+        # fourth delta1 is the first too strong, and its row is the 526-point one
+        star = structural_exact(REF)
+        grid = np.linspace(star - 0.05, star + 0.25, 7)
+        expected = outcome(lambda: loop_probed_splittings(REF, grid, 2e-3, T_REF))
+        assert expected[0] is ValueError and f"delta1 = {grid[3]:g}:" in expected[1]
+        assert outcome(lambda: probed_structural_resonance(REF, grid, 2e-3, T_REF)) == expected
+
     def test_close_to_probeless_resonance(self):
         star = structural_exact(REF)
         grid = np.linspace(star - 0.01, star + 0.01, 21)

@@ -56,6 +56,12 @@ class TestLevelShift:
         with pytest.raises(PoleError):
             level_shift(RamanParams(0.2, 0.5, 1.0, 1.0), -1.0)
 
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, e):
+        # a NaN energy passes the pole guard's comparison, so it is refused first
+        with pytest.raises(ValueError, match=r"e must be finite, got (nan|inf|-inf)"):
+            level_shift(RamanParams(0.2, 0.5, 1.0, 1.0), e)
+
     def test_adiabatic_limit_helper(self):
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
         assert adiabatic_limit(p) == level_shift(p, 0.0)

@@ -1,5 +1,6 @@
 """Tests for the resonance loci and the dynamical shift."""
 
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -17,10 +18,13 @@ from lambda_crossing import (
     dynamical_approx,
     dynamical_exact_effective,
     dynamical_exact_full,
+    default_nu_grid,
     dynamical_shift,
     eliminate,
     gap32,
     iterate_levels,
+    probe_spectrum,
+    probed_structural_resonance,
     resolvent_structural_resonance,
     resonance_report,
     shift_approx,
@@ -29,7 +33,7 @@ from lambda_crossing import (
     structural_exact,
     transfer_supremum,
 )
-from lambda_crossing import resolvent, resonance
+from lambda_crossing import probe, resolvent, resonance
 from lambda_crossing._minimize import (
     minimize_scalar,
     parabolic_vertex,
@@ -415,3 +419,31 @@ class TestFaultSites:
 
         monkeypatch.setattr(resolvent, "minimize_scalar", nudged)
         assert resolvent_structural_resonance(p) == clean + 1e-6
+
+    def test_probed_resonance_reads_measured_splitting_through_module(self, monkeypatch):
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        star = structural_exact(p)
+        args = (p, np.linspace(star - 0.01, star + 0.01, 11), 1e-5, 250.0 * math.pi)
+        clean = probed_structural_resonance(*args)
+        original = probe.measured_splitting
+        monkeypatch.setattr(probe, "measured_splitting", lambda *a, **k: original(*a, **k) * 1.05)
+        faulty = probed_structural_resonance(*args)
+        np.testing.assert_array_equal(faulty.splittings, clean.splittings * 1.05)
+
+    def test_probe_spectrum_reads_alpha_elements_through_module(self, monkeypatch):
+        p, duration = RamanParams(0.2, 0.5, 1.0, 1.0), 250.0 * math.pi
+        args = (p, 1e-5, duration, default_nu_grid(p, duration))
+        clean = probe_spectrum(*args)
+        original = probe.alpha_elements
+
+        def swapped(spectrum):
+            alpha = original(spectrum)
+            return dataclasses.replace(alpha, alpha13=alpha.alpha31, alpha31=alpha.alpha13)
+
+        monkeypatch.setattr(probe, "alpha_elements", swapped)
+        # swapping the overlaps mirrors the spectrum in nu
+        mirrored = probe_spectrum(*args).probabilities
+        assert not np.array_equal(mirrored, clean.probabilities)
+        np.testing.assert_allclose(
+            mirrored, clean.probabilities[::-1], rtol=0, atol=1e-9 * clean.probabilities.max()
+        )
