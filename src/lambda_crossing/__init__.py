@@ -9,10 +9,13 @@ alkali-atom feasibility numbers.
 from .dynamics import evolve, p13_effective, p13_full, transfer_envelope, transfer_supremum
 from .effective import (
     EffectiveModel,
+    ImplicitModel,
+    adiabatic_limit,
     effective_energies,
     effective_matrix,
     effective_states,
     eliminate,
+    level_shift,
     mixing_angle,
 )
 from .errors import (
@@ -63,14 +66,7 @@ from .probe import (
     probe_transition_probability,
     probed_structural_resonance,
 )
-from .resolvent import (
-    ImplicitModel,
-    LevelIteration,
-    adiabatic_limit,
-    iterate_levels,
-    level_shift,
-    resolvent_structural_resonance,
-)
+from .resolvent import LevelIteration, iterate_levels, resolvent_structural_resonance
 from .resonance import (
     ResonanceReport,
     ShiftScanRow,

@@ -24,7 +24,7 @@ from . import experiment as exp
 from . import probe as probe_mod
 from . import resonance as res
 from .errors import LambdaCrossingError
-from .hamiltonian import RamanParams, dressed_spectrum
+from .hamiltonian import RamanParams, _gap, dressed_spectrum
 from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
@@ -144,7 +144,7 @@ def cmd_levels(args) -> int:
     s = _scale(args)
     grid = _parse_range(args.delta1_range, "delta1-range") * s
     e = dressed_spectrum(_params(args, s), grid).energies
-    rows = np.column_stack([grid, e, e[:, 2] - e[:, 1]]) / s
+    rows = np.column_stack([grid, e, _gap(e)]) / s
     out = _resolve_output(args.output or "levels.csv")
     _write_csv(out, ["delta1", "eps1", "eps2", "eps3", "gap32"], rows)
     return 0

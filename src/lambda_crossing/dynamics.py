@@ -27,9 +27,11 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
     """Spectral propagation psi(t) = sum_k exp(-i eps_k t) <eps_k|psi0> |eps_k>.
 
     Exact for the time-independent Hamiltonian; psi0 must be normalized
-    (tolerance 1e-6) and t finite.
+    (tolerance 1e-6) and t one finite time.
     """
     _check_time(t)
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be a scalar time, got shape {np.shape(t)}")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (3,):
         raise ValueError("state vector must have 3 components")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularEliminationError
+from .errors import PoleError, SingularEliminationError
 from .hamiltonian import RamanParams
 
 # Heuristic coupling/detuning ratio beyond which the reduction is dubious.
@@ -40,26 +40,65 @@ def mixing_angle(omega_eff: float, delta_eff: float) -> float:
     return math.atan2(omega_eff, -delta_eff)
 
 
+@dataclass(frozen=True)
+class ImplicitModel:
+    """Level-shift matrix elements and derived quantities at energy E."""
+
+    r11: float
+    r33: float
+    r13: float
+    delta_eff_of_e: float
+    offset_c_of_e: float
+
+
+def level_shift(params: RamanParams, e: float) -> ImplicitModel:
+    """Closed-form level-shift elements at energy E: the exact,
+    energy-dependent form of the elimination, which is its E = 0 value.
+
+    The single intermediate level makes the shift matrix rank one:
+    r13^2 = r11 * r33 identically. Raises ValueError for a non-finite E
+    and PoleError when E approaches the bare intermediate energy -delta1.
+    """
+    if not math.isfinite(e):
+        raise ValueError(f"e must be finite, got {e!r}")
+    denom = e + params.delta1
+    if abs(denom) <= 1e-12 * params.delta2:
+        raise PoleError("energy E too close to the bare intermediate level -delta1")
+    o1sq, o2sq = params.omega1 * params.omega1, params.omega2 * params.omega2
+    quarter = 4.0 * denom
+    return ImplicitModel(
+        r11=o1sq / quarter,
+        r33=o2sq / quarter,
+        r13=params.omega1 * params.omega2 / quarter,
+        delta_eff_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq - o1sq) / quarter),
+        offset_c_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq + o1sq) / quarter),
+    )
+
+
+def adiabatic_limit(params: RamanParams) -> ImplicitModel:
+    """Level-shift elements at E = 0: identical to plain adiabatic elimination."""
+    return level_shift(params, 0.0)
+
+
 def eliminate(params: RamanParams) -> EffectiveModel:
     """Adiabatically eliminate |2> and return the effective two-level model.
 
-    Raises SingularEliminationError at delta1 = 0 (the reduction divides
-    by delta1). Sets validity_warning (warn-only) when the couplings are
-    not small against the detunings.
+    omega_eff and delta_eff are the level shift's r13 and delta_eff at
+    E = 0. Raises SingularEliminationError at delta1 = 0 (the reduction
+    divides by delta1) and the level shift's PoleError for
+    0 < |delta1| <= 1e-12 delta2. Sets validity_warning (warn-only) when the
+    couplings are not small against the detunings.
     """
-    o1, o2 = params.omega1, params.omega2
-    d1, d2 = params.delta1, params.delta2
-    if d1 == 0.0:
+    if params.delta1 == 0.0:
         raise SingularEliminationError("adiabatic elimination is singular at delta1 = 0")
-    omega_eff = o1 * o2 / (4.0 * d1)
-    delta_eff = 0.5 * (d2 - d1) + (o2 * o2 - o1 * o1) / (8.0 * d1)
-    warn = max(o1, o2) / min(abs(d1), d2) > VALIDITY_RATIO
+    shift = level_shift(params, 0.0)
+    ratio = max(params.omega1, params.omega2) / min(abs(params.delta1), params.delta2)
     return EffectiveModel(
-        omega_eff=omega_eff,
-        delta_eff=delta_eff,
+        omega_eff=shift.r13,
+        delta_eff=shift.delta_eff_of_e,
         offset_c=0.0,
-        theta=mixing_angle(omega_eff, delta_eff),
-        validity_warning=warn,
+        theta=mixing_angle(shift.r13, shift.delta_eff_of_e),
+        validity_warning=ratio > VALIDITY_RATIO,
     )
 
 

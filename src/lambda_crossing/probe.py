@@ -16,7 +16,8 @@ import numpy as np
 
 from ._minimize import parabolic_vertex
 from .errors import BracketError, ExtractionError, GridError
-from .hamiltonian import DressedSpectrum, RamanParams, build_hamiltonian, dressed_spectrum
+from .hamiltonian import DressedSpectrum, RamanParams, _gap, _monotone_grid, build_hamiltonian
+from .hamiltonian import dressed_spectrum
 from .resonance import _check_count, shift_approx
 
 # First-order probabilities above this are outside the perturbative regime.
@@ -93,20 +94,19 @@ def alpha_elements(spectrum: DressedSpectrum) -> AlphaElements:
     return AlphaElements(alpha13=alpha13, alpha31=alpha31)
 
 
-def _gap(spectrum: DressedSpectrum):
-    return spectrum.energies[..., 2] - spectrum.energies[..., 1]
-
-
 def _sinc_half(x, t):
     """sin(x t / 2) / x, evaluated through its removable zero at x = 0."""
     return 0.5 * t * np.sinc(np.asarray(x) * t / (2.0 * math.pi))
 
 
-def _closed_form(alpha: AlphaElements, gap, omega_p: float, nu, t: float):
-    """First-order probability at nu; the alpha fields and gap broadcast
-    against nu. Squares are products, so a row of a stack and the same
-    spectrum alone agree to the last bit."""
-    a13, a31 = alpha.alpha13, alpha.alpha31
+def _closed_form(spectrum: DressedSpectrum, omega_p: float, nu, t: float):
+    """First-order probability at nu for one spectrum, or for a stack of N
+    spectra against (N, M) rows of nu. Squares are products, so a row of a
+    stack and the same spectrum alone agree to the last bit."""
+    alpha = alpha_elements(spectrum)
+    a13, a31, gap = alpha.alpha13, alpha.alpha31, _gap(spectrum.energies)
+    if np.ndim(gap):
+        a13, a31, gap = a13[:, None], a31[:, None], gap[:, None]
     f_plus = _sinc_half(gap + np.asarray(nu), t)
     f_minus = _sinc_half(gap - np.asarray(nu), t)
     cross = 2.0 * a13 * a31 * f_plus * f_minus * np.cos(np.asarray(nu) * t)
@@ -122,10 +122,7 @@ def probe_transition_probability(params: RamanParams, probe: ProbeParams) -> flo
     singularities at nu = +/- gap are evaluated through their finite
     sinc limits.
     """
-    spec = dressed_spectrum(params)
-    return float(
-        _closed_form(alpha_elements(spec), _gap(spec), probe.omega_p, probe.nu, probe.duration)
-    )
+    return float(_closed_form(dressed_spectrum(params), probe.omega_p, probe.nu, probe.duration))
 
 
 def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int) -> float:
@@ -144,7 +141,8 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     _check_count("steps", steps)
     steps = int(steps)
     spec = dressed_spectrum(params)
-    fastest = max(_gap(spec), abs(probe.nu), params.omega1, params.omega2, abs(params.delta1))
+    fastest = max(_gap(spec.energies), abs(probe.nu), params.omega1, params.omega2,
+                  abs(params.delta1))
     if fastest > 0:
         min_steps = int(math.ceil(50.0 * probe.duration * fastest / (2.0 * math.pi)))
         if steps < min_steps:
@@ -257,16 +255,6 @@ def _extract_peaks(nu, p):
     return tuple(peaks)
 
 
-def _probe_spectrum(spec: DressedSpectrum, omega_p: float, duration: float, nu) -> ProbeSpectrum:
-    p = _closed_form(alpha_elements(spec), _gap(spec), omega_p, nu, duration)
-    return ProbeSpectrum(
-        nu_grid=nu,
-        probabilities=p,
-        peaks=_extract_peaks(nu, p),
-        perturbative_flag=bool(np.any(p > PERTURBATIVE_CEILING)),
-    )
-
-
 def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid) -> ProbeSpectrum:
     """Evaluate the probe transition probability over a nu grid and extract peaks.
 
@@ -282,7 +270,7 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
     if not (np.all(np.isfinite(nu)) and np.all(dnu > 0.0)):
         raise GridError("nu_grid must be finite and strictly ascending")
     spec = dressed_spectrum(params)
-    gap = _gap(spec)
+    gap = _gap(spec.energies)
     if nu[0] > -1.5 * gap or nu[-1] < 1.5 * gap:
         raise GridError("nu_grid must span at least [-1.5 gap, 1.5 gap]")
     spacing = float(np.max(dnu))
@@ -290,7 +278,8 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
         raise GridError(
             f"nu grid spacing {spacing:g} too coarse to resolve 2 pi / t wide peaks"
         )
-    return _probe_spectrum(spec, omega_p, duration, nu)
+    p = _closed_form(spec, omega_p, nu, duration)
+    return ProbeSpectrum(nu, p, _extract_peaks(nu, p), bool(np.any(p > PERTURBATIVE_CEILING)))
 
 
 def _strong_probe(omega_p, probabilities, where: str = "") -> ValueError:
@@ -338,14 +327,19 @@ def measured_splitting(spectrum: ProbeSpectrum):
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
     """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12."""
     _check_probe(0.0, duration)
-    return _nu_grid(_gap(dressed_spectrum(params)), duration)
+    return _nu_grids(_gap(dressed_spectrum(params).energies), duration)[0]
 
 
-def _nu_grid(gap: float, duration: float) -> np.ndarray:
-    span = 1.6 * gap
+def _nu_grids(gaps, duration: float) -> np.ndarray:
+    """The default nu grid of each gap, one row each and NaN past the row's
+    own length: np.linspace(-span, span, n) in one broadcast, with its
+    arithmetic (k * step + start, the last point set to the span)."""
+    span = 1.6 * np.reshape(gaps, (-1, 1))
     spacing = (2.0 * math.pi / duration) / 12.0
-    n = max(int(math.ceil(2.0 * span / spacing)) + 1, 5)
-    return np.linspace(-span, span, n)
+    n = np.maximum(np.ceil(2.0 * span / spacing) + 1.0, 5.0)
+    k = np.arange(int(n.max()), dtype=float)
+    nu = k * (2.0 * span / (n - 1.0)) - span
+    return np.where(k < n - 1.0, nu, np.where(k == n - 1.0, span, math.nan))
 
 
 @dataclass(frozen=True)
@@ -367,30 +361,25 @@ def probed_structural_resonance(
     reads all N splittings from it at once. The probe prefactor omega_p^2
     scales the whole spectrum and cannot move the extremum, but a probe
     strong enough to set any spectrum's perturbative_flag raises
-    ValueError, and so does a grid of fewer than 3 points. At the first
-    delta1 whose spectrum is too strong or has no negative-nu peak, the
+    ValueError, and so does a grid of fewer than 3 points or one that is
+    not strictly monotone (ascending or descending). At the first delta1
+    whose spectrum is too strong or has no negative-nu peak, the
     ValueError or ExtractionError names that delta1.
     """
     _check_probe(omega_p, duration)
     grid = np.asarray(delta1_grid, dtype=float)
     if grid.size < 3:
         raise ValueError(f"delta1_grid must have at least 3 points, got {grid.size}")
-    spectra = dressed_spectrum(params, grid)
-    gaps = _gap(spectra)
-    rows = [_nu_grid(gap, duration) for gap in gaps.tolist()]
-    nu = np.full((grid.size, max(row.size for row in rows)), math.nan)
-    for i, row in enumerate(rows):
-        nu[i, : row.size] = row
-    alpha = alpha_elements(spectra)
-    column = AlphaElements(alpha.alpha13[:, None], alpha.alpha31[:, None])
-    p = _closed_form(column, gaps[:, None], omega_p, nu, duration)
+    spectra = dressed_spectrum(params, _monotone_grid(grid))
+    nu = _nu_grids(_gap(spectra.energies), duration)
+    p = _closed_form(spectra, omega_p, nu, duration)
     strong = np.any(p > PERTURBATIVE_CEILING, axis=1)
     splittings = measured_splitting(ProbeSpectrum(nu, p, (), bool(strong.any())))
     bad = strong | np.isnan(splittings)
     if bad.any():
         i = int(np.argmax(bad))
         if strong[i]:
-            raise _strong_probe(omega_p, p[i, : rows[i].size], f" at delta1 = {grid[i]:g}")
+            raise _strong_probe(omega_p, p[i][~np.isnan(nu[i])], f" at delta1 = {grid[i]:g}")
         raise ExtractionError(f"delta1 = {grid[i]:g}: {_NO_PEAK}")
     i = int(np.argmin(splittings))
     if i == 0 or i == grid.size - 1:

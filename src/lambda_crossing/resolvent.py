@@ -15,23 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minimize import minimize_scalar
-from .errors import ConvergenceError, PoleError
+from .effective import level_shift
+from .errors import ConvergenceError
 from .hamiltonian import RamanParams, build_hamiltonian
 from .resonance import DEFAULT_TOL, _check_count, _check_tol, _locus
 
 DEFAULT_MAX_ITER = 200
 _LEVEL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ImplicitModel:
-    """Level-shift matrix elements and derived quantities at energy E."""
-
-    r11: float
-    r33: float
-    r13: float
-    delta_eff_of_e: float
-    offset_c_of_e: float
 
 
 @dataclass(frozen=True)
@@ -43,29 +33,6 @@ class LevelIteration:
     iterations: tuple
     converged: bool
     char_residuals: tuple
-
-
-def level_shift(params: RamanParams, e: float) -> ImplicitModel:
-    """Closed-form level-shift elements at energy E.
-
-    The single intermediate level makes the shift matrix rank one:
-    r13^2 = r11 * r33 identically. Raises ValueError for a non-finite E
-    and PoleError when E approaches the bare intermediate energy -delta1.
-    """
-    if not math.isfinite(e):
-        raise ValueError(f"e must be finite, got {e!r}")
-    denom = e + params.delta1
-    if abs(denom) <= 1e-12 * params.delta2:
-        raise PoleError("energy E too close to the bare intermediate level -delta1")
-    o1sq, o2sq = params.omega1**2, params.omega2**2
-    quarter = 4.0 * denom
-    return ImplicitModel(
-        r11=o1sq / quarter,
-        r33=o2sq / quarter,
-        r13=params.omega1 * params.omega2 / quarter,
-        delta_eff_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq - o1sq) / quarter),
-        offset_c_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq + o1sq) / quarter),
-    )
 
 
 def _char_residual(params: RamanParams, e: float) -> float:
@@ -117,11 +84,6 @@ def iterate_levels(
         converged=True,
         char_residuals=(_char_residual(params, e_minus), _char_residual(params, e_plus)),
     )
-
-
-def adiabatic_limit(params: RamanParams) -> ImplicitModel:
-    """Level-shift elements at E = 0: identical to plain adiabatic elimination."""
-    return level_shift(params, 0.0)
 
 
 def resolvent_structural_resonance(params: RamanParams, tol: float = DEFAULT_TOL) -> float:

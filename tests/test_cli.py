@@ -478,6 +478,9 @@ class TestUnits:
             (OPTICAL + ["--delta1", "0"], "delta1 must be nonzero"),
             (OPTICAL + ["--delta1", "nan"], "delta1 must be finite, got nan"),
             (OPTICAL + ["--delta1", "inf"], "delta1 must be finite, got inf"),
+            (["probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range",
+              "1.05:1.05:5", "--omega-p", "1e-5", "--duration", "785.4"],
+             "delta1_grid must be monotone"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

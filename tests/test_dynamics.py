@@ -118,6 +118,15 @@ class TestEvolve:
         with pytest.raises(ValueError, match=message):
             evolve(RamanParams(0.2, 0.5, 1.0, 1.0), psi0, t)
 
+    @pytest.mark.parametrize("t", [np.array([1.0, 2.0, 3.0]), [1.0], np.arange(4.0)])
+    def test_rejects_non_scalar_time(self, t):
+        # a length-3 t would pair eps_k with t_k: the state at no single time
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^t must be a scalar time, got shape"):
+            evolve(p, [1.0, 0.0, 0.0], t)
+        assert np.array_equal(evolve(p, [1.0, 0.0, 0.0], np.float64(2.0)),
+                              evolve(p, [1.0, 0.0, 0.0], 2.0))
+
 
 class TestP13Effective:
     def test_maximum_on_dynamical_resonance(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lambda_crossing import (
+    PoleError,
     RamanParams,
     SingularEliminationError,
     effective_energies,
@@ -55,6 +56,14 @@ class TestEliminate:
     def test_singular_at_delta1_zero(self):
         with pytest.raises(SingularEliminationError):
             eliminate(RamanParams(0.2, 0.5, 0.0, 1.0))
+
+    @pytest.mark.parametrize("delta1", [1e-12, -1e-12, 3e-16, 5e-324])
+    def test_pole_next_to_delta1_zero(self, delta1):
+        # the level shift's pole guard, 0 < |delta1| <= 1e-12 delta2, where
+        # omega_eff = omega1 omega2 / 4 delta1 would reach 2.5e10 and beyond
+        with pytest.raises(PoleError, match="too close to the bare intermediate level"):
+            eliminate(RamanParams(0.2, 0.5, delta1, 1.0))
+        assert eliminate(RamanParams(0.2, 0.5, 1e-12, 0.5)).omega_eff == 0.1 / 4e-12
 
     def test_validity_warning(self):
         assert eliminate(RamanParams(0.7, 0.7, 1.0, 1.0)).validity_warning

@@ -600,6 +600,20 @@ class TestProbedResonance:
         with pytest.raises(ValueError, match="finite"):
             probed_structural_resonance(REF, [1.04, math.nan, 1.06], 1e-5, T_REF)
 
+    def test_rejects_unsorted_grid(self):
+        # the parabolic refinement takes the grid neighbours of the minimum,
+        # which on a shuffled grid are not the neighbouring delta1 values
+        star = structural_exact(REF)
+        grid = np.linspace(star - 0.01, star + 0.01, 21)
+        shuffled = np.random.default_rng(0).permutation(grid)
+        for bad in (shuffled, [1.04, 1.06, 1.05], np.full(5, 1.05)):
+            with pytest.raises(ValueError, match="^delta1_grid must be monotone$"):
+                probed_structural_resonance(REF, bad, 1e-5, T_REF)
+        ascending = probed_structural_resonance(REF, grid, 1e-5, T_REF)
+        descending = probed_structural_resonance(REF, grid[::-1], 1e-5, T_REF)
+        np.testing.assert_array_equal(descending.splittings, ascending.splittings[::-1])
+        assert descending.delta1 == pytest.approx(ascending.delta1, abs=1e-12)
+
     def test_strong_probe_rejected(self):
         grid = np.linspace(1.04, 1.06, 11)
         with pytest.raises(
