@@ -168,11 +168,8 @@ def cmd_shift_scan(args) -> int:
     for ratio, message in skipped:
         print(f"shift-scan: skipped ratio {ratio:g}: {message}", file=sys.stderr)
     rows = [[r.ratio, r.shift_exact / s, r.shift_approx / s] for r in rows_out]
-    _write_csv(
-        _resolve_output(args.output or "shift_scan.csv"),
-        ["ratio", "shift_exact", "shift_approx"],
-        rows,
-    )
+    out = _resolve_output(args.output or "shift_scan.csv")
+    _write_csv(out, ["ratio", "shift_exact", "shift_approx"], rows)
     return 0
 
 
@@ -190,17 +187,10 @@ def cmd_probe_spectrum(args) -> int:
     if spectrum.perturbative_flag:
         raise _FlagError(*probe_mod._strong_probe(args.omega_p, spectrum.probabilities).args)
     out = _resolve_output(args.output or "probe_spectrum.csv")
-    _write_csv(
-        out,
-        ["nu", "probability"],
-        np.column_stack([spectrum.nu_grid / s, spectrum.probabilities]),
-    )
-    peaks_path = out.with_name(out.stem + "_peaks.csv")
-    _write_csv(
-        peaks_path,
-        ["position", "height", "width"],
-        [[pk.position / s, pk.height, pk.width / s] for pk in spectrum.peaks],
-    )
+    rows = np.column_stack([spectrum.nu_grid / s, spectrum.probabilities])
+    _write_csv(out, ["nu", "probability"], rows)
+    peaks = [[pk.position / s, pk.height, pk.width / s] for pk in spectrum.peaks]
+    _write_csv(out.with_name(out.stem + "_peaks.csv"), ["position", "height", "width"], peaks)
     return 0
 
 
@@ -211,11 +201,9 @@ def cmd_probe_resonance(args) -> int:
     result = probe_mod.probed_structural_resonance(
         params, grid, _num(args, "omega_p") * s, _num(args, "duration")
     )
-    _write_csv(
-        _resolve_output(args.output or "probe_resonance.csv"),
-        ["delta1", "measured_splitting"],
-        np.column_stack([result.delta1_grid / s, result.splittings / s]),
-    )
+    rows = np.column_stack([result.delta1_grid / s, result.splittings / s])
+    out = _resolve_output(args.output or "probe_resonance.csv")
+    _write_csv(out, ["delta1", "measured_splitting"], rows)
     print(f"probed_structural_resonance = {_fmt(result.delta1 / s)}")
     return 0
 
@@ -227,11 +215,9 @@ def cmd_resolvent(args) -> int:
         tol=_num(args, "tol", _LEVEL_TOL),
         max_iter=_num(args, "max_iter", DEFAULT_MAX_ITER, parse=int),
     )
-    _write_csv(
-        _resolve_output(args.output or "resolvent.csv"),
-        ["e_minus", "e_plus", "iterations_minus", "iterations_plus"],
-        [[levels.e_minus / s, levels.e_plus / s, levels.iterations[0], levels.iterations[1]]],
-    )
+    header = ["e_minus", "e_plus", "iterations_minus", "iterations_plus"]
+    row = [levels.e_minus / s, levels.e_plus / s, *levels.iterations]
+    _write_csv(_resolve_output(args.output or "resolvent.csv"), header, [row])
     return 0
 
 

@@ -51,6 +51,21 @@ class ImplicitModel:
     offset_c_of_e: float
 
 
+def _shift_terms(params: RamanParams, e: float):
+    """level_shift on plain floats: (offset_c, delta_eff, r13, omega1^2,
+    omega2^2, 4 (E + delta1)); r11 and r33 are the squares over the last."""
+    if not math.isfinite(e):
+        raise ValueError(f"e must be finite, got {e!r}")
+    denom = e + params.delta1
+    if abs(denom) <= 1e-12 * params.delta2:
+        raise PoleError("energy E too close to the bare intermediate level -delta1")
+    o1, o2, bare = params.omega1, params.omega2, params.delta2 - params.delta1
+    o1sq, o2sq, quarter = o1 * o1, o2 * o2, 4.0 * denom
+    offset_c = 0.5 * (bare + (o2sq + o1sq) / quarter)
+    delta_eff = 0.5 * (bare + (o2sq - o1sq) / quarter)
+    return offset_c, delta_eff, o1 * o2 / quarter, o1sq, o2sq, quarter
+
+
 def level_shift(params: RamanParams, e: float) -> ImplicitModel:
     """Closed-form level-shift elements at energy E: the exact,
     energy-dependent form of the elimination, which is its E = 0 value.
@@ -59,20 +74,8 @@ def level_shift(params: RamanParams, e: float) -> ImplicitModel:
     r13^2 = r11 * r33 identically. Raises ValueError for a non-finite E
     and PoleError when E approaches the bare intermediate energy -delta1.
     """
-    if not math.isfinite(e):
-        raise ValueError(f"e must be finite, got {e!r}")
-    denom = e + params.delta1
-    if abs(denom) <= 1e-12 * params.delta2:
-        raise PoleError("energy E too close to the bare intermediate level -delta1")
-    o1sq, o2sq = params.omega1 * params.omega1, params.omega2 * params.omega2
-    quarter = 4.0 * denom
-    return ImplicitModel(
-        r11=o1sq / quarter,
-        r33=o2sq / quarter,
-        r13=params.omega1 * params.omega2 / quarter,
-        delta_eff_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq - o1sq) / quarter),
-        offset_c_of_e=0.5 * (params.delta2 - params.delta1 + (o2sq + o1sq) / quarter),
-    )
+    offset_c, delta_eff, r13, o1sq, o2sq, quarter = _shift_terms(params, e)
+    return ImplicitModel(o1sq / quarter, o2sq / quarter, r13, delta_eff, offset_c)
 
 
 def adiabatic_limit(params: RamanParams) -> ImplicitModel:

@@ -8,7 +8,7 @@ is the recommended dimensionless convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class RamanParams:
             raise ValueError("delta2 must be positive")
 
     def with_delta1(self, delta1: float) -> "RamanParams":
-        return replace(self, delta1=delta1)
+        return RamanParams(self.omega1, self.omega2, delta1, self.delta2)
 
 
 @dataclass(frozen=True)

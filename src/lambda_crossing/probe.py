@@ -30,6 +30,10 @@ RABI_RATIO_PASS = 0.1
 
 _NO_PEAK = "no probe peak found at negative nu"
 
+# Cap on the nu points _nu_grids builds in one call, all rows together: 32 MiB
+# of floats, about a hundred times the largest grid of the perfbench workloads.
+_MAX_NU_POINTS = 1 << 22
+
 # Steps per chunk of the oracle's pairwise product (a power of two); bounds
 # its (3, 3, chunk) temporaries.
 _CHUNK = 1024
@@ -333,10 +337,18 @@ def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
 def _nu_grids(gaps, duration: float) -> np.ndarray:
     """The default nu grid of each gap, one row each and NaN past the row's
     own length: np.linspace(-span, span, n) in one broadcast, with its
-    arithmetic (k * step + start, the last point set to the span)."""
+    arithmetic (k * step + start, the last point set to the span). Raises
+    GridError, before anything is allocated, when the rows would hold more
+    than _MAX_NU_POINTS points in all."""
     span = 1.6 * np.reshape(gaps, (-1, 1))
     spacing = (2.0 * math.pi / duration) / 12.0
     n = np.maximum(np.ceil(2.0 * span / spacing) + 1.0, 5.0)
+    points = n.size * float(n.max())
+    if not points <= _MAX_NU_POINTS:
+        raise GridError(
+            f"duration = {duration:g} needs {points:.3g} nu points, over the cap of "
+            f"{_MAX_NU_POINTS}"
+        )
     k = np.arange(int(n.max()), dtype=float)
     nu = k * (2.0 * span / (n - 1.0)) - span
     return np.where(k < n - 1.0, nu, np.where(k == n - 1.0, span, math.nan))

@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._minimize import minimize_scalar
-from .effective import level_shift
+from .effective import _shift_terms
 from .errors import ConvergenceError
-from .hamiltonian import RamanParams, build_hamiltonian
+from .hamiltonian import RamanParams
 from .resonance import DEFAULT_TOL, _check_count, _check_tol, _locus
 
 DEFAULT_MAX_ITER = 200
@@ -36,17 +34,22 @@ class LevelIteration:
 
 
 def _char_residual(params: RamanParams, e: float) -> float:
-    return float(np.linalg.det(build_hamiltonian(params) - e * np.eye(3)))
+    """det(H - E I) in closed form, with a = omega1/2, b = omega2/2 and
+    c = delta2 - delta1 - E: -E ((-delta1 - E) c - b^2) - a^2 c."""
+    a, b = 0.5 * params.omega1, 0.5 * params.omega2
+    c = params.delta2 - params.delta1 - e
+    return -e * ((-params.delta1 - e) * c - b * b) - a * a * c
 
 
 def _iterate_branch(params: RamanParams, sign: float, tol: float, max_iter: int):
     e = 0.0
     prev_step = None
+    bound = tol * params.delta2
     for n in range(1, max_iter + 1):
-        model = level_shift(params, e)
-        target = model.offset_c_of_e + sign * math.hypot(model.delta_eff_of_e, model.r13)
+        offset_c, delta_eff, r13, _, _, _ = _shift_terms(params, e)
+        target = offset_c + sign * math.hypot(delta_eff, r13)
         step = target - e
-        if abs(step) <= tol * params.delta2:
+        if abs(step) <= bound:
             return target, n, True
         # Damp when iterates oscillate without contracting.
         if prev_step is not None and step * prev_step < 0 and abs(step) >= 0.9 * abs(prev_step):
@@ -77,13 +80,8 @@ def iterate_levels(
             f"fixed-point iteration did not converge within {max_iter} steps "
             f"(minus: {ok_minus}, plus: {ok_plus})"
         )
-    return LevelIteration(
-        e_minus=e_minus,
-        e_plus=e_plus,
-        iterations=(n_minus, n_plus),
-        converged=True,
-        char_residuals=(_char_residual(params, e_minus), _char_residual(params, e_plus)),
-    )
+    residuals = (_char_residual(params, e_minus), _char_residual(params, e_plus))
+    return LevelIteration(e_minus, e_plus, (n_minus, n_plus), True, residuals)
 
 
 def resolvent_structural_resonance(params: RamanParams, tol: float = DEFAULT_TOL) -> float:

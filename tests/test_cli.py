@@ -481,6 +481,8 @@ class TestUnits:
             (["probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range",
               "1.05:1.05:5", "--omega-p", "1e-5", "--duration", "785.4"],
              "delta1_grid must be monotone"),
+            (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "1e15"],
+             "duration = 1e+15 needs 4.15e+14 nu points, over the cap of 4194304"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):

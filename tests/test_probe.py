@@ -1,6 +1,7 @@
 """Tests for the weak-probe spectroscopy of the dressed splitting."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -75,6 +76,22 @@ class TestProbeInputs:
         if message.startswith("duration"):
             with pytest.raises(ValueError, match=message):
                 default_nu_grid(REF, duration)
+
+    def test_default_nu_grid_refuses_oversized(self):
+        # about 6.1 gap x duration points: 4e14 here, refused before any allocation
+        with pytest.raises(GridError, match=r"^duration = 1e\+15 needs 4\.15e\+14 nu points"):
+            default_nu_grid(REF, 1e15)
+
+    def test_probed_resonance_counts_every_row(self):
+        # each row's grid alone is about a quarter of the cap; the eleven rows
+        # together are over it
+        grid = np.linspace(1.04, 1.06, 11)
+        duration = probe._MAX_NU_POINTS / 4 * 2.0 * math.pi / (3.2 * 12.0 * gap32(REF))
+        widest = max(default_nu_grid(REF.with_delta1(d1), duration).size for d1 in grid)
+        assert widest < probe._MAX_NU_POINTS < grid.size * widest
+        message = f"duration = {duration:g} needs {grid.size * widest:.3g} nu points"
+        with pytest.raises(GridError, match=f"^{re.escape(message)}"):
+            probed_structural_resonance(REF, grid, 1e-12, duration)
 
 
 class TestAlphaElements:

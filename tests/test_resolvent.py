@@ -2,14 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_crossing import (
     ConvergenceError,
     PoleError,
     RamanParams,
     adiabatic_limit,
+    build_hamiltonian,
     dressed_spectrum,
     eliminate,
     iterate_levels,
@@ -18,8 +22,43 @@ from lambda_crossing import (
     structural_approx,
     structural_exact,
 )
+from lambda_crossing.effective import _shift_terms
 
 RNG = np.random.default_rng(42)
+
+# Log-uniform couplings in [1e-3, 0.6] delta2, delta2 in [0.5, 2] and
+# delta1 in [0.8, 1.2] delta2: the crossing the iteration is built for.
+CROSSING_DRAWS = st.tuples(
+    st.floats(math.log(1e-3), math.log(0.6)),
+    st.floats(math.log(1e-3), math.log(0.6)),
+    st.floats(0.8, 1.2),
+    st.floats(0.5, 2.0),
+).map(lambda d: RamanParams(math.exp(d[0]) * d[3], math.exp(d[1]) * d[3], d[2] * d[3], d[3]))
+
+
+def loop_levels(params, tol=1e-12, max_iter=200):
+    """The fixed-point loop written through level_shift and ImplicitModel:
+    ((e_minus, e_plus), (iterations_minus, iterations_plus)), or None when
+    a branch does not converge."""
+    energies, counts = [], []
+    for sign in (-1.0, 1.0):
+        e, prev_step = 0.0, None
+        for n in range(1, max_iter + 1):
+            model = level_shift(params, e)
+            target = model.offset_c_of_e + sign * math.hypot(model.delta_eff_of_e, model.r13)
+            step = target - e
+            if abs(step) <= tol * params.delta2:
+                break
+            if prev_step is not None and step * prev_step < 0 and abs(step) >= 0.9 * abs(prev_step):
+                e = e + 0.5 * step
+            else:
+                e = target
+            prev_step = step
+        else:
+            return None
+        energies.append(target)
+        counts.append(n)
+    return tuple(energies), tuple(counts)
 
 
 class TestLevelShift:
@@ -62,6 +101,25 @@ class TestLevelShift:
         with pytest.raises(ValueError, match=r"e must be finite, got (nan|inf|-inf)"):
             level_shift(RamanParams(0.2, 0.5, 1.0, 1.0), e)
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(params=CROSSING_DRAWS, e=st.floats(-0.5, 0.5))
+    def test_fields_are_the_scalar_kernel(self, params, e):
+        e *= params.delta2
+        offset_c, delta_eff, r13, o1sq, o2sq, quarter = _shift_terms(params, e)
+        m = level_shift(params, e)
+        fields = (m.r11, m.r33, m.r13, m.delta_eff_of_e, m.offset_c_of_e)
+        assert fields == (o1sq / quarter, o2sq / quarter, r13, delta_eff, offset_c)
+        # ... which is the closed form term by term, squares as products
+        o1, o2, d1, d2 = params.omega1, params.omega2, params.delta1, params.delta2
+        q = 4.0 * (e + d1)
+        assert fields == (
+            o1 * o1 / q,
+            o2 * o2 / q,
+            o1 * o2 / q,
+            0.5 * (d2 - d1 + (o2 * o2 - o1 * o1) / q),
+            0.5 * (d2 - d1 + (o2 * o2 + o1 * o1) / q),
+        )
+
     def test_adiabatic_limit_helper(self):
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
         assert adiabatic_limit(p) == level_shift(p, 0.0)
@@ -91,6 +149,45 @@ class TestIterateLevels:
         p = RamanParams(0.3, 0.4, 1.05, 1.0)
         levels = iterate_levels(p)
         assert max(abs(r) for r in levels.char_residuals) < 1e-10
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(params=CROSSING_DRAWS)
+    def test_same_arithmetic_as_level_shift_loop(self, params):
+        expected = loop_levels(params)
+        assert expected is not None
+        levels = iterate_levels(params)
+        assert ((levels.e_minus, levels.e_plus), levels.iterations) == expected
+
+    @pytest.mark.parametrize(
+        "o1, o2, d1",
+        [(2.86, 0.52, -0.058), (1.911, 0.005, 0.049), (0.72, 0.108, -0.094), (0.005, 1.887, -0.54)],
+    )
+    def test_same_arithmetic_when_damped(self, o1, o2, d1):
+        # away from the crossing the iterates oscillate and the damped step
+        # runs; the last point's minus branch never converges
+        params = RamanParams(o1, o2, d1, 1.0)
+        expected = loop_levels(params)
+        if expected is None:
+            with pytest.raises(ConvergenceError):
+                iterate_levels(params)
+        else:
+            levels = iterate_levels(params)
+            assert ((levels.e_minus, levels.e_plus), levels.iterations) == expected
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(params=CROSSING_DRAWS)
+    def test_residuals_are_the_determinant(self, params):
+        # det(H - E I) at the converged energies, against 50 digits and the
+        # LAPACK determinant, to a few ulp of the cubed largest matrix scale
+        levels = iterate_levels(params)
+        h = build_hamiltonian(params)
+        bound = 4.0 * 2.0**-52 * max(abs(params.delta1), params.delta2,
+                                     params.omega1, params.omega2) ** 3
+        for e, residual in zip((levels.e_minus, levels.e_plus), levels.char_residuals):
+            with mpmath.workdps(50):
+                exact = mpmath.det(mpmath.matrix(h.tolist()) - mpmath.mpf(e) * mpmath.eye(3))
+            assert abs(residual - float(exact)) <= bound
+            assert abs(residual - float(np.linalg.det(h - e * np.eye(3)))) <= bound
 
     def test_uncoupled_converges_immediately(self):
         # the first application already lands on the bare levels; the loop

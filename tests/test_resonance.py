@@ -420,6 +420,20 @@ class TestFaultSites:
         monkeypatch.setattr(resolvent, "minimize_scalar", nudged)
         assert resolvent_structural_resonance(p) == clean + 1e-6
 
+    def test_resolvent_locus_reads_iterate_levels_through_module(self, monkeypatch):
+        # the trace site behind resolvent.iterate_levels.us: a splitting tilted
+        # upward in delta1 moves the minimum left
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        clean = resolvent_structural_resonance(p)
+        original = resolvent.iterate_levels
+
+        def tilted(params, *a, **k):
+            levels = original(params, *a, **k)
+            return dataclasses.replace(levels, e_plus=levels.e_plus + 0.01 * params.delta1)
+
+        monkeypatch.setattr(resolvent, "iterate_levels", tilted)
+        assert resolvent_structural_resonance(p) < clean - 1e-5
+
     def test_probed_resonance_reads_measured_splitting_through_module(self, monkeypatch):
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
         star = structural_exact(p)
