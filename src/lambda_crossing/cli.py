@@ -5,7 +5,9 @@ probe-resonance, resolvent, experiment. Flags may be preloaded from a
 flat `key = value` config file (# comments allowed); flags override file
 values. With --units hz all frequency inputs are ordinary frequencies,
 converted to angular internally and converted back on output; an error
-from the library then quotes angular values and says so.
+from the library then quotes angular values and says so. A value may be
+negative in any form float() reads (-1e-3, -inf, -0.5:0.5:3 for a range).
+Output files are rewritten in place, not atomically (see _write_text).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import dataclasses
 import functools
 import math
 import os
+import re
+import stat
 import sys
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from . import probe as probe_mod
 from . import resonance as res
 from .errors import LambdaCrossingError
 from .hamiltonian import RamanParams, _gap, dressed_spectrum
+from .probe import _MAX_NU_POINTS
 from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
@@ -41,14 +46,31 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _open_in_place(path, flags):
+    # open(path, "w") without O_TRUNC, and with the mode bits open() uses
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_text(path: Path, text: str):
+    """Write text as UTF-8 over path in place: the one writer of every output.
+
+    Opened without O_TRUNC, then cut to the written length if it is a regular
+    file (not a FIFO or /dev/null): truncating to zero on open makes ext4
+    start writeback on close. Not atomic: a crash mid-write leaves the new
+    bytes followed by the old tail, where open(path, "w") leaves a short file."""
+    with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write_csv(path: Path, header, rows):
     """Write a header line and one line per row, every value as _fmt does,
     formatted by one template over the whole table and written once."""
     values = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join(["%.17g"] * len(header)) + "\n"
     body = (line * len(values)) % tuple(values.ravel().tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n" + body)
+    _write_text(path, ",".join(header) + "\n" + body)
 
 
 def _parse_range(text: str, key: str) -> np.ndarray:
@@ -62,6 +84,8 @@ def _parse_range(text: str, key: str) -> np.ndarray:
         raise SystemExit(f"error: {key}: malformed range {text!r}") from None
     if count < 2:
         raise SystemExit(f"error: {key}: range count must be >= 2")
+    if count > _MAX_NU_POINTS:
+        raise _FlagError(f"{key}: range count {count} is over the cap of {_MAX_NU_POINTS}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise _FlagError(f"{key}: range bounds must be finite, got {text!r}")
     return np.linspace(start, stop, count)
@@ -253,7 +277,7 @@ def cmd_experiment(args) -> int:
         lines.append(f"scattering_rate_per_s = {_fmt(report.scattering_rate)}")
     lines.append(f"feasible = {str(report.feasible).lower()}")
     lines.append(f"notes = {report.notes}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -277,6 +301,10 @@ COMMANDS = {
                    ("preset", "scenario", "delta2"), ("omega", "omega1", "omega2", "delta1")),
 }
 COMMON_FLAGS = ("config", "output", "units", "delta2")
+# No flag looks like a number, so a token that starts with "-" and then a
+# digit, ".", inf or nan is always a value (argparse alone takes -1e-3 and
+# -1:1:5 for unknown options).
+_NEGATIVE_VALUE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
 FLAG_SETTINGS = {
     "config": {"help": "flat key = value config file"},
     "output": {"help": "output file path"},
@@ -299,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, required, optional) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         for key in dict.fromkeys(COMMON_FLAGS + required + optional):
             p.add_argument(_flag(key), dest=key, **FLAG_SETTINGS.get(key, {}))
     return parser

@@ -2,13 +2,15 @@
 
 import argparse
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from lambda_crossing import RB87, RamanParams, dressed_spectrum, resonance, resonance_report
-from lambda_crossing import scattering_rate, scenario_report
-from lambda_crossing.cli import OUTDIR_ENV, _write_csv, build_parser, main
+from lambda_crossing import RB87, RamanParams, cli, dressed_spectrum, resonance
+from lambda_crossing import resonance_report, scattering_rate, scenario_report
+from lambda_crossing.cli import COMMANDS, OUTDIR_ENV, _write_csv, build_parser, main
 
 
 def read_csv(path):
@@ -483,6 +485,15 @@ class TestUnits:
              "delta1_grid must be monotone"),
             (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "1e15"],
              "duration = 1e+15 needs 4.15e+14 nu points, over the cap of 4194304"),
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "-inf"],
+             "delta1 must be finite, got -inf"),
+            (["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range",
+              "0:1:1000000000000000"],
+             "delta1-range: range count 1000000000000000 is over the cap of 4194304"),
+            (["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1:1000000000000000"],
+             "ratio-range: range count 1000000000000000 is over the cap of 4194304"),
+            (["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "0:1:4194305"],
+             "delta1-range: range count 4194305 is over the cap of 4194304"),
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
@@ -524,3 +535,112 @@ class TestUnits:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5"], "--delta1", "-5e-1"),
+            (["levels", "--omega1", "0.5", "--omega2", "0.5"], "--delta1-range", "-0.5:0.5:3"),
+            (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "785.4"],
+             "--nu-range", "-2e-1:2e-1:801"),
+        ],
+        ids=["exponent", "range", "exponent-range"],
+    )
+    def test_dash_value_matches_equals_form(self, tmp_path, argv, flag, value):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(argv + [flag, value, "--output", str(spaced)]) == 0
+        assert main(argv + [f"{flag}={value}", "--output", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_missing_value_is_still_a_usage_error(self, tmp_path):
+        argv = ["resolvent", "--omega2", "0.5", "--delta1", "--omega1", "0.2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+
+# One run of each subcommand, and a run of levels whose CSV is longer than
+# any of them.
+WRITES = {
+    "levels": ["levels", "--omega1", "0.3", "--omega2", "0.4", "--delta1-range", "0.5:1.5:5"],
+    "resonance": ["resonance", "--omega1", "0.2", "--omega2", "0.5"],
+    "shift-scan": ["shift-scan", "--omega2", "0.2", "--ratio-range", "0.25:1:4"],
+    "probe-spectrum": PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "100",
+                                        "--nu-range=-0.2:0.2:81"],
+    "probe-resonance": PROBE_RESONANCE + ["--omega-p", "1e-5", "--duration", "785.4"],
+    "resolvent": ["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0"],
+    "experiment": OPTICAL,
+}
+LONG_LEVELS = ["levels", "--omega1", "0.3", "--omega2", "0.4", "--delta1-range", "0:2:201"]
+
+
+def written_files(argv, directory, monkeypatch, name="out.csv"):
+    """Run argv with its output under directory; return {file name: bytes}."""
+    monkeypatch.setenv(OUTDIR_ENV, str(directory))
+    assert main(argv + ["--output", name]) == 0
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestWriter:
+    def test_every_subcommand_covered(self):
+        assert set(WRITES) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", WRITES)
+    def test_shorter_rewrite_leaves_no_tail(self, tmp_path, monkeypatch, command):
+        # every file of the command is first a longer levels CSV
+        (tmp_path / "fresh").mkdir()
+        rewritten = tmp_path / "rewritten"
+        rewritten.mkdir()
+        fresh = written_files(WRITES[command], tmp_path / "fresh", monkeypatch)
+        for name in fresh:
+            longer = written_files(LONG_LEVELS, rewritten, monkeypatch, name)[name]
+            assert len(longer) > len(fresh[name])
+        assert written_files(WRITES[command], rewritten, monkeypatch) == fresh
+
+    def test_rewrite_keeps_inode(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(LONG_LEVELS + ["--output", str(out)]) == 0
+        inode = out.stat().st_ino
+        assert main(WRITES["levels"] + ["--output", str(out)]) == 0
+        assert out.stat().st_ino == inode
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_new_file_mode_matches_open(self, tmp_path, umask):
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        old = os.umask(umask)
+        try:
+            assert main(WRITES["levels"] + ["--output", str(out)]) == 0
+            open(ref, "w").close()
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+
+    @pytest.mark.parametrize("command", ["levels", "experiment"])
+    def test_devnull_output(self, command):
+        assert main(WRITES[command] + ["--output", os.devnull]) == 0
+
+    def test_directory_output_is_one_error_line(self, tmp_path, capsys):
+        assert main(WRITES["levels"] + ["--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", WRITES)
+    def test_one_writer_for_every_output(self, tmp_path, monkeypatch, command):
+        # every file a subcommand leaves goes through _write_text, so no
+        # output path can bring back a truncating open
+        written = []
+        original = cli._write_text
+
+        def counting(path, text):
+            written.append(path.name)
+            original(path, text)
+
+        monkeypatch.setattr(cli, "_write_text", counting)
+        files = written_files(WRITES[command], tmp_path, monkeypatch)
+        assert len(written) == (2 if command == "probe-spectrum" else 1)
+        assert sorted(written) == sorted(files)
