@@ -11,16 +11,11 @@ from . import _minimize
 from ._minimize import parabolic_vertex
 from .effective import effective_energies, eliminate
 from .errors import EnvelopeError
-from .hamiltonian import RamanParams, dressed_spectrum
+from .hamiltonian import RamanParams, _check_finite, dressed_spectrum
 
 # Time-grid resolution of the transfer envelope: two effective Rabi
 # periods sampled at 400 points, then refined around the peak.
 ENVELOPE_POINTS = 400
-
-
-def _check_time(t) -> None:
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
 
 
 def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
@@ -29,7 +24,7 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
     Exact for the time-independent Hamiltonian; psi0 must be normalized
     (tolerance 1e-6) and t one finite time.
     """
-    _check_time(t)
+    _check_finite("t", t)
     if np.ndim(t) != 0:
         raise ValueError(f"t must be a scalar time, got shape {np.shape(t)}")
     psi0 = np.asarray(psi0, dtype=complex)
@@ -45,7 +40,7 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
 
 def p13_effective(params: RamanParams, t: float) -> float:
     """Two-level Rabi transfer probability |1> -> |3> of the effective model."""
-    _check_time(t)
+    _check_finite("t", t)
     model = eliminate(params)
     _, rabi = effective_energies(model)
     if rabi == 0.0:
@@ -69,7 +64,7 @@ def _three_tone(coeffs, energies, t):
 
 def p13_full(params: RamanParams, t) -> float:
     """Exact |<3| exp(-iHt) |1>|^2; t may be a scalar or array of finite times."""
-    _check_time(t)
+    _check_finite("t", t)
     return _three_tone(*_transfer_coeffs(params), t)
 
 
@@ -118,19 +113,19 @@ def transfer_supremum_slope(energies, states) -> float:
     Hamiltonian (eigenvector signs are free); its sign is that of the
     delta1-slope of transfer_supremum.
 
-    With dH/d delta1 = diag(0, -1, -1), first-order perturbation gives
-    dv_k = sum_{j != k} v_j v_{0,j} v_{0,k} / (eps_k - eps_j), so with
-    s_k = sign(c_k) the slope of sum_k |c_k| is the sum over pairs j < k of
-    (s_k - s_j) v_{0,j} v_{0,k} (v_{0,j} v_{2,k} + v_{0,k} v_{2,j}) / (eps_k - eps_j).
+    The c_k = v_{0,k} v_{2,k} sum to <3|1> = 0, so sum_k |c_k| = 2 |c_m| for
+    the dominant m = argmax_k |c_k|. With dH/d delta1 = diag(0, -1, -1),
+    first-order perturbation gives dv_m = sum_{j != m} v_j v_{0,j} v_{0,m} /
+    (eps_m - eps_j), so the slope is 2 sign(c_m) times the sum over the two
+    j != m of v_{0,j} v_{0,m} (v_{0,j} v_{2,m} + v_{0,m} v_{2,j}) / (eps_m - eps_j).
     The positive gap factor leaves the root, the dynamical locus, in place
     and makes the slope nearly linear in delta1 across the crossing.
     """
     e = energies.tolist()
     u, _, w = states.tolist()
-    s = [math.copysign(1.0, u[k] * w[k]) for k in range(3)]
-    slope = 0.0
-    for j, k in ((0, 1), (0, 2), (1, 2)):
-        if s[j] != s[k]:
-            uu = u[j] * u[k]
-            slope += (s[k] - s[j]) * uu * (u[j] * w[k] + u[k] * w[j]) / (e[k] - e[j])
-    return slope * (e[2] - e[1]) ** 3
+    c = [abs(x * y) for x, y in zip(u, w)]
+    m = c.index(max(c))
+    j, k = ((1, 2), (0, 2), (0, 1))[m]
+    slope = (u[j] * u[m] * (u[j] * w[m] + u[m] * w[j]) / (e[m] - e[j])
+             + u[k] * u[m] * (u[k] * w[m] + u[m] * w[k]) / (e[m] - e[k]))
+    return math.copysign(2.0, u[m] * w[m]) * slope * (e[2] - e[1]) ** 3

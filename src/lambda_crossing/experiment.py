@@ -26,7 +26,8 @@ class AlkaliSpec:
 
     hfs_splitting is the zero-field hyperfine splitting in Hz,
     gamma_excited the excited-state decay rate Gamma / 2 pi in Hz
-    (optical scenario only).
+    (optical scenario only). Every number given must be finite, and
+    gamma_excited positive.
     """
 
     hfs_splitting: float
@@ -39,6 +40,13 @@ class AlkaliSpec:
     def __post_init__(self):
         if self.nuclear_spin <= 0 or (2 * self.nuclear_spin) % 1 != 0:
             raise ValueError("nuclear spin must be a positive half-integer")
+        for name in ("hfs_splitting", "g_j", "g_i", "bohr_magneton_over_h"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        gamma = self.gamma_excited
+        if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma_excited must be finite and positive, got {gamma!r}")
 
     @property
     def chi(self) -> float:
@@ -99,12 +107,16 @@ def scattering_rate(spec: AlkaliSpec, omega1: float, omega2: float, delta1: floa
 
     omega1, omega2, delta1 in any common frequency unit (only their ratios
     enter); the decay rate converts to angular units so the result is a
-    true rate. Raises ValueError at delta1 = 0, where the rate diverges.
+    true rate. Raises ValueError at delta1 = 0, where the rate diverges,
+    and for a non-finite omega1, omega2 or delta1.
     """
     if spec.gamma_excited is None:
         raise ScenarioError("scattering rate requires gamma_excited (optical scenario)")
     if delta1 == 0.0:
         raise ValueError("delta1 must be nonzero: the scattering rate diverges at delta1 = 0")
+    for name, value in (("omega1", omega1), ("omega2", omega2), ("delta1", delta1)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     gamma_angular = 2.0 * math.pi * spec.gamma_excited
     return gamma_angular * (omega1**2 + omega2**2) / (8.0 * delta1**2)
 

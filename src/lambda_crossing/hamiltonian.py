@@ -93,12 +93,16 @@ def bare_levels(params: RamanParams) -> np.ndarray:
     return np.array([0.0, -params.delta1, params.delta2 - params.delta1])
 
 
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _finite_grid(delta1_grid) -> np.ndarray:
     grid = np.asarray(delta1_grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("delta1_grid must be a 1-D grid")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("delta1_grid must be finite")
+    _check_finite("delta1_grid", grid)
     return grid
 
 
@@ -210,8 +214,9 @@ def character_swap_point(scan: CharacterScan, level: int = 1) -> float:
     if level not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
     lab = scan.labels[:, level]
-    for i in range(len(lab) - 1):
-        a, b = lab[i], lab[i + 1]
-        if {a, b} == {0, 2}:
-            return float(0.5 * (scan.delta1_grid[i] + scan.delta1_grid[i + 1]))
-    raise ValueError("no |1>/|3> character swap found on the scan")
+    # labels are 0..2, so a step's two labels sum to 2 only as {0, 2} or {1, 1}
+    swaps = np.flatnonzero((lab[:-1] + lab[1:] == 2) & (lab[:-1] != 1))
+    if swaps.size == 0:
+        raise ValueError("no |1>/|3> character swap found on the scan")
+    i = swaps[0]
+    return float(0.5 * (scan.delta1_grid[i] + scan.delta1_grid[i + 1]))

@@ -140,7 +140,7 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     Each RK4 step is the linear map psi -> (I + E_n) psi built from the
     stage matrices at t_n, t_n + dt/2 and t_n + dt. The step propagators
     are multiplied pairwise, chunk by chunk, rather than applied in a
-    step loop; the nodes t_n are the step loop's clock t += dt.
+    step loop; the nodes are t_n = n dt.
     """
     _check_count("steps", steps)
     steps = int(steps)
@@ -156,13 +156,9 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     dt = probe.duration / steps
     coeffs = _rk4_step_coefficients(build_hamiltonian(params), 0.5 * probe.omega_p, probe.nu, dt)
     psi = spec.states[:, 1].astype(complex)
-    t = 0.0
     for start in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - start)
-        clock = np.full(n, dt)
-        clock[0] = t
-        t_n = np.cumsum(clock)
-        t = t_n[-1] + dt
+        t_n = np.arange(start, start + n) * dt
         # Row k + 4 holds z_n^k. Columns past n stay zero, padding the chunk
         # to a power of two with steps E_n = 0 that multiply as the identity.
         zk = np.zeros((9, 1 << (n - 1).bit_length()), dtype=complex)

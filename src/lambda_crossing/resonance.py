@@ -63,11 +63,11 @@ def _locus(params: RamanParams, f, search, what: str, tol: float) -> float:
     and minimize_scalar, a value-only search that resolves a flat minimum
     to no better than about sqrt(eps).
 
-    Callers pass f and search from their own module globals at call time:
-    those module attributes are the benchmark's trace and fault sites, so
-    nothing here may bind them when it is defined. A bad tol raises
-    ValueError; missing couplings or a locus at the bracket edge raise
-    BracketError naming the locus kind what.
+    resolvent_structural_resonance passes minimize_scalar from its module
+    globals at call time: resolvent.minimize_scalar is a benchmark trace and
+    fault site, so nothing here may bind search when it is defined. A bad
+    tol raises ValueError; missing couplings or a locus at the bracket edge
+    raise BracketError naming the locus kind what.
     """
     _check_tol(tol)
     if params.omega1 * params.omega2 <= 0:
@@ -100,7 +100,8 @@ def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
 
 def structural_approx(params: RamanParams) -> float:
     """Fourth-order closed-form estimate of the structural locus: the
-    dynamical locus plus the lowest-order shift."""
+    dynamical locus plus the lowest-order shift, both expansions of the
+    adiabatically eliminated (effective) model."""
     return dynamical_approx(params) + shift_approx(params)
 
 
@@ -122,14 +123,17 @@ def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float
 
 
 def dynamical_approx(params: RamanParams) -> float:
-    """Fourth-order closed-form estimate of the dynamical locus."""
+    """Fourth-order closed-form estimate of the dynamical locus, expanded
+    in the adiabatically eliminated (effective) model."""
     diff = params.omega2**2 - params.omega1**2
     d2 = params.delta2
     return d2 + diff / (4.0 * d2) - diff**2 / (16.0 * d2**3)
 
 
 def shift_approx(params: RamanParams) -> float:
-    """Lowest-order dynamical shift omega1^2 omega2^2 / (4 delta2^3)."""
+    """Lowest-order dynamical shift omega1^2 omega2^2 / (4 delta2^3) of the
+    adiabatically eliminated (effective) model. The full model's exact
+    shift is omega1^2 omega2^2 / (8 delta2^3) at lowest order."""
     return params.omega1**2 * params.omega2**2 / (4.0 * params.delta2**3)
 
 

@@ -5,7 +5,8 @@ and a per-layer metric is reported only when every span it needs has its
 site. perfbench/selftest.py injects faults at module attributes (its
 FAULTS). Renaming or deleting one of these attributes makes the benchmark
 drop metrics or fail its self-test without any error here, so these tests
-pin them, and run each workload briefly to check its last line of output.
+pin them, run the self-test, and run each workload briefly to check its
+last line of output.
 """
 
 import ast
@@ -56,6 +57,17 @@ def _faults():
 )
 def test_fault_site_exists(kind, module, attribute):
     assert hasattr(importlib.import_module(f"lambda_crossing.{module}"), attribute)
+
+
+def test_selftest_catches_every_fault():
+    # hasattr alone passes a refactor that keeps a site but stops reading it
+    # through its module; the self-test injects each fault and sees it fail
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=170)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(_faults()) == 11
+    assert all(line.startswith("ok") for line in lines), done.stdout
 
 
 def _no_constant(name):

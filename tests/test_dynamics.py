@@ -236,7 +236,43 @@ class TestTransferEnvelope:
             assert transfer_envelope(p) == envelope_per_evaluation(p)
 
 
+def pair_loop_slope(energies, states):
+    """transfer_supremum_slope summed over level pairs with per-level signs
+    s_k = sign(c_k): each pair j < k of opposite signs adds
+    (s_k - s_j) v_{0,j} v_{0,k} (v_{0,j} v_{2,k} + v_{0,k} v_{2,j}) / (eps_k - eps_j)."""
+    e = energies.tolist()
+    u, _, w = states.tolist()
+    s = [math.copysign(1.0, u[k] * w[k]) for k in range(3)]
+    slope = 0.0
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        if s[j] != s[k]:
+            uu = u[j] * u[k]
+            slope += (s[k] - s[j]) * uu * (u[j] * w[k] + u[k] * w[j]) / (e[k] - e[j])
+    return slope * (e[2] - e[1]) ** 3
+
+
 class TestTransferSupremumSlope:
+    def test_equals_pair_loop(self):
+        # the dominant coefficient alone gives the pair sum bit for bit, with
+        # couplings down to 1e-5 delta2 and delta1 on and off the crossing;
+        # there the middle level always dominates (the c_k of a tridiagonal
+        # matrix alternate in sign), so random symmetric matrices, whose c_k
+        # also sum to zero, reach the other two
+        rng = np.random.default_rng(2718)
+        dominant = set()
+        for _ in range(1500):
+            d2 = float(np.exp(rng.uniform(-1.0, 1.0)))
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-5), math.log(0.6), 2)) * d2
+            d1 = float(rng.choice([rng.uniform(0.9, 1.1), rng.uniform(-3.0, 3.0)])) * d2
+            h = build_hamiltonian(RamanParams(omega1, omega2, d1, d2))
+            noise = rng.normal(size=(3, 3))
+            for m in (h, h + noise + noise.T):
+                e, v = np.linalg.eigh(m)
+                v = v * rng.choice([-1.0, 1.0], size=3)
+                assert transfer_supremum_slope(e, v) == pair_loop_slope(e, v)
+                dominant.add(int(np.argmax(np.abs(v[0] * v[2]))))
+        assert dominant == {0, 1, 2}
+
     @pytest.mark.parametrize(
         "omegas", [(0.2, 0.5), (0.01, 0.03), (0.5, 0.05), (0.002, 0.003)], ids=str
     )

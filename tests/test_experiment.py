@@ -28,6 +28,28 @@ class TestAlkaliSpec:
         with pytest.raises(ValueError):
             AlkaliSpec(1e9, -0.5, 2.0, -1e-3)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hfs_splitting", math.nan, "hfs_splitting must be finite"),
+            ("hfs_splitting", math.inf, "hfs_splitting must be finite"),
+            ("g_j", math.nan, "g_j must be finite"),
+            ("g_i", -math.inf, "g_i must be finite"),
+            ("bohr_magneton_over_h", math.nan, "bohr_magneton_over_h must be finite"),
+            ("gamma_excited", -6e6, "gamma_excited must be finite and positive"),
+            ("gamma_excited", 0.0, "gamma_excited must be finite and positive"),
+            ("gamma_excited", math.nan, "gamma_excited must be finite and positive"),
+            ("gamma_excited", math.inf, "gamma_excited must be finite and positive"),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(RB87, **{field: value})
+
+    def test_spin_checked_first(self):
+        with pytest.raises(ValueError, match="nuclear spin"):
+            AlkaliSpec(math.nan, 0.3, math.nan, -1e-3, gamma_excited=-1.0)
+
     def test_preset_registry(self):
         assert PRESETS["rb87"] is RB87
 
@@ -85,6 +107,26 @@ class TestScatteringRate:
         spec = AlkaliSpec(1e9, 1.5, 2.0, -1e-3, gamma_excited=None)
         with pytest.raises(ScenarioError):
             scattering_rate(spec, 1e6, 1e6, 1e9)
+
+    @pytest.mark.parametrize(
+        "omegas, name",
+        [
+            ((math.nan, 1.0, 1.0), "omega1"),
+            ((1.0, math.inf, 1.0), "omega2"),
+            ((1.0, 1.0, math.nan), "delta1"),
+            ((1.0, 1.0, -math.inf), "delta1"),
+        ],
+    )
+    def test_rejects_non_finite_drive(self, omegas, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            scattering_rate(RB87, *omegas)
+
+    def test_checks_keep_their_order(self):
+        no_gamma = AlkaliSpec(1e9, 1.5, 2.0, -1e-3)
+        with pytest.raises(ScenarioError):
+            scattering_rate(no_gamma, math.nan, 1.0, 0.0)
+        with pytest.raises(ValueError, match="delta1 must be nonzero"):
+            scattering_rate(RB87, math.nan, 1.0, 0.0)
 
     def test_depends_only_on_ratios(self):
         a = scattering_rate(RB87, 200e6, 200e6, 10e9)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_crossing import (
+    CharacterScan,
     RamanParams,
     bare_levels,
     build_hamiltonian,
@@ -316,6 +317,23 @@ def loop_character(weights, ambig_tol=1e-9):
     return labels, ambiguous
 
 
+def loop_swap_point(scan, level):
+    """The first grid step whose two labels are {0, 2}, found step by step."""
+    lab = scan.labels[:, level]
+    for i in range(len(lab) - 1):
+        if {lab[i], lab[i + 1]} == {0, 2}:
+            return float(0.5 * (scan.delta1_grid[i] + scan.delta1_grid[i + 1]))
+    return None
+
+
+def swap_or_none(scan, level):
+    try:
+        return character_swap_point(scan, level)
+    except ValueError as err:
+        assert str(err) == "no |1>/|3> character swap found on the scan"
+        return None
+
+
 class TestTrackCharacter:
     @pytest.mark.parametrize(
         "p, grid",
@@ -391,6 +409,43 @@ class TestTrackCharacter:
         scan = track_character(RamanParams(0.2, 0.5, 1.0, 1.0), np.linspace(0.9, 1.2, 3))
         with pytest.raises(ValueError, match=f"level must be 0, 1 or 2, got {level}"):
             character_swap_point(scan, level=level)
+
+    def test_swap_point_matches_step_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            n = int(rng.integers(1, 9))
+            labels = rng.integers(0, 3, size=(n, 3))
+            grid = np.cumsum(rng.uniform(0.1, 1.0, n)) * rng.choice([-1.0, 1.0])
+            scan = CharacterScan(grid, labels, np.zeros((n, 3), dtype=bool))
+            for level in (0, 1, 2):
+                assert swap_or_none(scan, level) == loop_swap_point(scan, level)
+
+    @pytest.mark.parametrize(
+        "column, expected",
+        [
+            ([0, 1, 1, 2], None),  # |1> to |3> through |2> is not a swap
+            ([2, 2, 2], None),
+            ([1], None),  # a 1-row scan has no step
+            ([2, 0, 0, 1], 0.5),  # at the first step
+            ([1, 1, 0, 2], 2.5),  # at the last step
+            ([0, 2, 0, 2], 0.5),  # the first of several
+        ],
+    )
+    def test_swap_point_edge_cases(self, column, expected):
+        n = len(column)
+        labels = np.tile(np.array(column)[:, None], (1, 3))
+        scan = CharacterScan(np.arange(n, dtype=float), labels, np.zeros((n, 3), dtype=bool))
+        assert swap_or_none(scan, 1) == loop_swap_point(scan, 1) == expected
+
+    def test_swap_point_on_scans_matches_step_loop(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            p = RamanParams(*rng.uniform(0.0, 0.6, 2), 1.0, 1.0)
+            half = float(rng.uniform(0.01, 0.6))
+            grid = np.linspace(1.0 - half, 1.0 + half, int(rng.integers(2, 200)))
+            scan = track_character(p, grid[::-1] if rng.random() < 0.3 else grid)
+            for level in (0, 1, 2):
+                assert swap_or_none(scan, level) == loop_swap_point(scan, level)
 
     def test_no_swap_raises(self):
         p = RamanParams(0.1, 0.1, 1.0, 1.0)

@@ -180,20 +180,19 @@ def matrix_rk4_oracle(params, probe, steps):
         return -1j * (h @ psi)
 
     psi = spec.states[:, 1].astype(complex)
-    t = 0.0
-    for _ in range(steps):
+    for n in range(steps):
+        t = n * dt
         k1 = deriv(t, psi)
         k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
         k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
         k4 = deriv(t + dt, psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
     return float(np.abs(spec.states[:, 2] @ psi) ** 2)
 
 
 def mp_rk4_oracle(params, probe, steps):
-    """Reference RK4 in 40-digit mpmath arithmetic, on the float step clock
-    t += dt of the oracle."""
+    """Reference RK4 in 40-digit mpmath arithmetic, on the oracle's float
+    nodes t_n = n dt."""
     spec = dressed_spectrum(params)
     with mpmath.workdps(40):
         h = [[mpmath.mpf(float(x)) for x in row] for row in build_hamiltonian(params)]
@@ -211,9 +210,8 @@ def mp_rk4_oracle(params, probe, steps):
             ]
 
         psi = [mpmath.mpf(float(x)) for x in spec.states[:, 1]]
-        t = 0.0
-        for _ in range(steps):
-            t0 = mpmath.mpf(t)
+        for n in range(steps):
+            t0 = mpmath.mpf(n * dt)
             k1 = deriv(t0, psi)
             k2 = deriv(t0 + mdt / 2, [p + mdt / 2 * k for p, k in zip(psi, k1)])
             k3 = deriv(t0 + mdt / 2, [p + mdt / 2 * k for p, k in zip(psi, k2)])
@@ -222,7 +220,6 @@ def mp_rk4_oracle(params, probe, steps):
                 p + mdt / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
                 for p, s1, s2, s3, s4 in zip(psi, k1, k2, k3, k4)
             ]
-            t += dt
         amp = sum(mpmath.mpf(float(v)) * p for v, p in zip(spec.states[:, 2], psi))
         return float(abs(amp) ** 2)
 

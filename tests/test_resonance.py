@@ -356,6 +356,70 @@ class TestExactLociReference:
             assert abs(tight - mp_locus(p, quantity, tight)) <= 1e-14 * p.delta2
 
 
+def quartic_structural_locus(params):
+    """50-digit structural locus from its polynomial: the real root nearest
+    (b2 - a2)/D of the quartic in x = delta1 - delta2, with a2 = omega1^2/4,
+    b2 = omega2^2/4 and D = delta2. Returns (delta1, v0^2(E3) - v0^2(E2)), the
+    residual of the structural condition in a 50-digit mpmath.eigsy spectrum.
+
+    The squared factor of the resultant that eliminates E and E' from
+    det(E - H) = det(E' - H) = 0 and (v0^2(E) - v0^2(E'))/(E - E') = 0; the
+    eigenvector of E is proportional to (a/E, 1, b/(E - c)), c = -x. sympy
+    regenerates it in about 3 s:
+
+        E, F, x, a2, b2, D = sympy.symbols("E F x a2 b2 D")
+        P = lambda e: sympy.expand(e * (e + D + x) * (e + x) - a2 * (e + x) - b2 * e)
+        N = lambda e: a2 * (e + x)**2 + e**2 * (e + x)**2 + b2 * e**2
+        cond = sympy.cancel(sympy.expand((E + x)**2 * N(F) - (F + x)**2 * N(E)) / (E - F))
+        sympy.factor(sympy.resultant(sympy.resultant(cond, P(F), F), P(E), E))
+    """
+    with mpmath.workdps(50):
+        a2, b2 = mpmath.mpf(params.omega1) ** 2 / 4, mpmath.mpf(params.omega2) ** 2 / 4
+        D = mpmath.mpf(params.delta2)
+        coeffs = [
+            D * (D**2 + 4 * b2),
+            D**4 + 3 * D**2 * a2 + 4 * a2 * b2 - 16 * b2**2,
+            3 * D * (D**2 * a2 - 2 * D**2 * b2 + a2**2 - 8 * b2**2),
+            -(D**4) * b2 + 3 * D**2 * a2**2 - 9 * D**2 * a2 * b2 + a2**3 - 12 * a2 * b2**2
+            + 16 * b2**3,
+            D * (-(D**2) * a2 * b2 + D**2 * b2**2 + a2**3 - 3 * a2**2 * b2 + 4 * b2**3),
+        ]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30]
+        d1 = D + min(real, key=lambda r: abs(r - (b2 - a2) / D))
+        half1, half2 = mpmath.sqrt(a2), mpmath.sqrt(b2)
+        h = mpmath.matrix([[0, half1, 0], [half1, -d1, half2], [0, half2, D - d1]])
+        energies, states = mpmath.eigsy(h)
+        k1, k2, k3 = sorted(range(3), key=lambda k: energies[k])
+        return d1, states[0, k3] ** 2 - states[0, k2] ** 2
+
+
+class TestStructuralQuartic:
+    def test_loci_match_quartic_root(self):
+        # log-uniform couplings, one draw in four with omega2/omega1 in
+        # [1e-3, 1e-2], where three roots of the quartic nearly meet
+        rng = np.random.default_rng(4242)
+        checked = 0
+        for i in range(60):
+            d2 = float(np.exp(rng.uniform(-0.7, 0.7)))
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-2), math.log(0.6), 2)) * d2
+            if i % 4 == 0:
+                omega2 = omega1 * 10 ** rng.uniform(-3.0, -2.0)
+            p = RamanParams(float(omega1), float(omega2), d2, d2)
+            d1, residual = quartic_structural_locus(p)
+            assert abs(residual) < 1e-40
+            try:
+                exact = structural_exact(p)
+                searched = resolvent_structural_resonance(p)
+            except BracketError:
+                continue
+            checked += 1
+            assert abs(exact - d1) <= DEFAULT_TOL * d2
+            # a value-only search resolves a flat minimum to about sqrt(eps)
+            assert abs(searched - d1) <= math.sqrt(np.finfo(float).eps) * d2
+        assert checked >= 50
+
+
 CERTIFICATE_TOL = 1e-7
 LOG_COUPLING = st.floats(math.log(1e-3), math.log(0.6))
 
