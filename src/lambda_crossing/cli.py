@@ -108,14 +108,6 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _resolve_output(name: str) -> Path:
-    path = Path(name)
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
-    return path
-
-
 def _merge_config(args: argparse.Namespace):
     """Fill unset flags from the config file, leaving flag values in charge."""
     if not getattr(args, "config", None):
@@ -164,27 +156,21 @@ def _params(args, s: float, delta1_flag=None) -> RamanParams:
     return RamanParams(_num(args, "omega1") * s, _num(args, "omega2") * s, d1, d2)
 
 
-def cmd_levels(args) -> int:
-    s = _scale(args)
+def cmd_levels(args, s: float, out: Path):
     grid = _parse_range(args.delta1_range, "delta1-range") * s
     e = dressed_spectrum(_params(args, s), grid).energies
     rows = np.column_stack([grid, e, _gap(e)]) / s
-    out = _resolve_output(args.output or "levels.csv")
     _write_csv(out, ["delta1", "eps1", "eps2", "eps3", "gap32"], rows)
-    return 0
 
 
-def cmd_resonance(args) -> int:
-    s = _scale(args)
+def cmd_resonance(args, s: float, out: Path):
     report = res.resonance_report(_params(args, s), _num(args, "tol", res.DEFAULT_TOL))
     header = [field.name for field in dataclasses.fields(report)]
     row = [getattr(report, name) / s for name in header]
-    _write_csv(_resolve_output(args.output or "resonance.csv"), header, [row])
-    return 0
+    _write_csv(out, header, [row])
 
 
-def cmd_shift_scan(args) -> int:
-    s = _scale(args)
+def cmd_shift_scan(args, s: float, out: Path):
     ratios = _parse_range(args.ratio_range, "ratio-range")
     d2 = _num(args, "delta2", RamanParams.delta2) * s
     tol = _num(args, "tol", res.DEFAULT_TOL)
@@ -192,13 +178,10 @@ def cmd_shift_scan(args) -> int:
     for ratio, message in skipped:
         print(f"shift-scan: skipped ratio {ratio:g}: {message}", file=sys.stderr)
     rows = [[r.ratio, r.shift_exact / s, r.shift_approx / s] for r in rows_out]
-    out = _resolve_output(args.output or "shift_scan.csv")
     _write_csv(out, ["ratio", "shift_exact", "shift_approx"], rows)
-    return 0
 
 
-def cmd_probe_spectrum(args) -> int:
-    s = _scale(args)
+def cmd_probe_spectrum(args, s: float, out: Path):
     params = _params(args, s, "delta1")
     # Durations are absolute times (seconds when --units hz): no conversion.
     duration = _num(args, "duration")
@@ -210,30 +193,24 @@ def cmd_probe_spectrum(args) -> int:
     spectrum = probe_mod.probe_spectrum(params, omega_p, duration, nu_grid)
     if spectrum.perturbative_flag:
         raise _FlagError(*probe_mod._strong_probe(args.omega_p, spectrum.probabilities).args)
-    out = _resolve_output(args.output or "probe_spectrum.csv")
     rows = np.column_stack([spectrum.nu_grid / s, spectrum.probabilities])
     _write_csv(out, ["nu", "probability"], rows)
     peaks = [[pk.position / s, pk.height, pk.width / s] for pk in spectrum.peaks]
     _write_csv(out.with_name(out.stem + "_peaks.csv"), ["position", "height", "width"], peaks)
-    return 0
 
 
-def cmd_probe_resonance(args) -> int:
-    s = _scale(args)
+def cmd_probe_resonance(args, s: float, out: Path):
     params = _params(args, s)
     grid = _parse_range(args.delta1_range, "delta1-range") * s
     result = probe_mod.probed_structural_resonance(
         params, grid, _num(args, "omega_p") * s, _num(args, "duration")
     )
     rows = np.column_stack([result.delta1_grid / s, result.splittings / s])
-    out = _resolve_output(args.output or "probe_resonance.csv")
     _write_csv(out, ["delta1", "measured_splitting"], rows)
     print(f"probed_structural_resonance = {_fmt(result.delta1 / s)}")
-    return 0
 
 
-def cmd_resolvent(args) -> int:
-    s = _scale(args)
+def cmd_resolvent(args, s: float, out: Path):
     levels = iterate_levels(
         _params(args, s, "delta1"),
         tol=_num(args, "tol", _LEVEL_TOL),
@@ -241,11 +218,11 @@ def cmd_resolvent(args) -> int:
     )
     header = ["e_minus", "e_plus", "iterations_minus", "iterations_plus"]
     row = [levels.e_minus / s, levels.e_plus / s, *levels.iterations]
-    _write_csv(_resolve_output(args.output or "resolvent.csv"), header, [row])
-    return 0
+    _write_csv(out, header, [row])
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args, s: float, out: Path):
+    # inputs and outputs are in Hz under either --units: s goes unused
     preset = exp.PRESETS.get(str(args.preset).lower())
     if preset is None:
         raise SystemExit(f"error: unknown preset {args.preset!r}")
@@ -262,7 +239,6 @@ def cmd_experiment(args) -> int:
         delta1=_num(args, "delta1"),
         scenario=str(args.scenario),
     )
-    out = _resolve_output(args.output or "experiment.txt")
     lines = [
         f"scenario = {report.scenario}",
         f"bias_field_G = {_fmt(report.bias_field)}",
@@ -278,12 +254,13 @@ def cmd_experiment(args) -> int:
     lines.append(f"feasible = {str(report.feasible).lower()}")
     lines.append(f"notes = {report.notes}")
     _write_text(out, "\n".join(lines) + "\n")
-    return 0
 
 
 # name: (help, handler, required flags, optional flags); every command also
-# takes COMMON_FLAGS. Flags carry no argparse defaults, so config values can
-# fill any flag not given on the command line.
+# takes COMMON_FLAGS. main calls handler(args, s, out) with the unit scale s
+# and the output path out, and the handler writes its table. Flags carry no
+# argparse defaults, so config values can fill any flag not given on the
+# command line.
 COMMANDS = {
     "levels": ("dressed energies over a delta1 scan", cmd_levels,
                ("omega1", "omega2", "delta1_range"), ()),
@@ -339,7 +316,13 @@ def main(argv=None) -> int:
     _, handler, required, _ = COMMANDS[args.command]
     _require(args, *required)
     try:
-        return handler(args)
+        default = "experiment.txt" if args.command == "experiment" else args.command + ".csv"
+        out = Path(args.output or default.replace("-", "_"))
+        outdir = os.environ.get(OUTDIR_ENV)
+        if outdir and not out.is_absolute():
+            out = Path(outdir) / out
+        handler(args, _scale(args), out)
+        return 0
     except (LambdaCrossingError, ValueError, OSError) as err:
         angular = args.units == "hz" and args.command != "experiment"
         angular = angular and not isinstance(err, (_FlagError, OSError))

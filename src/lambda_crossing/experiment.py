@@ -26,8 +26,9 @@ class AlkaliSpec:
 
     hfs_splitting is the zero-field hyperfine splitting in Hz,
     gamma_excited the excited-state decay rate Gamma / 2 pi in Hz
-    (optical scenario only). Every number given must be finite, and
-    gamma_excited positive.
+    (optical scenario only). Every number given must be finite;
+    hfs_splitting, bohr_magneton_over_h and gamma_excited positive, and
+    g_j >= g_i (g_j == g_i is left to bias_field, which calls it singular).
     """
 
     hfs_splitting: float
@@ -44,6 +45,12 @@ class AlkaliSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("hfs_splitting", "bohr_magneton_over_h"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.g_j < self.g_i:
+            raise ValueError(f"g_j must be >= g_i, got g_j = {self.g_j!r} < g_i = {self.g_i!r}")
         gamma = self.gamma_excited
         if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
             raise ValueError(f"gamma_excited must be finite and positive, got {gamma!r}")

@@ -16,7 +16,7 @@ from ._minimize import minimize_scalar
 from .effective import _shift_terms
 from .errors import ConvergenceError
 from .hamiltonian import RamanParams
-from .resonance import DEFAULT_TOL, _check_count, _check_tol, _locus
+from .resonance import _check_count, _check_tol, _locus
 
 DEFAULT_MAX_ITER = 200
 _LEVEL_TOL = 1e-12
@@ -84,8 +84,12 @@ def iterate_levels(
     return LevelIteration(e_minus, e_plus, (n_minus, n_plus), True, residuals)
 
 
-def resolvent_structural_resonance(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
-    """Structural locus from the iterated branch splitting E_plus - E_minus."""
+def resolvent_structural_resonance(params: RamanParams, tol: float = 1e-10) -> float:
+    """Structural locus from the iterated branch splitting E_plus - E_minus.
+
+    tol defaults to 1e-10, above resonance.DEFAULT_TOL: this value-only
+    search resolves the flat minimum to no better than about sqrt(eps), so
+    a tighter tol costs evaluations and buys no accuracy."""
 
     def splitting(d1: float) -> float:
         levels = iterate_levels(params.with_delta1(d1))

@@ -23,7 +23,7 @@ BRACKET_LO = 0.5
 BRACKET_HI = 1.5
 _EDGE_MARGIN = 1e-4
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,18 @@ def shift_approx(params: RamanParams) -> float:
 
 def dynamical_shift(params: RamanParams, tol: float = DEFAULT_TOL):
     """(shift_exact, shift_approx): structural minus dynamical locus, and
-    its lowest-order closed form."""
+    its lowest-order closed form. shift_exact is within
+    2 max(tol delta2, 4 ulp(delta1)) of the true difference, from the two
+    slope-root searches; the shift is Omega1^2 Omega2^2 / (8 delta2^3) at
+    lowest order, so at weak coupling tol must sit far below it. Below
+    Omega ~ 1e-3 delta2 rounding in the slopes dominates that bound."""
     exact = structural_exact(params, tol) - dynamical_exact_full(params, tol)
     return exact, shift_approx(params)
 
 
 def resonance_report(params: RamanParams, tol: float = DEFAULT_TOL) -> ResonanceReport:
-    """Compute every locus and the shift in one pass."""
+    """Compute every locus and the shift in one pass; shift_exact carries
+    the bound 2 max(tol delta2, 4 ulp(delta1)) of dynamical_shift."""
     s_exact = structural_exact(params, tol)
     d_full = dynamical_exact_full(params, tol)
     return ResonanceReport(

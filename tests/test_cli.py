@@ -4,6 +4,9 @@ import argparse
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,3 +647,74 @@ class TestWriter:
         files = written_files(WRITES[command], tmp_path, monkeypatch)
         assert len(written) == (2 if command == "probe-spectrum" else 1)
         assert sorted(written) == sorted(files)
+
+
+def default_names(command):
+    """The files a run of command leaves when --output is not given."""
+    if command == "experiment":
+        return {"experiment.txt"}
+    stem = command.replace("-", "_")
+    return {stem + ".csv", stem + "_peaks.csv"} if command == "probe-spectrum" else {stem + ".csv"}
+
+
+class TestRunPath:
+    @pytest.mark.parametrize("command", WRITES)
+    def test_bad_config_units_refused(self, tmp_path, command):
+        # experiment takes Hz under either --units, and refuses a bad value too
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
+        cfg.write_text("units = bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            main(WRITES[command] + ["--config", str(cfg), "--output", str(out)])
+        assert str(exc.value) == "error: units must be dimensionless or hz, got 'bogus'"
+        assert not out.exists()
+
+
+def run_process(argv, cwd):
+    """Run the console entry point in a fresh interpreter, as a shell does."""
+    env = {key: value for key, value in os.environ.items() if key != OUTDIR_ENV}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lambda_crossing.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def files_in(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("command", WRITES)
+    def test_success_matches_in_process_run(self, tmp_path, monkeypatch, capsys, command):
+        shell, here = tmp_path / "shell", tmp_path / "here"
+        shell.mkdir()
+        here.mkdir()
+        proc = run_process(WRITES[command], shell)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        monkeypatch.setenv(OUTDIR_ENV, str(here))
+        assert main(WRITES[command]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert set(files_in(shell)) == default_names(command)
+        assert files_in(shell) == files_in(here)
+
+    @pytest.mark.parametrize(
+        "argv, status, start",
+        [
+            (["resonance", "--omega1", "0", "--omega2", "0.5"], 1,
+             "error: structural resonance requires omega1 * omega2 > 0\n"),
+            (["levels", "--omega1", "0.3", "--omega2", "0.4", "--delta1-range", "0:2"], 1,
+             "error: delta1-range: range must be start:stop:count, got '0:2'\n"),
+            (["resolvent", "--omega2", "0.5", "--delta1", "--omega1", "0.2"], 2,
+             "usage: lambda-crossing resolvent "),
+        ],
+        ids=["library-error", "flag-error", "usage-error"],
+    )
+    def test_error_exit_status(self, tmp_path, argv, status, start):
+        proc = run_process(argv + ["--output", "x.csv"], tmp_path)
+        assert proc.returncode == status
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(start)
+        if status == 1:
+            assert len(proc.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []

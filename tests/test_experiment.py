@@ -40,11 +40,20 @@ class TestAlkaliSpec:
             ("gamma_excited", 0.0, "gamma_excited must be finite and positive"),
             ("gamma_excited", math.nan, "gamma_excited must be finite and positive"),
             ("gamma_excited", math.inf, "gamma_excited must be finite and positive"),
+            ("hfs_splitting", -6.835e9, "hfs_splitting must be positive, got -6835000000.0"),
+            ("hfs_splitting", 0.0, "hfs_splitting must be positive"),
+            ("bohr_magneton_over_h", -1.3996e6, "bohr_magneton_over_h must be positive"),
+            ("g_j", -2.0023, "g_j must be >= g_i, got g_j = -2.0023 < g_i = -0.000995"),
+            ("g_i", 2.5, "g_j must be >= g_i"),
         ],
     )
     def test_rejects_bad_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(RB87, **{field: value})
+
+    def test_finite_checked_before_sign(self):
+        with pytest.raises(ValueError, match="g_i must be finite"):
+            AlkaliSpec(-6.835e9, 1.5, -2.0023, math.nan)
 
     def test_spin_checked_first(self):
         with pytest.raises(ValueError, match="nuclear spin"):

@@ -356,6 +356,51 @@ class TestExactLociReference:
             assert abs(tight - mp_locus(p, quantity, tight)) <= 1e-14 * p.delta2
 
 
+class TestWeakCouplingShift:
+    @pytest.mark.parametrize("omegas", [(0.002, 0.003), (0.001, 0.01), (0.01, 0.002)],
+                             ids=lambda o: f"{o[0]:g}-{o[1]:g}")
+    def test_default_tol_resolves_the_shift(self, omegas):
+        # the shift is about omega1^2 omega2^2 / (8 delta2^3), 5e-12 to
+        # 5e-11 here, so the default tol must sit far below it
+        p = RamanParams(*omegas, 1.0, 1.0)
+        reference = mp_locus(p, mp_gap, structural_exact(p, 1e-15)) - mp_locus(
+            p, mp_transfer, dynamical_exact_full(p, 1e-15)
+        )
+        assert dynamical_shift(p)[0] == pytest.approx(reference, rel=1e-2)
+        assert resonance_report(p).shift_exact == pytest.approx(reference, rel=1e-2)
+
+
+class TestSixthOrderSeries:
+    def test_series_match_50_digits(self):
+        # the loci and the shift through sixth order in the couplings; the
+        # remainder is eighth order, within 10 (a2 + b2)^4 / D^7 (a scale far
+        # above float rounding for couplings of at least 0.02 delta2)
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            D = float(np.exp(rng.uniform(-0.7, 0.7)))
+            omega1, omega2 = (np.exp(rng.uniform(math.log(0.02), math.log(0.12), 2)) * D).tolist()
+            p = RamanParams(omega1, omega2, D, D)
+            a2, b2 = omega1**2 / 4, omega2**2 / 4
+            structural = (
+                D + (b2 - a2) / D + b2 * (3 * a2 - b2) / D**3
+                + b2 * (-3 * a2**2 - 11 * a2 * b2 + 2 * b2**2) / D**5
+            )
+            dynamical = (
+                dynamical_approx(p) + a2 * (a2 - b2) / D**3
+                + (b2 * (3 * a2**2 - a2 * b2 + 2 * b2**2) - 4 * (a2 * b2) ** 1.5) / D**5
+            )
+            shift = (
+                omega1**2 * omega2**2 / (8 * D**3) + abs(omega1 * omega2) ** 3 / (16 * D**5)
+                - omega1**2 * omega2**2 * (3 * omega1**2 + 5 * omega2**2) / (32 * D**5)
+            )
+            s_ref = mp_locus(p, mp_gap, structural_exact(p, 1e-15))
+            d_ref = mp_locus(p, mp_transfer, dynamical_exact_full(p, 1e-15))
+            bound = 10 * (a2 + b2) ** 4 / D**7
+            assert abs(structural - s_ref) <= bound
+            assert abs(dynamical - d_ref) <= bound
+            assert abs(shift - (s_ref - d_ref)) <= bound
+
+
 def quartic_structural_locus(params):
     """50-digit structural locus from its polynomial: the real root nearest
     (b2 - a2)/D of the quartic in x = delta1 - delta2, with a2 = omega1^2/4,
