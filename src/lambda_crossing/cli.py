@@ -28,7 +28,7 @@ from . import experiment as exp
 from . import probe as probe_mod
 from . import resonance as res
 from .errors import LambdaCrossingError
-from .hamiltonian import RamanParams, _gap, dressed_spectrum
+from .hamiltonian import RamanParams, _finite_grid, _gap, dressed_spectrum
 from .probe import _MAX_NU_POINTS
 from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
 
@@ -36,6 +36,8 @@ OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 # Appended to a library error under --units hz: the library sees, and its
 # messages quote, angular frequencies.
 _HZ_NOTE = " (frequencies quoted in angular units, 2π × Hz)"
+# Rows of a levels table computed and written at a time.
+_LEVELS_BLOCK = 2**14
 
 
 class _FlagError(ValueError):
@@ -51,26 +53,33 @@ def _open_in_place(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_text(path: Path, text: str):
-    """Write text as UTF-8 over path in place: the one writer of every output.
+def _write_text(path: Path, text):
+    """Write text, a str or an iterable of str written in turn, as UTF-8 over
+    path in place: the one writer of every output.
 
     Opened without O_TRUNC, then cut to the written length if it is a regular
     file (not a FIFO or /dev/null): truncating to zero on open makes ext4
     start writeback on close. Not atomic: a crash mid-write leaves the new
     bytes followed by the old tail, where open(path, "w") leaves a short file."""
     with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
 
 
-def _write_csv(path: Path, header, rows):
-    """Write a header line and one line per row, every value as _fmt does,
-    formatted by one template over the whole table and written once."""
-    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+def _csv_lines(header, blocks):
+    """A header line, then one line per row of each block of rows, every
+    value as _fmt does, formatted by one template per block."""
+    yield ",".join(header) + "\n"
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    body = (line * len(values)) % tuple(values.ravel().tolist())
-    _write_text(path, ",".join(header) + "\n" + body)
+    for rows in blocks:
+        values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+        yield (line * len(values)) % tuple(values.ravel().tolist())
+
+
+def _write_csv(path: Path, header, rows):
+    """Write a header line and one line per row, as one block."""
+    _write_text(path, "".join(_csv_lines(header, [rows])))
 
 
 def _parse_range(text: str, key: str) -> np.ndarray:
@@ -158,9 +167,18 @@ def _params(args, s: float, delta1_flag=None) -> RamanParams:
 
 def cmd_levels(args, s: float, out: Path):
     grid = _parse_range(args.delta1_range, "delta1-range") * s
-    e = dressed_spectrum(_params(args, s), grid).energies
-    rows = np.column_stack([grid, e, _gap(e)]) / s
-    _write_csv(out, ["delta1", "eps1", "eps2", "eps3", "gap32"], rows)
+    params = _params(args, s)
+    # checked whole before out is opened; dressed_spectrum sees one block
+    _finite_grid(grid)
+
+    def blocks():
+        # spectra and text per block of rows, so memory is bounded at any count
+        for start in range(0, len(grid), _LEVELS_BLOCK):
+            part = grid[start : start + _LEVELS_BLOCK]
+            e = dressed_spectrum(params, part).energies
+            yield np.column_stack([part, e, _gap(e)]) / s
+
+    _write_text(out, _csv_lines(["delta1", "eps1", "eps2", "eps3", "gap32"], blocks()))
 
 
 def cmd_resonance(args, s: float, out: Path):

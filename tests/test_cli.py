@@ -115,6 +115,47 @@ class TestLevels:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("count, units", [(2001, "dimensionless"), (40000, "hz")])
+    def test_blocks_match_whole_table(self, tmp_path, count, units):
+        # 40000 rows take three blocks; the bytes are those of one table
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        assert main(["levels", "--omega1", "0.3", "--omega2", "0.4", "--delta2", "1.1",
+                     "--delta1-range", f"0:2:{count}", "--units", units,
+                     "--output", str(out)]) == 0
+        s = 2.0 * math.pi if units == "hz" else 1.0
+        grid = np.linspace(0.0, 2.0, count) * s
+        e = dressed_spectrum(RamanParams(0.3 * s, 0.4 * s, 1.1 * s, 1.1 * s), grid).energies
+        rows = np.column_stack([grid, e, e[:, 2] - e[:, 1]]) / s
+        _write_csv(ref, ["delta1", "eps1", "eps2", "eps3", "gap32"], rows)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_large_table_in_bounded_memory(self, tmp_path):
+        # a whole-table build peaked at 166.8 MB at this count, about 0.5 KB
+        # a row. The child reads its own VmHWM: its ru_maxrss keeps the
+        # spawning test process's peak across exec
+        script = (
+            "from lambda_crossing.cli import main\n"
+            "assert main(['levels', '--omega1', '0.2', '--omega2', '0.5',\n"
+            "             '--delta1-range', '0:2:262144', '--output', 'levels.csv']) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) / 1024 <= 80.0
+        assert len((tmp_path / "levels.csv").read_text().splitlines()) == 262145
+
+    def test_grid_error_leaves_no_file(self, tmp_path, capsys):
+        # the grid is checked whole before the first block is written
+        out = tmp_path / "x.csv"
+        with np.errstate(over="ignore"):
+            assert main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--units", "hz",
+                         "--delta1-range", "0:1e308:3", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: delta1_grid must be finite")
+        assert not out.exists()
+
     def test_missing_required_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["levels", "--omega1", "0.5", "--output", str(tmp_path / "x.csv")])

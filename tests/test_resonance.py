@@ -39,6 +39,8 @@ from lambda_crossing._minimize import (
     parabolic_vertex,
     slope_root,
 )
+from lambda_crossing.dynamics import transfer_supremum_slope
+from lambda_crossing.hamiltonian import _eigh_along_delta1, gap32_slope
 from lambda_crossing.resonance import DEFAULT_TOL
 
 RNG = np.random.default_rng(1234)
@@ -74,14 +76,22 @@ class TestStructural:
             )
 
     def test_argmin_certificate(self):
-        tol = 1e-10
+        # a +-10 tol step at tol = 1e-10 moves gap32 by about 1e-18, below one
+        # ulp, so the value certificate runs at CERTIFICATE_TOL; at 1e-10 the
+        # locus is held to the 50-digit one and its slope must change sign
+        # across the step (about -+9.8e-10 at (0.2, 0.5))
         for o1, o2 in [(0.2, 0.5), (0.4, 0.4)]:
             p = RamanParams(o1, o2, 1.0, 1.0)
-            star = structural_exact(p, tol)
+            star = structural_exact(p, CERTIFICATE_TOL)
             g0 = gap32(p.with_delta1(star))
-            eps = 10.0 * tol
+            eps = 10.0 * CERTIFICATE_TOL
             assert gap32(p.with_delta1(star + eps)) >= g0
             assert gap32(p.with_delta1(star - eps)) >= g0
+            tol = 1e-10
+            star, eigh_at = structural_exact(p, tol), _eigh_along_delta1(p)
+            assert abs(star - mp_locus(p, mp_gap, star)) <= tol * p.delta2
+            eps = 10.0 * tol
+            assert gap32_slope(*eigh_at(star - eps)) < 0.0 < gap32_slope(*eigh_at(star + eps))
 
     def test_approx_reference_value(self):
         assert structural_approx(RamanParams(0.2, 0.5, 1.0, 1.0)) == pytest.approx(
@@ -162,13 +172,31 @@ class TestDynamical:
             assert abs(eliminate(p.with_delta1(root)).delta_eff) < 1e-14
 
     def test_full_local_maximum_certificate(self):
-        tol = 1e-10
+        # as test_argmin_certificate: transfer_supremum spreads 2.2e-15 within
+        # 1e-9 of the locus, so the +-5 tol values are compared at
+        # CERTIFICATE_TOL; at 1e-10 the slope reads about +-2.2e-11 there
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
-        star = dynamical_exact_full(p, tol)
+        star = dynamical_exact_full(p, CERTIFICATE_TOL)
         a0 = transfer_supremum(p.with_delta1(star))
-        eps = 5.0 * tol
+        eps = 5.0 * CERTIFICATE_TOL
         assert a0 >= transfer_supremum(p.with_delta1(star + eps))
         assert a0 >= transfer_supremum(p.with_delta1(star - eps))
+        tol = 1e-10
+        star, eigh_at = dynamical_exact_full(p, tol), _eigh_along_delta1(p)
+        assert abs(star - mp_locus(p, mp_transfer, star)) <= tol * p.delta2
+        eps = 5.0 * tol
+        slopes = [transfer_supremum_slope(*eigh_at(star + s)) for s in (-eps, eps)]
+        assert slopes[0] > 0.0 > slopes[1]
+
+    @pytest.mark.parametrize("omega1, omega2, delta2", [(2.5e-11, 2.4e-7, 4.76),
+                                                        (2e-11, 1e-7, 0.08)])
+    def test_full_at_ultra_weak_coupling(self, omega1, omega2, delta2):
+        # the slope at the bracket's low end reads -0.0 or the wrong sign
+        # here (the c_k are about 1e-38), which a full-bracket search took
+        # for a locus at the edge; the supremum peaks at delta2 + (b2 - a2)/D
+        p = RamanParams(omega1, omega2, delta2, delta2)
+        series = delta2 + (omega2**2 - omega1**2) / (4.0 * delta2)
+        assert abs(dynamical_exact_full(p) - series) <= DEFAULT_TOL * delta2
 
     def test_full_symmetric_is_delta2(self):
         # symmetric couplings put the full-model transfer maximum at delta2
@@ -570,3 +598,98 @@ class TestFaultSites:
         np.testing.assert_allclose(
             mirrored, clean.probabilities[::-1], rtol=0, atol=1e-9 * clean.probabilities.max()
         )
+
+
+SLOPE_LOCI = {
+    "structural": (structural_exact, "_structural_seed", "gap32_slope", 1.0),
+    "dynamical": (dynamical_exact_full, "_dynamical_seed", "transfer_supremum_slope", -1.0),
+}
+
+
+def outcome(finder, params, tol):
+    """finder's locus, or the text of the BracketError it raises."""
+    try:
+        return finder(params, tol)
+    except BracketError as err:
+        return str(err)
+
+
+def full_bracket_locus(kind, params, tol):
+    """The unseeded search: slope_root on all of [0.5, 1.5] delta2 of the
+    same slope, through _locus's edge check."""
+    _, _, slope_name, sign = SLOPE_LOCI[kind]
+    slope, eigh_at = getattr(resonance, slope_name), _eigh_along_delta1(params)
+    search = functools.partial(slope_root, what=kind)
+    return outcome(
+        lambda p, t: resonance._locus(p, lambda d1: sign * slope(*eigh_at(d1)), search, kind, t),
+        params, tol,
+    )
+
+
+def seeded_draws(n, seed, hi=0.6):
+    """n draws, couplings log-uniform on [1e-3, hi] delta2 and delta2 in
+    [e^-0.7, e^0.7]; one in four has Omega2/Omega1 in [1e-3, 1e-2], where the
+    structural quartic has a near-triple root."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        d2 = float(np.exp(rng.uniform(-0.7, 0.7)))
+        omega1, omega2 = (np.exp(rng.uniform(math.log(1e-3), math.log(hi), 2)) * d2).tolist()
+        if i % 4 == 0:
+            omega2 = omega1 * 10 ** rng.uniform(-3.0, -2.0)
+        yield RamanParams(omega1, omega2, d2, d2)
+
+
+def assert_same_outcome(got, want, tol, d2):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert abs(got - want) <= 2.0 * max(tol * d2, 4.0 * math.ulp(want))
+
+
+class TestSeededSearch:
+    """The closed forms pick the bracket; the slope root decides the value."""
+
+    @pytest.mark.parametrize("kind", SLOPE_LOCI)
+    def test_matches_full_bracket_search(self, kind):
+        # couplings up to 2 delta2 put some loci at the bracket edge, where
+        # both searches must raise the same BracketError
+        finder = SLOPE_LOCI[kind][0]
+        edges = 0
+        for p in seeded_draws(400, 77, hi=2.0):
+            for tol in (1e-10, 1e-13, 1e-15):
+                want = full_bracket_locus(kind, p, tol)
+                assert_same_outcome(outcome(finder, p, tol), want, tol, p.delta2)
+                edges += isinstance(want, str)
+        assert edges > 0
+
+    @pytest.mark.parametrize("kind", SLOPE_LOCI)
+    @pytest.mark.parametrize("miss", [-0.05, 0.05, math.nan], ids=["low", "high", "nan"])
+    def test_missed_seed_keeps_locus_and_messages(self, monkeypatch, kind, miss):
+        finder, seed_name, _, _ = SLOPE_LOCI[kind]
+        draws = list(seeded_draws(40, 78)) + [
+            RamanParams(2.0, 0.1, 1.0, 1.0), RamanParams(0.1, 2.0, 1.0, 1.0),
+        ]
+        want = [full_bracket_locus(kind, p, DEFAULT_TOL) for p in draws]
+        for p, locus in zip(draws, want):
+            centre = p.delta2 if isinstance(locus, str) else locus
+            seed = (centre + miss * p.delta2, DEFAULT_TOL * p.delta2)
+            monkeypatch.setattr(resonance, seed_name, lambda params, tol, seed=seed: seed)
+            assert_same_outcome(outcome(finder, p, DEFAULT_TOL), locus, DEFAULT_TOL, p.delta2)
+        assert want[-2].startswith(f"{kind} locus 0.5 is at the edge")
+        assert want[-1].startswith(f"{kind} locus 1.5 is at the edge")
+
+    def test_mean_slope_evaluations(self):
+        # the full-bracket search took a mean of 6.61 (structural) and 8.82
+        # (dynamical) evaluations over such draws
+        rng = np.random.default_rng(79)
+        counts = {kind: [] for kind in SLOPE_LOCI}
+        for _ in range(200):
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2)).tolist()
+            p = RamanParams(omega1, omega2, 1.0, 1.0)
+            for kind, (finder, _, slope_name, _) in SLOPE_LOCI.items():
+                slope = getattr(resonance, slope_name)
+                with mock.patch.object(resonance, slope_name, wraps=slope) as calls:
+                    finder(p)
+                counts[kind].append(calls.call_count)
+        means = {kind: float(np.mean(c)) for kind, c in counts.items()}
+        assert max(means.values()) <= 5.0, means
