@@ -4,9 +4,9 @@ Subcommands: levels, resonance, shift-scan, probe-spectrum,
 probe-resonance, resolvent, experiment. Flags may be preloaded from a
 flat `key = value` config file (# comments allowed); flags override file
 values. With --units hz all frequency inputs are ordinary frequencies,
-converted to angular internally and converted back on output; an error
-from the library then quotes angular values and says so. A value may be
-negative in any form float() reads (-1e-3, -inf, -0.5:0.5:3 for a range).
+converted to angular internally and back on output. main reports every
+failure but a usage error (exit 2) as one "error:" line and returns 1. A
+value may be negative in any form float() reads (-1e-3, -inf, -0.5:0.5:3).
 Output files are rewritten in place, not atomically (see _write_text).
 """
 
@@ -34,14 +34,14 @@ from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 # Appended to a library error under --units hz: the library sees, and its
-# messages quote, angular frequencies.
-_HZ_NOTE = " (frequencies quoted in angular units, 2π × Hz)"
+# messages quote, angular frequencies (some errors quote none).
+_HZ_NOTE = " (any frequency quoted is angular, 2π × Hz)"
 # Rows of a levels table computed and written at a time.
 _LEVELS_BLOCK = 2**14
 
 
 class _FlagError(ValueError):
-    """A bad flag value, quoted as the user gave it (so never angular)."""
+    """A bad or missing flag or config value, as the user gave it (never angular)."""
 
 
 def _fmt(value) -> str:
@@ -82,22 +82,24 @@ def _write_csv(path: Path, header, rows):
     _write_text(path, "".join(_csv_lines(header, [rows])))
 
 
-def _parse_range(text: str, key: str) -> np.ndarray:
+def _parse_range(text: str, key: str, scale: float = 1.0) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise SystemExit(f"error: {key}: range must be start:stop:count, got {text!r}")
+        raise _FlagError(f"{key}: range must be start:stop:count, got {text!r}")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        raise SystemExit(f"error: {key}: malformed range {text!r}") from None
+        raise _FlagError(f"{key}: malformed range {text!r}") from None
     if count < 2:
-        raise SystemExit(f"error: {key}: range count must be >= 2")
+        raise _FlagError(f"{key}: range count must be >= 2")
     if count > _MAX_NU_POINTS:
         raise _FlagError(f"{key}: range count {count} is over the cap of {_MAX_NU_POINTS}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise _FlagError(f"{key}: range bounds must be finite, got {text!r}")
-    return np.linspace(start, stop, count)
+    # an overflow to inf or nan is left for the command's grid check to name
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(start, stop, count) * scale
 
 
 def _load_config(path: str) -> dict:
@@ -105,13 +107,13 @@ def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise SystemExit(f"error: config: {err}") from None
+        raise _FlagError(f"config: {err}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"error: config line {lineno}: expected key = value")
+            raise _FlagError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -124,7 +126,7 @@ def _merge_config(args: argparse.Namespace):
     config = _load_config(args.config)
     for key, value in config.items():
         if not hasattr(args, key):
-            raise SystemExit(f"error: config: unknown key {key!r}")
+            raise _FlagError(f"config: unknown key {key!r}")
         if getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -136,7 +138,7 @@ def _flag(key: str) -> str:
 def _require(args, *keys):
     for key in keys:
         if getattr(args, key) is None:
-            raise SystemExit(f"error: missing required option {_flag(key)}")
+            raise _FlagError(f"missing required option {_flag(key)}")
 
 
 def _num(args, key, default=None, parse=float):
@@ -153,7 +155,7 @@ def _num(args, key, default=None, parse=float):
 def _scale(args) -> float:
     units = args.units or "dimensionless"
     if units not in ("dimensionless", "hz"):
-        raise SystemExit(f"error: units must be dimensionless or hz, got {units!r}")
+        raise _FlagError(f"units must be dimensionless or hz, got {units!r}")
     return 2.0 * math.pi if units == "hz" else 1.0
 
 
@@ -166,7 +168,7 @@ def _params(args, s: float, delta1_flag=None) -> RamanParams:
 
 
 def cmd_levels(args, s: float, out: Path):
-    grid = _parse_range(args.delta1_range, "delta1-range") * s
+    grid = _parse_range(args.delta1_range, "delta1-range", s)
     params = _params(args, s)
     # checked whole before out is opened; dressed_spectrum sees one block
     _finite_grid(grid)
@@ -205,7 +207,7 @@ def cmd_probe_spectrum(args, s: float, out: Path):
     duration = _num(args, "duration")
     omega_p = _num(args, "omega_p") * s
     if args.nu_range is not None:
-        nu_grid = _parse_range(args.nu_range, "nu-range") * s
+        nu_grid = _parse_range(args.nu_range, "nu-range", s)
     else:
         nu_grid = probe_mod.default_nu_grid(params, duration)
     spectrum = probe_mod.probe_spectrum(params, omega_p, duration, nu_grid)
@@ -219,7 +221,7 @@ def cmd_probe_spectrum(args, s: float, out: Path):
 
 def cmd_probe_resonance(args, s: float, out: Path):
     params = _params(args, s)
-    grid = _parse_range(args.delta1_range, "delta1-range") * s
+    grid = _parse_range(args.delta1_range, "delta1-range", s)
     result = probe_mod.probed_structural_resonance(
         params, grid, _num(args, "omega_p") * s, _num(args, "duration")
     )
@@ -243,7 +245,7 @@ def cmd_experiment(args, s: float, out: Path):
     # inputs and outputs are in Hz under either --units: s goes unused
     preset = exp.PRESETS.get(str(args.preset).lower())
     if preset is None:
-        raise SystemExit(f"error: unknown preset {args.preset!r}")
+        raise _FlagError(f"unknown preset {args.preset!r}")
     if args.omega is not None:
         omega1 = omega2 = _num(args, "omega")
     else:
@@ -330,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _merge_config(args)
-    _, handler, required, _ = COMMANDS[args.command]
-    _require(args, *required)
     try:
+        _merge_config(args)
+        _, handler, required, _ = COMMANDS[args.command]
+        _require(args, *required)
         default = "experiment.txt" if args.command == "experiment" else args.command + ".csv"
         out = Path(args.output or default.replace("-", "_"))
         outdir = os.environ.get(OUTDIR_ENV)
@@ -341,10 +343,12 @@ def main(argv=None) -> int:
             out = Path(outdir) / out
         handler(args, _scale(args), out)
         return 0
-    except (LambdaCrossingError, ValueError, OSError) as err:
+    except (LambdaCrossingError, ValueError, OSError, ArithmeticError) as err:
         angular = args.units == "hz" and args.command != "experiment"
         angular = angular and not isinstance(err, (_FlagError, OSError))
-        print(f"error: {err}{_HZ_NOTE if angular else ''}", file=sys.stderr)
+        # a float overflow's own text, (34, 'Numerical result out of range'), names no cause
+        kind = f"{type(err).__name__}: " if isinstance(err, ArithmeticError) else ""
+        print(f"error: {kind}{err}{_HZ_NOTE if angular else ''}", file=sys.stderr)
         return 1
 
 

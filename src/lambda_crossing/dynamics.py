@@ -128,4 +128,6 @@ def transfer_supremum_slope(energies, states) -> float:
     j, k = ((1, 2), (0, 2), (0, 1))[m]
     slope = (u[j] * u[m] * (u[j] * w[m] + u[m] * w[j]) / (e[m] - e[j])
              + u[k] * u[m] * (u[k] * w[m] + u[m] * w[k]) / (e[m] - e[k]))
-    return math.copysign(2.0, u[m] * w[m]) * slope * (e[2] - e[1]) ** 3
+    gap = e[2] - e[1]
+    # cubed by products, which overflow to inf where ** would raise
+    return math.copysign(2.0, u[m] * w[m]) * slope * gap * gap * gap

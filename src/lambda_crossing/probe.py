@@ -266,8 +266,8 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or nu.size < 5:
         raise GridError("nu_grid must be a 1-D grid with at least 5 points")
-    dnu = np.diff(nu)
-    if not (np.all(np.isfinite(nu)) and np.all(dnu > 0.0)):
+    # steps only of a finite grid: inf - inf would warn
+    if not (np.all(np.isfinite(nu)) and np.all((dnu := np.diff(nu)) > 0.0)):
         raise GridError("nu_grid must be finite and strictly ascending")
     spec = dressed_spectrum(params)
     gap = _gap(spec.energies)

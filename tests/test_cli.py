@@ -1,6 +1,7 @@
 """Tests for the command-line front end: CSV output, config handling, units."""
 
 import argparse
+import ast
 import math
 import os
 import stat
@@ -150,20 +151,19 @@ class TestLevels:
     def test_grid_error_leaves_no_file(self, tmp_path, capsys):
         # the grid is checked whole before the first block is written
         out = tmp_path / "x.csv"
-        with np.errstate(over="ignore"):
-            assert main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--units", "hz",
-                         "--delta1-range", "0:1e308:3", "--output", str(out)]) == 1
+        assert main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--units", "hz",
+                     "--delta1-range", "0:1e308:3", "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: delta1_grid must be finite")
         assert not out.exists()
 
-    def test_missing_required_flag(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["levels", "--omega1", "0.5", "--output", str(tmp_path / "x.csv")])
+    def test_missing_required_flag(self, tmp_path, capsys):
+        assert main(["levels", "--omega1", "0.5", "--output", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: missing required option --omega2\n"
 
-    def test_malformed_range_names_key(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "0:2"])
-        assert "delta1-range" in str(exc.value)
+    def test_malformed_range_names_key(self, tmp_path, capsys):
+        assert main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "0:2",
+                     "--output", str(tmp_path / "x.csv")]) == 1
+        assert "delta1-range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -172,12 +172,11 @@ class TestLevels:
             ("0:2:1", "error: delta1-range: range count must be >= 2"),
         ],
     )
-    def test_bad_range(self, tmp_path, text, message):
+    def test_bad_range(self, tmp_path, capsys, text, message):
         out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", text,
-                  "--output", str(out)])
-        assert str(exc.value) == message
+        assert main(["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", text,
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
 
@@ -334,31 +333,34 @@ class TestExperiment:
         assert values["dynamical_shift_Hz"] == f"{shift:.17g}"
         assert "scattering_rate_per_s" not in values
 
-    def test_delta2_required(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "experiment",
-                    "--preset", "rb87",
-                    "--scenario", "microwave",
-                    "--omega", "300e3",
-                    "--output", str(tmp_path / "exp.txt"),
-                ]
-            )
-        assert str(exc.value) == "error: missing required option --delta2"
+    def test_delta2_required(self, tmp_path, capsys):
+        rc = main(
+            [
+                "experiment",
+                "--preset", "rb87",
+                "--scenario", "microwave",
+                "--omega", "300e3",
+                "--output", str(tmp_path / "exp.txt"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: missing required option --delta2\n"
         assert not (tmp_path / "exp.txt").exists()
 
-    def test_unknown_preset(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "experiment",
-                    "--preset", "cs133",
-                    "--scenario", "microwave",
-                    "--omega", "1e3",
-                    "--delta2", "1e6",
-                ]
-            )
+    def test_unknown_preset(self, tmp_path, capsys):
+        rc = main(
+            [
+                "experiment",
+                "--preset", "cs133",
+                "--scenario", "microwave",
+                "--omega", "1e3",
+                "--delta2", "1e6",
+                "--output", str(tmp_path / "exp.txt"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown preset 'cs133'\n"
+        assert not (tmp_path / "exp.txt").exists()
 
 
 class TestConfigHandling:
@@ -390,7 +392,7 @@ class TestConfigHandling:
         assert main(args + ["--delta2", "2", "--output", str(from_flag)]) == 0
         assert from_file.read_bytes() == from_flag.read_bytes()
 
-    def test_calls_share_no_state(self, tmp_path):
+    def test_calls_share_no_state(self, tmp_path, capsys):
         # the parser is built once per process; a flag a config file filled
         # in one call must not leak into the next
         assert build_parser() is build_parser()
@@ -398,8 +400,8 @@ class TestConfigHandling:
         cfg.write_text("omega1 = 0.3\n")
         args = ["levels", "--omega2", "0.4", "--delta1-range", "0.5:1.5:11"]
         assert main(args + ["--config", str(cfg), "--output", str(tmp_path / "a.csv")]) == 0
-        with pytest.raises(SystemExit, match="missing required option --omega1"):
-            main(args + ["--output", str(tmp_path / "b.csv")])
+        assert main(args + ["--output", str(tmp_path / "b.csv")]) == 1
+        assert "missing required option --omega1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -410,21 +412,21 @@ class TestConfigHandling:
         ],
         ids=["missing-file", "no-equals", "bogus-units"],
     )
-    def test_bad_config(self, tmp_path, text, message):
+    def test_bad_config(self, tmp_path, capsys, text, message):
         cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
         if text is not None:
             cfg.write_text(text)
         args = ["--omega1", "0.3", "--omega2", "0.4", "--delta1-range", "0.5:1.5:5"]
-        with pytest.raises(SystemExit) as exc:
-            main(["levels", "--config", str(cfg)] + args + ["--output", str(out)])
-        assert str(exc.value).startswith(message)
+        assert main(["levels", "--config", str(cfg)] + args + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega9 = 0.3\n")
-        with pytest.raises(SystemExit):
-            main(["levels", "--config", str(cfg)])
+        assert main(["levels", "--config", str(cfg), "--output", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: config: unknown key 'omega9'\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
@@ -441,7 +443,7 @@ class TestConfigHandling:
         assert (tmp_path / "sub.csv").exists()
 
 
-HZ_NOTE = " (frequencies quoted in angular units, 2π × Hz)"
+HZ_NOTE = " (any frequency quoted is angular, 2π × Hz)"
 PROBE_SPECTRUM = ["probe-spectrum", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0"]
 PROBE_RESONANCE = [
     "probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range", "1.04:1.06:11"
@@ -449,6 +451,68 @@ PROBE_RESONANCE = [
 OPTICAL = [
     "experiment", "--preset", "rb87", "--scenario", "optical", "--omega", "200e6",
     "--delta2", "10e9",
+]
+LEVELS = ["levels", "--omega1", "0.5", "--omega2", "0.5"]
+
+
+def config(text=None):
+    """An argv token that with_configs turns into the path of a config file
+    holding text (or of no file, for None)."""
+    return ("config", text)
+
+
+def with_configs(argv, directory):
+    """argv with each config() token replaced by the path of run.cfg in directory."""
+    out = []
+    for token in argv:
+        if isinstance(token, tuple):
+            path = directory / "run.cfg"
+            if token[1] is not None:
+                path.write_text(token[1])
+            token = str(path)
+        out.append(token)
+    return out
+
+
+# Each input error that main once left to a SystemExit, as (argv, message),
+# then runs cut by a float overflow, grids that overflow (under --units hz,
+# and in the range's own steps) and an --units hz error that quotes no
+# frequency.
+FLAG_ERRORS = [
+    (LEVELS + ["--delta1-range", "0:2"],
+     "delta1-range: range must be start:stop:count, got '0:2'"),
+    (LEVELS + ["--delta1-range", "a:2:5"], "delta1-range: malformed range 'a:2:5'"),
+    (LEVELS + ["--delta1-range", "0:2:1"], "delta1-range: range count must be >= 2"),
+    (LEVELS + ["--delta1-range", "0:2:5", "--config", config()],
+     "config: [Errno 2] No such file or directory: "),
+    (LEVELS + ["--delta1-range", "0:2:5", "--config", config("omega1 = 0.5\nomega2 0.5\n")],
+     "config line 2: expected key = value"),
+    (LEVELS + ["--delta1-range", "0:2:5", "--config", config("omega9 = 0.3\n")],
+     "config: unknown key 'omega9'"),
+    (["levels", "--omega1", "0.5", "--delta1-range", "0:2:5"],
+     "missing required option --omega2"),
+    (LEVELS + ["--delta1-range", "0:2:5", "--config", config("units = bogus\n")],
+     "units must be dimensionless or hz, got 'bogus'"),
+    (["experiment", "--preset", "xx", "--scenario", "microwave", "--omega", "1e3",
+      "--delta2", "1e6"],
+     "unknown preset 'xx'"),
+]
+OVERFLOW_ERRORS = [
+    (["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e300"],
+     "dynamical locus 5e+299 is at the edge of the search bracket [5e+299, 1.5e+300]; "
+     "parameters are outside the isolated-crossing regime"),
+    (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "1e200",
+      "--delta2", "1"],
+     "OverflowError: "),
+    (["levels", "--omega1", "1", "--omega2", "0.45", "--delta1-range", "0:1e308:3",
+      "--units", "hz"],
+     "delta1_grid must be finite" + HZ_NOTE),
+    (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "785.4", "--nu-range",
+                       "-1e308:1e308:5"],
+     "nu_grid must be finite and strictly ascending"),
+    (["probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range",
+      "0.165:0.169:11", "--omega-p", "1e-5", "--duration", "785.4", "--units", "hz"],
+     "measured-splitting minimum is on the delta1 grid edge" + HZ_NOTE),
 ]
 
 
@@ -538,10 +602,13 @@ class TestUnits:
              "ratio-range: range count 1000000000000000 is over the cap of 4194304"),
             (["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "0:1:4194305"],
              "delta1-range: range count 4194305 is over the cap of 4194304"),
+            *FLAG_ERRORS,
+            *OVERFLOW_ERRORS,
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, message):
-        rc = main(argv + ["--output", str(tmp_path / "x.csv")])
+        rc = main(with_configs(argv, tmp_path) + ["--output", str(tmp_path / "x.csv")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
@@ -700,13 +767,12 @@ def default_names(command):
 
 class TestRunPath:
     @pytest.mark.parametrize("command", WRITES)
-    def test_bad_config_units_refused(self, tmp_path, command):
+    def test_bad_config_units_refused(self, tmp_path, capsys, command):
         # experiment takes Hz under either --units, and refuses a bad value too
         cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
         cfg.write_text("units = bogus\n")
-        with pytest.raises(SystemExit) as exc:
-            main(WRITES[command] + ["--config", str(cfg), "--output", str(out)])
-        assert str(exc.value) == "error: units must be dimensionless or hz, got 'bogus'"
+        assert main(WRITES[command] + ["--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: units must be dimensionless or hz, got 'bogus'\n"
         assert not out.exists()
 
 
@@ -748,14 +814,42 @@ class TestEntryPoint:
              "error: delta1-range: range must be start:stop:count, got '0:2'\n"),
             (["resolvent", "--omega2", "0.5", "--delta1", "--omega1", "0.2"], 2,
              "usage: lambda-crossing resolvent "),
+            # the whole line, where no path or OS error text follows the message
+            *[(argv, 1, f"error: {message}" + ("" if message.endswith(": ") else "\n"))
+              for argv, message in FLAG_ERRORS + OVERFLOW_ERRORS],
         ],
-        ids=["library-error", "flag-error", "usage-error"],
+        ids=["library-error", "flag-error", "usage-error", "range-fields", "range-count-text",
+             "range-count", "config-missing", "config-no-equals", "config-unknown-key",
+             "missing-flag", "config-units", "unknown-preset", "overflow-locus",
+             "overflow-experiment", "overflow-hz-grid", "overflow-nu-range",
+             "hz-note-no-frequency"],
     )
     def test_error_exit_status(self, tmp_path, argv, status, start):
+        argv = with_configs(argv, tmp_path)
+        before = files_in(tmp_path)
         proc = run_process(argv + ["--output", "x.csv"], tmp_path)
         assert proc.returncode == status
         assert proc.stdout == ""
         assert proc.stderr.startswith(start)
         if status == 1:
             assert len(proc.stderr.splitlines()) == 1
-        assert list(tmp_path.iterdir()) == []
+        assert files_in(tmp_path) == before
+
+
+def test_main_is_the_only_exit():
+    # every failure reaches main's handler: no SystemExit, and no sys.exit,
+    # outside the if __name__ == "__main__" block
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    entry = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    allowed = {id(node) for block in entry for node in ast.walk(block)}
+    exits = [
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (isinstance(node, ast.Name) and node.id == "SystemExit"
+             or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.exit")
+    ]
+    assert len(entry) == 1
+    assert exits == []

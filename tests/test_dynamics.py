@@ -248,7 +248,8 @@ def pair_loop_slope(energies, states):
         if s[j] != s[k]:
             uu = u[j] * u[k]
             slope += (s[k] - s[j]) * uu * (u[j] * w[k] + u[k] * w[j]) / (e[k] - e[j])
-    return slope * (e[2] - e[1]) ** 3
+    gap = e[2] - e[1]
+    return slope * gap * gap * gap
 
 
 class TestTransferSupremumSlope:

@@ -141,6 +141,22 @@ class TestLocusSearch:
         assert str(err.value).startswith(f"{kind} {reason}")
 
     @pytest.mark.parametrize(
+        "finder, params, message",
+        [
+            (dynamical_exact_full, RamanParams(1.0, 1.0, 1e300, 1e300),
+             "dynamical locus 5e+299 is at the edge of the search bracket [5e+299, 1.5e+300]"),
+            (resonance_report, RamanParams(1e200, 1e200, 1.0, 1.0),
+             "structural locus 1.5 is at the edge of the search bracket [0.5, 1.5]"),
+        ],
+        ids=["delta2-1e300", "omega-1e200"],
+    )
+    def test_extreme_scale_is_bracket_error(self, finder, params, message):
+        # the dynamical slope's gap cubed overflows to inf, not to an OverflowError
+        with pytest.raises(BracketError) as err:
+            finder(params)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
         "entry",
         [structural_exact, dynamical_exact_full, resolvent_structural_resonance, iterate_levels],
         ids=lambda f: f.__name__,
