@@ -9,6 +9,7 @@ is out of scope). The two loci differ by the dynamical shift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -57,23 +58,23 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
     [lo, hi] = [BRACKET_LO, BRACKET_HI] * delta2; f is a function of delta1.
 
     structural_exact and dynamical_exact_full pass an analytic slope,
-    slope_root and a seed (x0, w) from a closed form. The search then tries
+    slope_root and a seed (x0, w): the locus's sixth-order series plus or
+    minus the bound on its remainder. The search then tries
     [a, b] = [x0 - w, x0 + w] first; when slope_root returns an end of it
     with the slope pointing outward, it searches only the rest, [lo, a] or
     [b, hi]. A seed that is NaN, infinite or whose [a, b] is not strictly
     inside [lo, hi] gives the full-bracket search. Either way the result is
     a slope_root sign change to max(tol * delta2, 4 ulp): the seed picks the
     bracket, the slope decides the value. Over log-uniform couplings this
-    takes a mean of 3.6 (structural) and 4.1 (dynamical) slope evaluations,
-    against 6.6 and 8.8 on the full bracket. resolvent_structural_resonance
-    passes its splitting, minimize_scalar and no seed: a value-only search
-    that resolves a flat minimum to no better than about sqrt(eps).
+    takes a mean of 4.1 slope evaluations for either locus (at most 6),
+    against 6.6 and 8.8 on the full bracket.
 
-    resolvent_structural_resonance passes minimize_scalar from its module
-    globals at call time: resolvent.minimize_scalar is a benchmark trace and
-    fault site, so nothing here may bind search when it is defined. A bad
-    tol raises ValueError; missing couplings or a locus at the bracket edge
-    raise BracketError naming the locus kind what.
+    resolvent_structural_resonance passes its splitting, no seed and
+    minimize_scalar, read from its module globals at call time (a benchmark
+    trace and fault site, so nothing here may bind search when it is
+    defined): a value-only search that resolves a flat minimum to no better
+    than about sqrt(eps). A bad tol raises ValueError; missing couplings or
+    a locus at the bracket edge raise BracketError naming the locus kind what.
     """
     _check_tol(tol)
     if params.omega1 * params.omega2 <= 0:
@@ -100,56 +101,39 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
 
 def _slope_locus(params: RamanParams, slope, sign: float, what: str, tol: float, seed) -> float:
     """_locus from seed as the root of sign * slope(eigh at delta1), one eigh
-    per step; sign is -1 for a slope that is positive left of the locus."""
-    eigh_at = _eigh_along_delta1(params)
+    per step; sign is -1 for a slope that is positive left of the locus.
+    The slope is read at delta1 / delta2 on the delta2 = 1 Hamiltonian (its
+    couplings clamped to the float range), so it is scale-free."""
+    d2, top = params.delta2, sys.float_info.max
+    eigh_at = _eigh_along_delta1(
+        RamanParams(min(params.omega1 / d2, top), min(params.omega2 / d2, top), 1.0))
     return _locus(
-        params, lambda d1: sign * slope(*eigh_at(d1)), partial(slope_root, what=what), what, tol,
-        seed,
+        params, lambda d1: sign * slope(*eigh_at(d1 / d2)), partial(slope_root, what=what), what,
+        tol, seed,
     )
 
 
 def _couplings(params: RamanParams):
-    """(alpha, beta) = (Omega1^2, Omega2^2) / (4 delta2^2): the seeds' series
-    variables, by products, which overflow to inf where ** would raise."""
+    """(alpha, beta) = (Omega1^2, Omega2^2) / (4 delta2^2), the variables of
+    every seed and closed form; a product overflows to inf, not an error."""
     r1, r2 = params.omega1 / (2.0 * params.delta2), params.omega2 / (2.0 * params.delta2)
     return r1 * r1, r2 * r2
 
 
 def _structural_seed(params: RamanParams, tol: float):
-    """(x0, w): Newton on the structural quartic in y = (delta1 - delta2) /
-    delta2, from y = beta - alpha, and w = tol delta2. The quartic's
-    coefficients and their derivation are in tests/test_resonance.py
-    (quartic_structural_locus), with delta2 = 1, a2 = alpha and b2 = beta.
-
-    x0 is within about 5e-15 delta2 of the locus, except near the triple
-    root at Omega2 << Omega1, where it may miss [x0 - w, x0 + w]; a NaN x0
-    (from a zero derivative or overflow) gives the full-bracket search."""
+    """(x0, w): the full model's structural series through sixth order in
+    the couplings, with w = max(tol, 10 (alpha + beta)^4) delta2, the bound
+    on the remainder that tests/test_resonance.py (TestSixthOrderSeries)
+    checks."""
     a, b = _couplings(params)
-    coeffs = (
-        1.0 + 4.0 * b,
-        1.0 + 3.0 * a + 4.0 * a * b - 16.0 * b * b,
-        3.0 * (a - 2.0 * b + a * a - 8.0 * b * b),
-        -b + 3.0 * a * a - 9.0 * a * b + a * a * a - 12.0 * a * b * b + 16.0 * b * b * b,
-        -a * b + b * b + a * a * a - 3.0 * a * a * b + 4.0 * b * b * b,
-    )
-    y = b - a
-    for _ in range(12):
-        p = dp = 0.0
-        for c in coeffs:
-            dp = dp * y + p
-            p = p * y + c
-        step = p / dp if dp else math.nan
-        y -= step
-        if not abs(step) > 1e-16:
-            break
-    return params.delta2 + params.delta2 * y, tol * params.delta2
+    s = a + b
+    y = (b - a) + b * (3.0 * a - b) + b * (-3.0 * a * a - 11.0 * a * b + 2.0 * b * b)
+    return params.delta2 + params.delta2 * y, max(tol, 10.0 * s * s * s * s) * params.delta2
 
 
 def _dynamical_seed(params: RamanParams, tol: float):
     """(x0, w): dynamical_approx plus the full model's corrections through
-    sixth order in the couplings, with w = max(tol, 10 (alpha + beta)^4)
-    delta2, the bound on the remainder that tests/test_resonance.py
-    (TestSixthOrderSeries) checks."""
+    sixth order, with the window of _structural_seed."""
     a, b = _couplings(params)
     diff, ab, s = b - a, a * b, a + b
     y = (diff - diff * diff + a * (a - b)
@@ -157,9 +141,19 @@ def _dynamical_seed(params: RamanParams, tol: float):
     return params.delta2 + params.delta2 * y, max(tol, 10.0 * s * s * s * s) * params.delta2
 
 
+def _closed_form(params: RamanParams, y: float) -> float:
+    """delta2 * y for a closed form y in _couplings' (alpha, beta), or a
+    ValueError naming the drive where that is not finite."""
+    x = params.delta2 * y
+    if not math.isfinite(x):
+        raise ValueError(f"closed form overflows at omega1 = {params.omega1:g}, "
+                         f"omega2 = {params.omega2:g}, delta2 = {params.delta2:g}")
+    return x
+
+
 def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """delta1 minimizing the full-model splitting gap32 over the crossing
-    bracket: the root of gap32_slope, seeded by the structural quartic."""
+    bracket: the root of gap32_slope, seeded by the sixth-order series."""
     seed = _structural_seed(params, tol)
     return _slope_locus(params, gap32_slope, 1.0, "structural", tol, seed)
 
@@ -173,13 +167,14 @@ def structural_approx(params: RamanParams) -> float:
 
 def dynamical_exact_effective(params: RamanParams) -> float:
     """Exact dynamical locus of the effective model: the delta_eff = 0 root."""
-    disc = params.delta2**2 + params.omega2**2 - params.omega1**2
+    a, b = _couplings(params)
+    disc = 1.0 + 4.0 * (b - a)
     if disc < 0:
         raise ValueError(
             "delta2^2 + omega2^2 - omega1^2 < 0: no real delta_eff = 0 root "
             "(outside effective-model validity)"
         )
-    return 0.5 * (params.delta2 + math.sqrt(disc))
+    return _closed_form(params, 0.5 + 0.5 * math.sqrt(disc))
 
 
 def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
@@ -192,16 +187,17 @@ def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float
 def dynamical_approx(params: RamanParams) -> float:
     """Fourth-order closed-form estimate of the dynamical locus, expanded
     in the adiabatically eliminated (effective) model."""
-    diff = params.omega2**2 - params.omega1**2
-    d2 = params.delta2
-    return d2 + diff / (4.0 * d2) - diff**2 / (16.0 * d2**3)
+    a, b = _couplings(params)
+    diff = b - a
+    return _closed_form(params, 1.0 + diff - diff * diff)
 
 
 def shift_approx(params: RamanParams) -> float:
     """Lowest-order dynamical shift omega1^2 omega2^2 / (4 delta2^3) of the
     adiabatically eliminated (effective) model. The full model's exact
     shift is omega1^2 omega2^2 / (8 delta2^3) at lowest order."""
-    return params.omega1**2 * params.omega2**2 / (4.0 * params.delta2**3)
+    a, b = _couplings(params)
+    return _closed_form(params, 4.0 * a * b)
 
 
 def dynamical_shift(params: RamanParams, tol: float = DEFAULT_TOL):

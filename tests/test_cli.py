@@ -476,8 +476,9 @@ def with_configs(argv, directory):
 
 # Each input error that main once left to a SystemExit, as (argv, message),
 # then runs cut by a float overflow, grids that overflow (under --units hz,
-# and in the range's own steps) and an --units hz error that quotes no
-# frequency.
+# and in the range's own steps), an --units hz error that quotes no
+# frequency, a shift whose closed form overflows and couplings whose ratio
+# to delta2 overflows.
 FLAG_ERRORS = [
     (LEVELS + ["--delta1-range", "0:2"],
      "delta1-range: range must be start:stop:count, got '0:2'"),
@@ -503,7 +504,7 @@ OVERFLOW_ERRORS = [
      "parameters are outside the isolated-crossing regime"),
     (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "1e200",
       "--delta2", "1"],
-     "OverflowError: "),
+     "closed form overflows at omega1 = 1e+200, omega2 = 1e+200, delta2 = 1"),
     (["levels", "--omega1", "1", "--omega2", "0.45", "--delta1-range", "0:1e308:3",
       "--units", "hz"],
      "delta1_grid must be finite" + HZ_NOTE),
@@ -513,6 +514,12 @@ OVERFLOW_ERRORS = [
     (["probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range",
       "0.165:0.169:11", "--omega-p", "1e-5", "--duration", "785.4", "--units", "hz"],
      "measured-splitting minimum is on the delta1 grid edge" + HZ_NOTE),
+    (["experiment", "--preset", "rb87", "--scenario", "optical", "--omega", "1e150",
+      "--delta2", "1e6"],
+     "closed form overflows at omega1 = 1e+150, omega2 = 1e+150, delta2 = 1e+06"),
+    (["resonance", "--omega1", "1e200", "--omega2", "1e200", "--delta2", "1e-200"],
+     "structural locus 1.5e-200 is at the edge of the search bracket [5e-201, 1.5e-200]; "
+     "parameters are outside the isolated-crossing regime"),
 ]
 
 
@@ -656,8 +663,10 @@ class TestNegativeValues:
             (["levels", "--omega1", "0.5", "--omega2", "0.5"], "--delta1-range", "-0.5:0.5:3"),
             (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "785.4"],
              "--nu-range", "-2e-1:2e-1:801"),
+            # a negative exponent, at a delta2 where unscaled slopes underflow
+            (["resonance", "--omega1", "2e-111", "--omega2", "5e-111"], "--delta2", "1e-110"),
         ],
-        ids=["exponent", "range", "exponent-range"],
+        ids=["exponent", "range", "exponent-range", "tiny-scale"],
     )
     def test_dash_value_matches_equals_form(self, tmp_path, argv, flag, value):
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
@@ -822,7 +831,7 @@ class TestEntryPoint:
              "range-count", "config-missing", "config-no-equals", "config-unknown-key",
              "missing-flag", "config-units", "unknown-preset", "overflow-locus",
              "overflow-experiment", "overflow-hz-grid", "overflow-nu-range",
-             "hz-note-no-frequency"],
+             "hz-note-no-frequency", "overflow-shift", "overflow-ratio"],
     )
     def test_error_exit_status(self, tmp_path, argv, status, start):
         argv = with_configs(argv, tmp_path)

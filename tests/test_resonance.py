@@ -1,8 +1,10 @@
 """Tests for the resonance loci and the dynamical shift."""
 
+import ast
 import dataclasses
 import functools
 import math
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -21,6 +23,7 @@ from lambda_crossing import (
     default_nu_grid,
     dynamical_shift,
     eliminate,
+    feasibility_check,
     gap32,
     iterate_levels,
     probe_spectrum,
@@ -155,6 +158,46 @@ class TestLocusSearch:
         with pytest.raises(BracketError) as err:
             finder(params)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("delta2", [1e-159, 1e-110, 1e80, 1e150])
+    def test_report_is_scale_free(self, delta2):
+        # in units of delta2 the report is that of delta2 = 1: the slopes are
+        # read on the delta2 = 1 Hamiltonian, the closed forms in (alpha, beta)
+        want = resonance_report(RamanParams(0.2, 0.5, 1.0, 1.0))
+        got = resonance_report(RamanParams(0.2 * delta2, 0.5 * delta2, delta2, delta2))
+        for field in dataclasses.fields(want):
+            scaled, one = getattr(got, field.name) / delta2, getattr(want, field.name)
+            bound = {"structural_exact": DEFAULT_TOL, "dynamical_exact_full": DEFAULT_TOL,
+                     "shift_exact": 2.0 * DEFAULT_TOL}.get(field.name, 64.0 * math.ulp(one))
+            assert abs(scaled - one) <= bound, field.name
+
+    @pytest.mark.parametrize(
+        "closed_form, params",
+        [
+            (dynamical_approx, RamanParams(1e200, 1e200, 1.0, 1.0)),
+            (dynamical_exact_effective, RamanParams(1e200, 1e200, 1.0, 1.0)),
+            (shift_approx, RamanParams(1e150, 1e150, 1e6, 1e6)),
+            (lambda p: feasibility_check(p, 1.0, 1.0), RamanParams(1e150, 1e150, 1e6, 1e6)),
+        ],
+        ids=["dynamical_approx", "dynamical_exact_effective", "shift_approx", "feasibility"],
+    )
+    def test_closed_form_overflow_names_drive(self, closed_form, params):
+        # raised, not returned as inf or NaN, which feasibility_check divides by
+        message = (f"closed form overflows at omega1 = {params.omega1:g}, "
+                   f"omega2 = {params.omega2:g}, delta2 = {params.delta2:g}")
+        with pytest.raises(ValueError) as err:
+            closed_form(params)
+        assert str(err.value) == message
+
+    def test_no_pow_in_resonance(self):
+        # every seed and closed form is a product in _couplings' (alpha, beta);
+        # ** on Omega or delta2 overflows where the physics is scale-free
+        tree = ast.parse(Path(resonance.__file__).read_text(encoding="utf-8"))
+        pows = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+        ]
+        assert pows == []
 
     @pytest.mark.parametrize(
         "entry",
