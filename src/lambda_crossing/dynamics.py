@@ -101,33 +101,9 @@ def transfer_supremum(params: RamanParams) -> float:
     The transfer amplitude is a three-tone trigonometric sum with spectral
     coefficients c_k; its supremum (sum_k |c_k|)^2 is approached within the
     envelope window to far better accuracy than any time grid resolves,
-    and unlike a sampled maximum it is smooth in delta1. The dynamical
-    resonance finder roots its delta1-slope, transfer_supremum_slope.
+    and unlike a sampled maximum it is smooth in delta1. It equals
+    (omega1 omega2 / (2 (eps2 - eps1)(eps3 - eps2)))^2, whose delta1-slope
+    resonance.transfer_supremum_slope reads from the eigenvalues alone.
     """
     coeffs, _ = _transfer_coeffs(params)
     return float(np.abs(coeffs).sum() ** 2)
-
-
-def transfer_supremum_slope(energies, states) -> float:
-    """d(sum_k |c_k|)/d delta1 times (eps3 - eps2)^3, from the eigh of a
-    Hamiltonian (eigenvector signs are free); its sign is that of the
-    delta1-slope of transfer_supremum.
-
-    The c_k = v_{0,k} v_{2,k} sum to <3|1> = 0, so sum_k |c_k| = 2 |c_m| for
-    the dominant m = argmax_k |c_k|. With dH/d delta1 = diag(0, -1, -1),
-    first-order perturbation gives dv_m = sum_{j != m} v_j v_{0,j} v_{0,m} /
-    (eps_m - eps_j), so the slope is 2 sign(c_m) times the sum over the two
-    j != m of v_{0,j} v_{0,m} (v_{0,j} v_{2,m} + v_{0,m} v_{2,j}) / (eps_m - eps_j).
-    The positive gap factor leaves the root, the dynamical locus, in place
-    and makes the slope nearly linear in delta1 across the crossing.
-    """
-    e = energies.tolist()
-    u, _, w = states.tolist()
-    c = [abs(x * y) for x, y in zip(u, w)]
-    m = c.index(max(c))
-    j, k = ((1, 2), (0, 2), (0, 1))[m]
-    slope = (u[j] * u[m] * (u[j] * w[m] + u[m] * w[j]) / (e[m] - e[j])
-             + u[k] * u[m] * (u[k] * w[m] + u[m] * w[k]) / (e[m] - e[k]))
-    gap = e[2] - e[1]
-    # cubed by products, which overflow to inf where ** would raise
-    return math.copysign(2.0, u[m] * w[m]) * slope * gap * gap * gap

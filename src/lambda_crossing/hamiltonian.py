@@ -20,7 +20,7 @@ class RamanParams:
     """Drive parameters of the probeless Lambda system.
 
     omega1, omega2 are the (real, non-negative) Rabi frequencies coupling
-    |1>-|2> and |2>-|3|; delta1 is the detuning of the first field and
+    |1>-|2> and |2>-|3>; delta1 is the detuning of the first field and
     delta2 the two-photon reference detuning (> 0).
     """
 
@@ -71,21 +71,6 @@ def build_hamiltonian(params: RamanParams, delta1=None) -> np.ndarray:
     m[..., 1, 1] = -d1
     m[..., 2, 2] = -(d1 - params.delta2)
     return m
-
-
-def _eigh_along_delta1(params: RamanParams):
-    """The function delta1 -> np.linalg.eigh of the Hamiltonian at delta1,
-    the other parameters taken from params: the evaluator of a 1-D delta1
-    search. It refills one matrix in place and leaves eigenvector signs as
-    LAPACK returns them, so only sign-invariant quantities may be read."""
-    m = build_hamiltonian(params)
-
-    def eigh_at(delta1: float):
-        m[1, 1] = -delta1
-        m[2, 2] = -(delta1 - params.delta2)
-        return np.linalg.eigh(m)
-
-    return eigh_at
 
 
 def bare_levels(params: RamanParams) -> np.ndarray:
@@ -157,21 +142,6 @@ def _gap(energies):
 def gap32(params: RamanParams) -> float:
     """Energy splitting between the two upper dressed levels, eps3 - eps2 >= 0."""
     return float(_gap(dressed_spectrum(params).energies))
-
-
-def gap32_slope(energies, states) -> float:
-    """(eps3 - eps2) d(eps3 - eps2)/d delta1, half the delta1-slope of gap32**2,
-    from the eigh of a Hamiltonian (eigenvector signs are free), on Python
-    floats: _gap's numpy scalars would make each evaluation about 40 % slower.
-
-    dH/d delta1 = diag(0, -1, -1), so d eps_k/d delta1 = v_{0,k}^2 - 1
-    (Hellmann-Feynman). The positive gap factor leaves the root, the
-    structural locus, in place and makes the slope nearly linear in delta1
-    across the crossing.
-    """
-    _, e2, e3 = energies.tolist()
-    _, v2, v3 = states[0].tolist()
-    return (e3 - e2) * (v3 * v3 - v2 * v2)
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,28 @@ is out of scope). The two loci differ by the dynamical shift.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
 
+import numpy as np
+
 from ._minimize import slope_root
-from .dynamics import transfer_supremum_slope
 from .errors import BracketError
-from .hamiltonian import RamanParams, _eigh_along_delta1, gap32_slope
+from .hamiltonian import RamanParams
 
 # Search bracket around the delta1 ~ delta2 crossing, in units of delta2.
+# At zero coupling (eps2 - eps1)(eps3 - eps2) = x (1 - x) at x = delta1 /
+# delta2 < 1, stationary exactly at x = 1/2: the dynamical slope's second
+# root, just below BRACKET_LO, is the maximum of that product, not a locus.
 BRACKET_LO = 0.5
 BRACKET_HI = 1.5
 _EDGE_MARGIN = 1e-4
 
 DEFAULT_TOL = 1e-13
+# Clamp on the couplings a, b of the delta2 = 1 Hamiltonian: the slopes'
+# cofactors and products of eigenvalues, about a^2, stay finite.
+_COUPLING_CLAMP = 1e150
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
     inside [lo, hi] gives the full-bracket search. Either way the result is
     a slope_root sign change to max(tol * delta2, 4 ulp): the seed picks the
     bracket, the slope decides the value. Over log-uniform couplings this
-    takes a mean of 4.1 slope evaluations for either locus (at most 6),
+    takes a mean of 3.9 slope evaluations for either locus (at most 6),
     against 6.6 and 8.8 on the full bracket.
 
     resolvent_structural_resonance passes its splitting, no seed and
@@ -99,18 +105,56 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
     return x
 
 
-def _slope_locus(params: RamanParams, slope, sign: float, what: str, tol: float, seed) -> float:
-    """_locus from seed as the root of sign * slope(eigh at delta1), one eigh
-    per step; sign is -1 for a slope that is positive left of the locus.
-    The slope is read at delta1 / delta2 on the delta2 = 1 Hamiltonian (its
-    couplings clamped to the float range), so it is scale-free."""
-    d2, top = params.delta2, sys.float_info.max
-    eigh_at = _eigh_along_delta1(
-        RamanParams(min(params.omega1 / d2, top), min(params.omega2 / d2, top), 1.0))
-    return _locus(
-        params, lambda d1: sign * slope(*eigh_at(d1 / d2)), partial(slope_root, what=what), what,
-        tol, seed,
-    )
+def _cofactors(energies, x: float, b2: float):
+    """n_k = (e_k + x)(e_k - (1 - x)) - b^2, the (1, 1) entry of adj(e_k - H)
+    = v_k v_k^T prod_{j != k} (e_k - e_j) for the eigenvalues e_k of the
+    delta2 = 1 Hamiltonian H at x; its (1, 3) entry is a b, so v_{0,k}^2 and
+    c_k = v_{0,k} v_{2,k} divide only by gaps between levels. 1 - x is exact
+    on the bracket, where (e_k + x) - 1 would round digits away."""
+    c = 1.0 - x
+    return [(e + x) * (e - c) - b2 for e in energies]
+
+
+def gap32_slope(energies, x: float, b2: float) -> float:
+    """g dg/d delta1 for g = e3 - e2, from the ascending eigenvalues e1 < e2
+    < e3 of the delta2 = 1 Hamiltonian at x: n3 / (e3 - e1) + n2 / (e2 - e1)
+    with _cofactors' n_k, since d e_k/d delta1 = v_{0,k}^2 - 1
+    (Hellmann-Feynman). Negative left of the structural locus; the positive
+    factor g makes it nearly linear in delta1 across the crossing."""
+    e1, e2, e3 = energies
+    _, n2, n3 = _cofactors(energies, x, b2)
+    return n3 / (e3 - e1) + n2 / (e2 - e1)
+
+
+def transfer_supremum_slope(energies, x: float, b2: float) -> float:
+    """(g / h^2) d(h g)/d delta1 for g = e3 - e2 and h = e2 - e1, as
+    gap32_slope. The c_k alternate in sign, so the transfer supremum is
+    (2 |c_2|)^2 = (2 a b / (h g))^2 and the dynamical locus is the minimum of
+    h g: with S = gap32_slope and w = e3 - e1 the slope is
+    (S - (g / h^2)(n2 + g n1 / w)) / h, negative left of the locus."""
+    e1, e2, e3 = energies
+    n1, n2, n3 = _cofactors(energies, x, b2)
+    h, g, w = e2 - e1, e3 - e2, e3 - e1
+    s = n3 / w + n2 / h
+    return (s - g / (h * h) * (n2 + g * (n1 / w))) / h
+
+
+def _slope_locus(params: RamanParams, slope, what: str, tol: float, seed=None) -> float:
+    """_locus from seed (None: the full bracket) as the root of
+    slope(eigvalsh, x, b^2), one 3x3 eigvalsh per step. The slope is read at
+    x = delta1 / delta2 on the delta2 = 1 Hamiltonian, its couplings a and b
+    clamped at _COUPLING_CLAMP, so it is scale-free."""
+    d2 = params.delta2
+    a = min(0.5 * params.omega1 / d2, _COUPLING_CLAMP)
+    b = min(0.5 * params.omega2 / d2, _COUPLING_CLAMP)
+    m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
+
+    def f(d1):
+        x = d1 / d2
+        m[1, 1], m[2, 2] = -x, 1.0 - x
+        return slope(np.linalg.eigvalsh(m).tolist(), x, b2)
+
+    return _locus(params, f, partial(slope_root, what=what), what, tol, seed)
 
 
 def _couplings(params: RamanParams):
@@ -120,25 +164,29 @@ def _couplings(params: RamanParams):
     return r1 * r1, r2 * r2
 
 
+def _seed_window(params: RamanParams, tol: float, s: float) -> float:
+    """max(0.75 tol, 10 s^4) delta2 for s = alpha + beta: the bound on either
+    seed series' remainder (tests: TestSixthOrderSeries), floored under tol so
+    one secant step from an exact seed leaves slope_root less than xtol."""
+    return max(0.75 * tol, 10.0 * s * s * s * s) * params.delta2
+
+
 def _structural_seed(params: RamanParams, tol: float):
     """(x0, w): the full model's structural series through sixth order in
-    the couplings, with w = max(tol, 10 (alpha + beta)^4) delta2, the bound
-    on the remainder that tests/test_resonance.py (TestSixthOrderSeries)
-    checks."""
+    the couplings, with _seed_window's w."""
     a, b = _couplings(params)
-    s = a + b
     y = (b - a) + b * (3.0 * a - b) + b * (-3.0 * a * a - 11.0 * a * b + 2.0 * b * b)
-    return params.delta2 + params.delta2 * y, max(tol, 10.0 * s * s * s * s) * params.delta2
+    return params.delta2 + params.delta2 * y, _seed_window(params, tol, a + b)
 
 
 def _dynamical_seed(params: RamanParams, tol: float):
     """(x0, w): dynamical_approx plus the full model's corrections through
-    sixth order, with the window of _structural_seed."""
+    sixth order in the couplings, with _seed_window's w."""
     a, b = _couplings(params)
-    diff, ab, s = b - a, a * b, a + b
+    diff, ab = b - a, a * b
     y = (diff - diff * diff + a * (a - b)
          + b * (3.0 * a * a - ab + 2.0 * b * b) - 4.0 * ab * math.sqrt(ab))
-    return params.delta2 + params.delta2 * y, max(tol, 10.0 * s * s * s * s) * params.delta2
+    return params.delta2 + params.delta2 * y, _seed_window(params, tol, a + b)
 
 
 def _closed_form(params: RamanParams, y: float) -> float:
@@ -154,8 +202,7 @@ def _closed_form(params: RamanParams, y: float) -> float:
 def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """delta1 minimizing the full-model splitting gap32 over the crossing
     bracket: the root of gap32_slope, seeded by the sixth-order series."""
-    seed = _structural_seed(params, tol)
-    return _slope_locus(params, gap32_slope, 1.0, "structural", tol, seed)
+    return _slope_locus(params, gap32_slope, "structural", tol, _structural_seed(params, tol))
 
 
 def structural_approx(params: RamanParams) -> float:
@@ -180,8 +227,8 @@ def dynamical_exact_effective(params: RamanParams) -> float:
 def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
     """delta1 maximizing the full-model transfer supremum over the bracket:
     the root of transfer_supremum_slope, seeded by the sixth-order series."""
-    seed = _dynamical_seed(params, tol)
-    return _slope_locus(params, transfer_supremum_slope, -1.0, "dynamical", tol, seed)
+    return _slope_locus(params, transfer_supremum_slope, "dynamical", tol,
+                        _dynamical_seed(params, tol))
 
 
 def dynamical_approx(params: RamanParams) -> float:
@@ -206,7 +253,8 @@ def dynamical_shift(params: RamanParams, tol: float = DEFAULT_TOL):
     2 max(tol delta2, 4 ulp(delta1)) of the true difference, from the two
     slope-root searches; the shift is Omega1^2 Omega2^2 / (8 delta2^3) at
     lowest order, so at weak coupling tol must sit far below it. Below
-    Omega ~ 1e-3 delta2 rounding in the slopes dominates that bound."""
+    Omega ~ 1e-3 delta2 the shift nears ulp(delta1), which then limits its
+    accuracy whatever tol is."""
     exact = structural_exact(params, tol) - dynamical_exact_full(params, tol)
     return exact, shift_approx(params)
 

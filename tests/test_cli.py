@@ -475,7 +475,8 @@ def with_configs(argv, directory):
 
 
 # Each input error that main once left to a SystemExit, as (argv, message),
-# then runs cut by a float overflow, grids that overflow (under --units hz,
+# then couplings 1e300 times delta2 (past the slopes' clamp at 1e150), a run
+# cut by a float overflow, grids that overflow (under --units hz,
 # and in the range's own steps), an --units hz error that quotes no
 # frequency, a shift whose closed form overflows and couplings whose ratio
 # to delta2 overflows.
@@ -499,8 +500,8 @@ FLAG_ERRORS = [
      "unknown preset 'xx'"),
 ]
 OVERFLOW_ERRORS = [
-    (["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e300"],
-     "dynamical locus 5e+299 is at the edge of the search bracket [5e+299, 1.5e+300]; "
+    (["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e-300"],
+     "structural locus 1.5e-300 is at the edge of the search bracket [5e-301, 1.5e-300]; "
      "parameters are outside the isolated-crossing regime"),
     (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "1e200",
       "--delta2", "1"],
@@ -621,6 +622,20 @@ class TestUnits:
         assert err.startswith(f"error: {message}")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_coupling_ratio_is_one_row(self, tmp_path, capsys):
+        # at Omega / delta2 = 1e-300 both loci sit at delta2 and the shift is 0
+        out = tmp_path / "r.csv"
+        argv = ["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e300"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out)
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        for locus in ("structural_exact", "dynamical_exact_full"):
+            assert abs(row[locus] - 1e300) <= resonance.DEFAULT_TOL * 1e300
+        assert row["shift_exact"] == 0.0
 
     @pytest.mark.parametrize(
         "argv",
@@ -829,7 +844,7 @@ class TestEntryPoint:
         ],
         ids=["library-error", "flag-error", "usage-error", "range-fields", "range-count-text",
              "range-count", "config-missing", "config-no-equals", "config-unknown-key",
-             "missing-flag", "config-units", "unknown-preset", "overflow-locus",
+             "missing-flag", "config-units", "unknown-preset", "clamped-ratio",
              "overflow-experiment", "overflow-hz-grid", "overflow-nu-range",
              "hz-note-no-frequency", "overflow-shift", "overflow-ratio"],
     )
@@ -843,6 +858,14 @@ class TestEntryPoint:
         if status == 1:
             assert len(proc.stderr.splitlines()) == 1
         assert files_in(tmp_path) == before
+
+    def test_vanishing_coupling_ratio_exits_zero(self, tmp_path):
+        # at Omega / delta2 = 1e-300 both loci sit at delta2: exit 0, one row
+        argv = ["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e300"]
+        proc = run_process(argv + ["--output", "r.csv"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, rows = read_csv(tmp_path / "r.csv")
+        assert len(rows) == 1
 
 
 def test_main_is_the_only_exit():

@@ -20,7 +20,7 @@ from lambda_crossing import (
 )
 from lambda_crossing import dynamics, gap32
 from lambda_crossing._minimize import minimize_scalar, parabolic_vertex
-from lambda_crossing.dynamics import transfer_supremum_slope
+from lambda_crossing.resonance import _cofactors, transfer_supremum_slope
 
 RNG = np.random.default_rng(99)
 
@@ -237,9 +237,10 @@ class TestTransferEnvelope:
 
 
 def pair_loop_slope(energies, states):
-    """transfer_supremum_slope summed over level pairs with per-level signs
-    s_k = sign(c_k): each pair j < k of opposite signs adds
-    (s_k - s_j) v_{0,j} v_{0,k} (v_{0,j} v_{2,k} + v_{0,k} v_{2,j}) / (eps_k - eps_j)."""
+    """gap32^3 d(sum_k |c_k|)/d delta1 from eigenvectors, summed over level
+    pairs with per-level signs s_k = sign(c_k): each pair j < k of opposite
+    signs adds (s_k - s_j) v_{0,j} v_{0,k} (v_{0,j} v_{2,k} + v_{0,k} v_{2,j})
+    / (eps_k - eps_j). It is -2 a b times transfer_supremum_slope."""
     e = energies.tolist()
     u, _, w = states.tolist()
     s = [math.copysign(1.0, u[k] * w[k]) for k in range(3)]
@@ -252,34 +253,74 @@ def pair_loop_slope(energies, states):
     return slope * gap * gap * gap
 
 
+def eigenvalue_slope(p):
+    """-2 a b transfer_supremum_slope at p (delta2 = 1), as pair_loop_slope."""
+    a, b = p.omega1 / 2.0, p.omega2 / 2.0
+    energies = np.linalg.eigvalsh(build_hamiltonian(p)).tolist()
+    return -2.0 * a * b * transfer_supremum_slope(energies, p.delta1, b * b)
+
+
 class TestTransferSupremumSlope:
     def test_equals_pair_loop(self):
-        # the dominant coefficient alone gives the pair sum bit for bit, with
-        # couplings down to 1e-5 delta2 and delta1 on and off the crossing;
-        # there the middle level always dominates (the c_k of a tridiagonal
-        # matrix alternate in sign), so random symmetric matrices, whose c_k
-        # also sum to zero, reach the other two
+        # the eigenvalue-only slope against the eigenvector pair sum, with
+        # couplings down to 1e-5 delta2 and delta1 on and off the crossing,
+        # to 1e-10 relative (the worst draw reaches 1.2e-12)
         rng = np.random.default_rng(2718)
-        dominant = set()
+        for _ in range(1500):
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-5), math.log(0.6), 2)).tolist()
+            d1 = float(rng.choice([rng.uniform(0.9, 1.1), rng.uniform(-3.0, 3.0)]))
+            p = RamanParams(omega1, omega2, d1, 1.0)
+            e, v = np.linalg.eigh(build_hamiltonian(p))
+            assert eigenvalue_slope(p) == pytest.approx(pair_loop_slope(e, v), rel=1e-10)
+
+    def test_eigenvector_signs_are_free(self):
+        # the pair sum on eigh's vectors with random signs matches the slope,
+        # which reads no eigenvector, to 1e-10 relative (worst 3.1e-14)
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2))
+            p = RamanParams(float(omega1), float(omega2), float(rng.uniform(0.5, 1.5)), 1.0)
+            e, v = np.linalg.eigh(build_hamiltonian(p))
+            flipped = v * rng.choice([-1.0, 1.0], size=3)
+            assert eigenvalue_slope(p) == pytest.approx(pair_loop_slope(e, flipped), rel=1e-10)
+
+    def test_residue_identities(self):
+        # adj(e_k - H) = v_k v_k^T prod_{j != k} (e_k - e_j) on the delta2 = 1
+        # Hamiltonian at x = delta1 / delta2, so v_{0,k}^2 = n_k / prod and
+        # c_k = v_{0,k} v_{2,k} = a b / prod, checked against eigh with
+        # couplings down to 1e-5 delta2 and delta1 on and off the crossing.
+        # An eigh eigenvector is good to about eps ||H|| / (smallest gap), so
+        # both are held to 8 eps max(1, |x|) / min(h, g) (the worst draw
+        # reaches 3.2 eps max(1, |x|) / min(h, g)), and the supremum to 1e-11
+        # relative (worst 2.5e-12).
+        rng = np.random.default_rng(2718)
+        eps = np.finfo(float).eps
         for _ in range(1500):
             d2 = float(np.exp(rng.uniform(-1.0, 1.0)))
-            omega1, omega2 = np.exp(rng.uniform(math.log(1e-5), math.log(0.6), 2)) * d2
+            omega1, omega2 = (np.exp(rng.uniform(math.log(1e-5), math.log(0.6), 2)) * d2).tolist()
             d1 = float(rng.choice([rng.uniform(0.9, 1.1), rng.uniform(-3.0, 3.0)])) * d2
-            h = build_hamiltonian(RamanParams(omega1, omega2, d1, d2))
-            noise = rng.normal(size=(3, 3))
-            for m in (h, h + noise + noise.T):
-                e, v = np.linalg.eigh(m)
-                v = v * rng.choice([-1.0, 1.0], size=3)
-                assert transfer_supremum_slope(e, v) == pair_loop_slope(e, v)
-                dominant.add(int(np.argmax(np.abs(v[0] * v[2]))))
-        assert dominant == {0, 1, 2}
+            x, a, b = d1 / d2, omega1 / (2.0 * d2), omega2 / (2.0 * d2)
+            q = RamanParams(2.0 * a, 2.0 * b, x, 1.0)
+            spec = dressed_spectrum(q)
+            e = spec.energies.tolist()
+            n = _cofactors(e, x, b * b)
+            prod = [(e[k] - e[(k + 1) % 3]) * (e[k] - e[(k + 2) % 3]) for k in range(3)]
+            h, g = e[1] - e[0], e[2] - e[1]
+            bound = 8.0 * eps * max(1.0, abs(x)) / min(h, g)
+            v0, _, v2 = spec.states
+            for k in range(3):
+                assert abs(v0[k] * v0[k] - n[k] / prod[k]) <= bound
+                assert abs(v0[k] * v2[k] - a * b / prod[k]) <= bound
+            # the c_k alternate in sign, so the middle level dominates
+            assert np.array_equal(np.sign(v0 * v2), [1.0, -1.0, 1.0])
+            assert transfer_supremum(q) == pytest.approx((2.0 * a * b / (h * g)) ** 2, rel=1e-11)
 
     @pytest.mark.parametrize(
         "omegas", [(0.2, 0.5), (0.01, 0.03), (0.5, 0.05), (0.002, 0.003)], ids=str
     )
     def test_equals_central_difference(self, omegas):
-        # gap32^3 times the central difference of sqrt(transfer_supremum) =
-        # sum_k |c_k|, at a step of 1e-4 crossing widths
+        # -2 a b times the slope is gap32^3 times the central difference of
+        # sqrt(transfer_supremum) = sum_k |c_k|, at a step of 1e-4 crossing widths
         p = RamanParams(*omegas, 1.0, 1.0)
         width = p.omega1 * p.omega2 / 2.0
         centre = dynamical_exact_effective(p)
@@ -289,16 +330,8 @@ class TestTransferSupremumSlope:
             q = p.with_delta1(d1)
             s_plus = math.sqrt(transfer_supremum(q.with_delta1(d1 + h)))
             s_minus = math.sqrt(transfer_supremum(q.with_delta1(d1 - h)))
-            spec = dressed_spectrum(q)
-            assert transfer_supremum_slope(spec.energies, spec.states) == pytest.approx(
+            energies = np.linalg.eigvalsh(build_hamiltonian(q)).tolist()
+            a, b = p.omega1 / 2.0, p.omega2 / 2.0
+            assert -2.0 * a * b * transfer_supremum_slope(energies, d1, b * b) == pytest.approx(
                 gap32(q) ** 3 * (s_plus - s_minus) / (2.0 * h), rel=1e-5
             )
-
-    def test_eigenvector_signs_are_free(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2))
-            p = RamanParams(float(omega1), float(omega2), float(rng.uniform(0.5, 1.5)), 1.0)
-            e, v = np.linalg.eigh(build_hamiltonian(p))
-            flipped = v * rng.choice([-1.0, 1.0], size=3)
-            assert transfer_supremum_slope(e, flipped) == transfer_supremum_slope(e, v)

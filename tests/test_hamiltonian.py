@@ -19,7 +19,8 @@ from lambda_crossing import (
     gap32,
     track_character,
 )
-from lambda_crossing.hamiltonian import _dominant, _eigh_along_delta1, gap32_slope
+from lambda_crossing.hamiltonian import _dominant
+from lambda_crossing.resonance import _slope_locus, gap32_slope
 
 RNG = np.random.default_rng(20260823)
 
@@ -257,27 +258,43 @@ class TestGap32Slope:
         for d1 in points:
             q = p.with_delta1(d1)
             diff = (gap32(q.with_delta1(d1 + h)) - gap32(q.with_delta1(d1 - h))) / (2.0 * h)
-            spec = dressed_spectrum(q)
-            assert gap32_slope(spec.energies, spec.states) == pytest.approx(
-                gap32(q) * diff, rel=1e-5
-            )
+            energies = np.linalg.eigvalsh(build_hamiltonian(q)).tolist()
+            b = p.omega2 / 2.0
+            assert gap32_slope(energies, d1, b * b) == pytest.approx(gap32(q) * diff, rel=1e-5)
 
     def test_eigenvector_signs_are_free(self):
+        # the eigenvector form g (v_{0,3}^2 - v_{0,2}^2) of g dg/d delta1, on
+        # eigh's vectors with random signs, matches the eigenvalue-only slope
+        # to 8 g eps max(1, |x|) / min(h, g) (the worst draw reaches 2.9)
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(32)
         for _ in range(50):
             omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2))
             p = RamanParams(float(omega1), float(omega2), float(rng.uniform(0.5, 1.5)), 1.0)
             e, v = np.linalg.eigh(build_hamiltonian(p))
-            flipped = v * rng.choice([-1.0, 1.0], size=3)
-            assert gap32_slope(e, flipped) == gap32_slope(e, v)
+            v = v * rng.choice([-1.0, 1.0], size=3)
+            h, g = e[1] - e[0], e[2] - e[1]
+            bound = 8.0 * g * eps * max(1.0, abs(p.delta1)) / min(h, g)
+            slope = gap32_slope(e.tolist(), p.delta1, (p.omega2 / 2.0) ** 2)
+            assert abs(g * (v[0, 2] ** 2 - v[0, 1] ** 2) - slope) <= bound
 
     def test_eigh_along_delta1_matches_fresh_matrix(self):
+        # _slope_locus refills one matrix in place along delta1; the energies
+        # each step hands the slope are eigvalsh of a fresh delta2 = 1 matrix
         p = RamanParams(0.2, 0.5, 1.0, 1.3)
-        eigh_at = _eigh_along_delta1(p)
-        for d1 in (0.7, 1.3, 1.9, 1.3):
-            e, v = eigh_at(d1)
-            e_ref, v_ref = np.linalg.eigh(build_hamiltonian(p.with_delta1(d1)))
-            assert np.array_equal(e, e_ref) and np.array_equal(v, v_ref)
+        seen = []
+
+        def slope(energies, x, b2):
+            seen.append((energies, x, b2))
+            return gap32_slope(energies, x, b2)
+
+        _slope_locus(p, slope, "structural", 1e-12, seed=None)
+        assert len(seen) > 3
+        a, b = 0.5 * p.omega1 / p.delta2, 0.5 * p.omega2 / p.delta2
+        for energies, x, b2 in seen:
+            fresh = build_hamiltonian(RamanParams(2.0 * a, 2.0 * b, x, 1.0))
+            assert energies == np.linalg.eigvalsh(fresh).tolist()
+            assert b2 == b * b
 
 
 class TestAvoidedCrossingScan:

@@ -17,6 +17,7 @@ from lambda_crossing import (
     BracketError,
     ConvergenceError,
     RamanParams,
+    build_hamiltonian,
     dynamical_approx,
     dynamical_exact_effective,
     dynamical_exact_full,
@@ -42,11 +43,18 @@ from lambda_crossing._minimize import (
     parabolic_vertex,
     slope_root,
 )
-from lambda_crossing.dynamics import transfer_supremum_slope
-from lambda_crossing.hamiltonian import _eigh_along_delta1, gap32_slope
-from lambda_crossing.resonance import DEFAULT_TOL
+from lambda_crossing.resonance import DEFAULT_TOL, gap32_slope, transfer_supremum_slope
 
 RNG = np.random.default_rng(1234)
+
+
+def slope_at(slope, params, d1):
+    """A resonance slope kernel at delta1 = d1, from the eigvalsh of the
+    delta2 = 1 Hamiltonian at d1 / delta2, as the locus searches read it."""
+    d2, x = params.delta2, d1 / params.delta2
+    b = params.omega2 / (2.0 * d2)
+    h = build_hamiltonian(RamanParams(params.omega1 / d2, params.omega2 / d2, x, 1.0))
+    return slope(np.linalg.eigvalsh(h).tolist(), x, b * b)
 
 
 def dense_scan_minimum(params, lo=0.9, hi=1.2, n=20001):
@@ -91,10 +99,10 @@ class TestStructural:
             assert gap32(p.with_delta1(star + eps)) >= g0
             assert gap32(p.with_delta1(star - eps)) >= g0
             tol = 1e-10
-            star, eigh_at = structural_exact(p, tol), _eigh_along_delta1(p)
+            star = structural_exact(p, tol)
             assert abs(star - mp_locus(p, mp_gap, star)) <= tol * p.delta2
             eps = 10.0 * tol
-            assert gap32_slope(*eigh_at(star - eps)) < 0.0 < gap32_slope(*eigh_at(star + eps))
+            assert slope_at(gap32_slope, p, star - eps) < 0.0 < slope_at(gap32_slope, p, star + eps)
 
     def test_approx_reference_value(self):
         assert structural_approx(RamanParams(0.2, 0.5, 1.0, 1.0)) == pytest.approx(
@@ -146,18 +154,34 @@ class TestLocusSearch:
     @pytest.mark.parametrize(
         "finder, params, message",
         [
-            (dynamical_exact_full, RamanParams(1.0, 1.0, 1e300, 1e300),
-             "dynamical locus 5e+299 is at the edge of the search bracket [5e+299, 1.5e+300]"),
             (resonance_report, RamanParams(1e200, 1e200, 1.0, 1.0),
              "structural locus 1.5 is at the edge of the search bracket [0.5, 1.5]"),
         ],
-        ids=["delta2-1e300", "omega-1e200"],
+        ids=["omega-1e200"],
     )
     def test_extreme_scale_is_bracket_error(self, finder, params, message):
-        # the dynamical slope's gap cubed overflows to inf, not to an OverflowError
+        # the couplings are clamped at 1e150 delta2, so the slopes stay finite
         with pytest.raises(BracketError) as err:
             finder(params)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("finder", [structural_exact, dynamical_exact_full],
+                             ids=lambda f: f.__name__)
+    def test_vanishing_couplings_give_delta2(self, finder):
+        # at Omega / delta2 = 1e-300 the levels cross at delta2 itself
+        p = RamanParams(1.0, 1.0, 1e300, 1e300)
+        assert abs(finder(p) - p.delta2) <= DEFAULT_TOL * p.delta2
+
+    @pytest.mark.parametrize("slope", [gap32_slope, transfer_supremum_slope],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("omega", [2.0 * resonance._COUPLING_CLAMP, 1e-300],
+                             ids=["clamp", "1e-300"])
+    def test_slopes_finite_at_extreme_couplings(self, slope, omega):
+        # no NaN reaches slope_root: at a = b = 1e150 the cofactors stay
+        # below the float range, at 1e-300 b^2 underflows to 0
+        p = RamanParams(omega, omega, 1.0, 1.0)
+        values = [slope_at(slope, p, float(d1)) for d1 in np.linspace(0.5, 1.5, 201)]
+        assert all(math.isfinite(v) for v in values)
 
     @pytest.mark.parametrize("delta2", [1e-159, 1e-110, 1e80, 1e150])
     def test_report_is_scale_free(self, delta2):
@@ -198,6 +222,20 @@ class TestLocusSearch:
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
         ]
         assert pows == []
+
+    def test_loci_read_eigenvalues_only(self):
+        # both exact loci come from eigvalsh of the delta2 = 1 Hamiltonian:
+        # no eigenvectors, and nothing from hamiltonian but RamanParams
+        tree = ast.parse(Path(resonance.__file__).read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"eigh", "dressed_spectrum", "diagonalize"}
+        imported = [
+            (node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+            if "hamiltonian" in (getattr(node, "module", None) or alias.name)
+        ]
+        assert imported == [("hamiltonian", "RamanParams")]
 
     @pytest.mark.parametrize(
         "entry",
@@ -241,11 +279,11 @@ class TestDynamical:
         assert a0 >= transfer_supremum(p.with_delta1(star + eps))
         assert a0 >= transfer_supremum(p.with_delta1(star - eps))
         tol = 1e-10
-        star, eigh_at = dynamical_exact_full(p, tol), _eigh_along_delta1(p)
+        star = dynamical_exact_full(p, tol)
         assert abs(star - mp_locus(p, mp_transfer, star)) <= tol * p.delta2
         eps = 5.0 * tol
-        slopes = [transfer_supremum_slope(*eigh_at(star + s)) for s in (-eps, eps)]
-        assert slopes[0] > 0.0 > slopes[1]
+        slopes = [slope_at(transfer_supremum_slope, p, star + s) for s in (-eps, eps)]
+        assert slopes[0] < 0.0 < slopes[1]
 
     @pytest.mark.parametrize("omega1, omega2, delta2", [(2.5e-11, 2.4e-7, 4.76),
                                                         (2e-11, 1e-7, 0.08)])
@@ -660,8 +698,8 @@ class TestFaultSites:
 
 
 SLOPE_LOCI = {
-    "structural": (structural_exact, "_structural_seed", "gap32_slope", 1.0),
-    "dynamical": (dynamical_exact_full, "_dynamical_seed", "transfer_supremum_slope", -1.0),
+    "structural": (structural_exact, "_structural_seed", "gap32_slope"),
+    "dynamical": (dynamical_exact_full, "_dynamical_seed", "transfer_supremum_slope"),
 }
 
 
@@ -676,13 +714,8 @@ def outcome(finder, params, tol):
 def full_bracket_locus(kind, params, tol):
     """The unseeded search: slope_root on all of [0.5, 1.5] delta2 of the
     same slope, through _locus's edge check."""
-    _, _, slope_name, sign = SLOPE_LOCI[kind]
-    slope, eigh_at = getattr(resonance, slope_name), _eigh_along_delta1(params)
-    search = functools.partial(slope_root, what=kind)
-    return outcome(
-        lambda p, t: resonance._locus(p, lambda d1: sign * slope(*eigh_at(d1)), search, kind, t),
-        params, tol,
-    )
+    slope = getattr(resonance, SLOPE_LOCI[kind][2])
+    return outcome(lambda p, t: resonance._slope_locus(p, slope, kind, t, seed=None), params, tol)
 
 
 def seeded_draws(n, seed, hi=0.6):
@@ -724,7 +757,7 @@ class TestSeededSearch:
     @pytest.mark.parametrize("kind", SLOPE_LOCI)
     @pytest.mark.parametrize("miss", [-0.05, 0.05, math.nan], ids=["low", "high", "nan"])
     def test_missed_seed_keeps_locus_and_messages(self, monkeypatch, kind, miss):
-        finder, seed_name, _, _ = SLOPE_LOCI[kind]
+        finder, seed_name, _ = SLOPE_LOCI[kind]
         draws = list(seeded_draws(40, 78)) + [
             RamanParams(2.0, 0.1, 1.0, 1.0), RamanParams(0.1, 2.0, 1.0, 1.0),
         ]
@@ -745,7 +778,7 @@ class TestSeededSearch:
         for _ in range(200):
             omega1, omega2 = np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2)).tolist()
             p = RamanParams(omega1, omega2, 1.0, 1.0)
-            for kind, (finder, _, slope_name, _) in SLOPE_LOCI.items():
+            for kind, (finder, _, slope_name) in SLOPE_LOCI.items():
                 slope = getattr(resonance, slope_name)
                 with mock.patch.object(resonance, slope_name, wraps=slope) as calls:
                     finder(p)
