@@ -128,10 +128,10 @@ def gap32_slope(energies, x: float, b2: float) -> float:
 
 def transfer_supremum_slope(energies, x: float, b2: float) -> float:
     """(g / h^2) d(h g)/d delta1 for g = e3 - e2 and h = e2 - e1, as
-    gap32_slope. The c_k alternate in sign, so the transfer supremum is
-    (2 |c_2|)^2 = (2 a b / (h g))^2 and the dynamical locus is the minimum of
-    h g: with S = gap32_slope and w = e3 - e1 the slope is
-    (S - (g / h^2)(n2 + g n1 / w)) / h, negative left of the locus."""
+    gap32_slope. dynamics.transfer_supremum is (2 a b / (h g))^2, so the
+    dynamical locus is the minimum of h g: with S = gap32_slope and
+    w = e3 - e1 the slope is (S - (g / h^2)(n2 + g n1 / w)) / h, negative
+    left of the locus."""
     e1, e2, e3 = energies
     n1, n2, n3 = _cofactors(energies, x, b2)
     h, g, w = e2 - e1, e3 - e2, e3 - e1

@@ -37,7 +37,7 @@ from lambda_crossing import (
     structural_exact,
     transfer_supremum,
 )
-from lambda_crossing import probe, resolvent, resonance
+from lambda_crossing import dynamics, probe, resolvent, resonance
 from lambda_crossing._minimize import (
     minimize_scalar,
     parabolic_vertex,
@@ -236,6 +236,22 @@ class TestLocusSearch:
             if "hamiltonian" in (getattr(node, "module", None) or alias.name)
         ]
         assert imported == [("hamiltonian", "RamanParams")]
+
+    def test_transfer_reads_eigenvalues_only(self):
+        # the 1 -> 3 transfer comes from one eigvalsh: in dynamics only evolve,
+        # which returns the state, names dressed_spectrum or a complex literal,
+        # and the envelope imports no parabolic guess
+        tree = ast.parse(Path(dynamics.__file__).read_text(encoding="utf-8"))
+        owners = {
+            stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            for stmt in tree.body for node in ast.walk(stmt)
+            if "dressed_spectrum" in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(getattr(node, "value", None), complex)
+        }
+        assert owners == {"evolve"}
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert "parabolic_vertex" not in imported
 
     @pytest.mark.parametrize(
         "entry",
