@@ -1,5 +1,6 @@
 """Scalar extremum searches on a bracket: Brent's derivative-free minimization
-(golden section with parabolic acceleration) and a Brent-Dekker root of a slope."""
+(golden section with parabolic acceleration) and a Brent-Dekker root of a slope;
+and one discrete search, the least residue of a linear sequence."""
 
 import math
 
@@ -129,6 +130,38 @@ def slope_root(g, a, b, xtol, what, max_iter=100):
     raise ConvergenceError(
         f"{what} locus: slope root not found to xtol = {xtol:g} within {max_iter} iterations"
     )
+
+
+def modular_minimum(a, b, m, n):
+    """(v, k): the least v = (a k + b) mod m over integers 0 <= k < n, and
+    the least k that attains it, in exact integer arithmetic.
+
+    Euclid-like: when 2a <= m the sequence rises by a and wraps past m, so
+    each lap's first term is its least; the y-th wrap starts at
+    (b - m y) mod a, a sequence mod a. Otherwise it falls by c = m - a and
+    each run's last term is its least; the z-th run ends at (m z + b) mod c.
+    Either way the modulus and the count at least halve, so the search takes
+    O(log min(m, n)) steps. Raises ValueError unless m and n are positive.
+    """
+    if not (m >= 1 and n >= 1):
+        raise ValueError(f"modulus and count must be positive, got m = {m}, n = {n}")
+    a, b = a % m, b % m
+    if a == 0 or n == 1:
+        return b, 0
+    if 2 * a <= m:
+        laps = (a * (n - 1) + b) // m
+        if laps == 0:
+            return b, 0
+        # The recursion reads the module attribute, so a wrapped search sees each step.
+        v, y = modular_minimum(-m, b - m, a, laps)
+        return (v, (m * (y + 1) - b + a - 1) // a) if v < b else (b, 0)
+    c = m - a
+    last = (a * (n - 1) + b) % m
+    runs = (c * n - b - 1) // m + 1
+    if runs == 0:
+        return last, n - 1
+    v, z = modular_minimum(m, b, c, runs)
+    return (v, (m * z + b) // c) if v <= last else (last, n - 1)
 
 
 def parabolic_vertex(x0, y0, x1, y1, x2, y2):

@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from . import _minimize
+from ._minimize import modular_minimum
 from .effective import effective_energies, eliminate
 from .errors import EnvelopeError
 from .hamiltonian import RamanParams, _check_finite, build_hamiltonian, dressed_spectrum
-
-# Time-grid resolution of the transfer envelope: two effective Rabi
-# periods sampled at 400 points, then refined around the peak.
-ENVELOPE_POINTS = 400
 
 
 def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
@@ -55,7 +50,7 @@ def _residues(params: RamanParams):
     e1, e2, e3 = np.linalg.eigvalsh(build_hamiltonian(params)).tolist()
     h, g, w = e2 - e1, e3 - e2, e3 - e1
     a, b = 0.5 * params.omega1, 0.5 * params.omega2
-    f = np.array([0.5 * h, 0.5 * w, 0.5 * g])
+    f = (0.5 * h, 0.5 * w, 0.5 * g)
     if a == 0.0 or b == 0.0:
         return (0.0, 0.0, 0.0), f
     if not (h > 0.0 and g > 0.0):
@@ -70,7 +65,7 @@ def _transfer(c, f, t):
     |sum_k c_k exp(-i eps_k t)|^2 as sum_k c_k = <3|1> = 0, clipped at 0
     against rounding; t is a scalar or an array, and P(0) = 0 exactly."""
     c1, c2, c3 = c
-    s = np.sin(np.asarray(t, dtype=float)[..., None] * f)
+    s = np.sin(np.asarray(t, dtype=float)[..., None] * np.array(f))
     out = np.maximum((s * s) @ np.array([c1 * c2, c1 * c3, c2 * c3]) * -4.0, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -83,21 +78,97 @@ def p13_full(params: RamanParams, t) -> float:
     return _transfer(*_residues(params), t)
 
 
+def _crest(c, f, t, lo, hi):
+    """The local maximum of P near t in [lo, hi]: Newton on
+    dP/dt = sum_i W_i f_i sin(2 f_i t), W = -4 (c1 c2, c1 c3, c2 c3), with its
+    closed-form next derivative. A step past an end visits that end once,
+    and the end is returned when P still rises towards it; a step past a
+    visited end, or where P is not concave, bisects the bracket that the
+    signs of dP/dt have left."""
+    c1, c2, c3 = c
+    w1, w2, w3 = 2.0 * f[0], 2.0 * f[1], 2.0 * f[2]
+    d1, d2, d3 = -2.0 * c1 * c2 * w1, -2.0 * c1 * c3 * w2, -2.0 * c2 * c3 * w3
+    tol = max(1e-5 / w2, 4.0 * math.ulp(hi))  # w2 = w is the fastest tone
+    lo_seen = hi_seen = False
+    for _ in range(100):
+        x1, x2, x3 = w1 * t, w2 * t, w3 * t
+        slope = d1 * math.sin(x1) + d2 * math.sin(x2) + d3 * math.sin(x3)
+        if slope > 0.0:
+            if t >= hi:
+                return t
+            lo, lo_seen = t, True
+        else:
+            if t <= lo:
+                return t
+            hi, hi_seen = t, True
+        curve = d1 * w1 * math.cos(x1) + d2 * w2 * math.cos(x2) + d3 * w3 * math.cos(x3)
+        nxt = t - slope / curve if curve < 0.0 else 0.5 * (lo + hi)
+        if abs(nxt - t) <= tol:
+            return min(max(nxt, lo), hi)
+        if nxt >= hi:
+            nxt = 0.5 * (lo + hi) if hi_seen else hi
+        elif nxt <= lo:
+            nxt = 0.5 * (lo + hi) if lo_seen else lo
+        t = nxt
+    return t
+
+
 def transfer_envelope(params: RamanParams) -> float:
-    """Maximum 1->3 transfer over two effective Rabi periods: _transfer,
-    from one eigvalsh, on a 400-point grid ts over [0, 4 pi / omega_eff],
-    its peak ts[i] polished in continuous time on [ts[i - 1], ts[i + 1]]."""
-    model = eliminate(params)
-    if model.omega_eff == 0.0:
+    """Maximum of the 1->3 transfer P(t) over two effective Rabi periods,
+    [0, T] with T = 4 pi / |omega_eff|, from one eigvalsh and no time grid.
+
+    P reaches its supremum where h t = g t = pi (mod 2 pi), h, g = eps2 -
+    eps1, eps3 - eps2. With s, F = min(h, g), max(h, g) and r = F / s, the
+    k-th slow beat t_k = (2 k + 1) pi / s misses the nearest fast crest
+    t = (2 j + 1) pi / F by u_k = {k r + (r - 1) / 2} cycles, and the best
+    point of a beat's whole span depends on u_k alone. So the maximum is at
+    the crest of the beat with the least u_k from above, or from below
+    (modular_minimum over the complete beats, with r and (r - 1) / 2 as
+    exact dyadic fractions), at a crest of the beat whose span holds T, or
+    at T; each crest is polished by _crest within a quarter fast period.
+    The cost does not grow with the window. Returns 0 where the supremum
+    4 c2^2 underflows. Raises EnvelopeError at zero effective coupling,
+    where T is not finite and positive, and where F T overflows.
+    """
+    omega_eff = eliminate(params).omega_eff
+    if omega_eff == 0.0:
         raise EnvelopeError("zero effective coupling: transfer envelope is degenerate")
-    ts = np.linspace(0.0, 4.0 * math.pi / abs(model.omega_eff), ENVELOPE_POINTS)
-    p13 = partial(_transfer, *_residues(params))
-    ps = p13(ts)
-    i = int(np.argmax(ps))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
-    # Read from the module at call time, so a patched minimize_scalar sees this polish.
-    _, p_neg = _minimize.minimize_scalar(lambda t: -p13(t), lo, hi, xtol=1e-12 * max(ts[i], 1.0))
-    return float(max(-p_neg, ps[i]))
+    window = 4.0 * math.pi / abs(omega_eff)
+    if not 0.0 < window < math.inf:
+        raise EnvelopeError(f"transfer window 4 pi / |omega_eff| is not finite and positive "
+                            f"at omega_eff = {omega_eff:g}")
+    c, f = _residues(params)
+    if c[1] * c[1] == 0.0:
+        return 0.0  # P <= 4 c2^2, the supremum, which underflows to 0
+    h, g = 2.0 * f[0], 2.0 * f[2]
+    slow, fast = min(h, g), max(h, g)
+    if not fast * window < math.inf:
+        raise EnvelopeError(f"transfer window 4 pi / |omega_eff| = {window:g} holds more "
+                            f"fast crests than double precision counts at omega_eff = "
+                            f"{omega_eff:g}")
+    # Beat k's count k r + (r - 1) / 2 is (2 p k + p - q) / (2 q) exactly; its
+    # floor and ceiling index the fast crests just before and just after t_k.
+    p, q = (fast / slow).as_integer_ratio()
+    m = 2 * q
+
+    def before(k):
+        return (2 * p * k + p - q) // m
+
+    def after(k):
+        return -((q - p - 2 * p * k) // m)
+
+    beats = int(slow * window / (2.0 * math.pi))  # the complete spans in [0, T]
+    crests = [before(beats), after(beats)]
+    if beats > 0:
+        crests += [before(modular_minimum(2 * p, p - q, m, beats)[1]),
+                   after(modular_minimum(-2 * p, q - p, m, beats)[1])]
+    last = max(math.floor(fast * window / (2.0 * math.pi) - 0.5), 0)
+    times = [window]
+    half = 0.5 * math.pi / fast
+    for j in {min(j, last) for j in crests}:
+        t = min((2 * j + 1) * (math.pi / fast), window)
+        times.append(_crest(c, f, t, max(t - half, 0.0), min(t + half, window)))
+    return float(np.max(_transfer(c, f, np.array(times))))
 
 
 def transfer_supremum(params: RamanParams) -> float:

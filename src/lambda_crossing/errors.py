@@ -31,7 +31,10 @@ class ExtractionError(LambdaCrossingError):
 
 
 class EnvelopeError(LambdaCrossingError):
-    """Transfer envelope is degenerate (zero effective coupling)."""
+    """The transfer envelope's window [0, 4 pi / |omega_eff|] cannot be
+    searched: the effective coupling is zero, the window is not finite and
+    positive in double precision, or it holds more fast crests than double
+    precision counts."""
 
 
 class ScenarioError(LambdaCrossingError):

@@ -1,11 +1,14 @@
-"""Tests for the bracketed slope root behind the exact resonance loci."""
+"""Tests for the bracketed slope root behind the exact resonance loci, and for
+the modular minimum behind the transfer envelope."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambda_crossing import ConvergenceError
-from lambda_crossing._minimize import slope_root
+from lambda_crossing import ConvergenceError, _minimize
+from lambda_crossing._minimize import modular_minimum, slope_root
 
 
 class TestSlopeRoot:
@@ -46,3 +49,51 @@ class TestSlopeRoot:
     def test_rejects_empty_bracket(self):
         with pytest.raises(ValueError, match="a < b"):
             slope_root(lambda x: x, 1.0, 1.0, 1e-12, "test")
+
+
+class TestModularMinimum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 2**60),
+        n=st.integers(1, 10**4),
+        a=st.integers(-(2**61), 2**61),
+        b=st.integers(-(2**61), 2**61),
+    )
+    def test_matches_brute_force(self, m, n, a, b):
+        values = [(a * k + b) % m for k in range(n)]
+        v, k = modular_minimum(a, b, m, n)
+        assert v == min(values)
+        assert 0 <= k < n
+        assert (a * k + b) % m == v
+        assert k == values.index(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 64), n=st.integers(1, 300), a=st.integers(0, 63),
+           b=st.integers(0, 63))
+    def test_small_moduli(self, m, n, a, b):
+        # small moduli reach the wrap-free, exact-divisor and one-lap cases
+        values = [(a * k + b) % m for k in range(n)]
+        assert modular_minimum(a, b, m, n) == (min(values), values.index(min(values)))
+
+    def test_steps_grow_with_log_count(self, monkeypatch):
+        # n = 2^40 terms: each step at least halves the count, so the search
+        # makes at most about log2(n) steps (this one makes 18)
+        steps, search = [], modular_minimum
+        m, a, b = 2**60, 712_577_831_241_062_519, 2**59 + 12_345
+        n = 2**40
+
+        def counted(*args):
+            steps.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(_minimize, "modular_minimum", counted)
+        v, k = _minimize.modular_minimum(a, b, m, n)
+        assert len(steps) <= 42
+        assert 0 <= k < n and (a * k + b) % m == v
+        # no better term among the first and last 10^4
+        assert v <= min((a * j + b) % m for j in [*range(10**4), *range(n - 10**4, n)])
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (5, 0), (-3, 2)])
+    def test_rejects_empty_range(self, m, n):
+        with pytest.raises(ValueError, match="modulus and count must be positive"):
+            modular_minimum(1, 0, m, n)

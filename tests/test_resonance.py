@@ -240,7 +240,8 @@ class TestLocusSearch:
     def test_transfer_reads_eigenvalues_only(self):
         # the 1 -> 3 transfer comes from one eigvalsh: in dynamics only evolve,
         # which returns the state, names dressed_spectrum or a complex literal,
-        # and the envelope imports no parabolic guess
+        # and from _minimize it imports the discrete crest search alone, so
+        # neither a parabolic guess nor Brent
         tree = ast.parse(Path(dynamics.__file__).read_text(encoding="utf-8"))
         owners = {
             stmt.name if isinstance(stmt, ast.FunctionDef) else None
@@ -252,6 +253,11 @@ class TestLocusSearch:
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
         assert "parabolic_vertex" not in imported
+        from_minimize = {alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module == "_minimize"
+                         for alias in node.names}
+        assert from_minimize == {"modular_minimum"}
+        assert "_minimize" not in imported
 
     @pytest.mark.parametrize(
         "entry",
