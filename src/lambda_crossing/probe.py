@@ -34,8 +34,12 @@ _NO_PEAK = "no probe peak found at negative nu"
 # of floats, about a hundred times the largest grid of the perfbench workloads.
 _MAX_NU_POINTS = 1 << 22
 
-# Steps per chunk of the oracle's pairwise product (a power of two); bounds
-# its (3, 3, chunk) temporaries.
+# Steps per block of the oracle (a power of two): one block of steps is one
+# Laurent polynomial in z with exponents -4 _BLOCK..4 _BLOCK.
+_BLOCK = 8
+
+# Maps per chunk of the oracle's pairwise product (a power of two), so blocks
+# in a run of blocks; bounds its (8 _BLOCK + 1, chunk) temporaries.
 _CHUNK = 1024
 
 
@@ -137,38 +141,83 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     |<eps3|psi(t)>|^2. Requires a positive integer number of steps, at
     least 50 per period of the fastest frequency in the problem.
 
-    Each RK4 step is the linear map psi -> (I + E_n) psi built from the
-    stage matrices at t_n, t_n + dt/2 and t_n + dt. The step propagators
-    are multiplied pairwise, chunk by chunk, rather than applied in a
-    step loop; the nodes are t_n = n dt.
+    Each RK4 step is the linear map psi -> (I + E(z_n)) psi built from the
+    stage matrices at t_n, t_n + dt/2 and t_n + dt, where z_n = exp(i nu t_n)
+    on the nodes t_n = n dt and E is a Laurent polynomial in z. A block of
+    _BLOCK steps is then one Laurent polynomial too, found once per call;
+    the block maps, and the steps past the last whole block, are multiplied
+    pairwise, chunk by chunk, rather than applied in a step loop.
     """
     _check_count("steps", steps)
     steps = int(steps)
     spec = dressed_spectrum(params)
     fastest = max(_gap(spec.energies), abs(probe.nu), params.omega1, params.omega2,
                   abs(params.delta1))
-    if fastest > 0:
-        min_steps = int(math.ceil(50.0 * probe.duration * fastest / (2.0 * math.pi)))
-        if steps < min_steps:
-            raise ValueError(
-                f"steps={steps} under-resolves the fastest frequency; need >= {min_steps}"
-            )
+    # a float, since duration * fastest may overflow to inf
+    need = 50.0 * probe.duration * fastest / (2.0 * math.pi)
+    if steps < need:
+        raise ValueError(
+            f"steps={steps} under-resolves the fastest frequency; need >= {np.ceil(need):.3g}"
+        )
     dt = probe.duration / steps
-    coeffs = _rk4_step_coefficients(build_hamiltonian(params), 0.5 * probe.omega_p, probe.nu, dt)
+    step = _rk4_step_coefficients(build_hamiltonian(params), 0.5 * probe.omega_p, probe.nu, dt)
+    phase = probe.nu * dt
+    blocks, rest = divmod(steps, _BLOCK)
     psi = spec.states[:, 1].astype(complex)
-    for start in range(0, steps, _CHUNK):
-        n = min(_CHUNK, steps - start)
-        t_n = np.arange(start, start + n) * dt
-        # Row k + 4 holds z_n^k. Columns past n stay zero, padding the chunk
-        # to a power of two with steps E_n = 0 that multiply as the identity.
-        zk = np.zeros((9, 1 << (n - 1).bit_length()), dtype=complex)
-        z = np.exp(1j * probe.nu * t_n)
-        zk[4, :n] = 1.0
-        for k in range(5, 9):
-            zk[k, :n] = zk[k - 1, :n] * z
-        zk[3::-1] = zk[5:].conj()
-        psi = psi + _pairwise_product((coeffs @ zk).reshape(3, 3, -1)) @ psi
+    psi = _advance(psi, _block_coefficients(step, phase), phase, 0, _BLOCK, blocks)
+    psi = _advance(psi, step, phase, blocks * _BLOCK, 1, rest)
     return float(abs(spec.states[:, 2] @ psi) ** 2)
+
+
+def _block_coefficients(step: np.ndarray, phase: float) -> np.ndarray:
+    """(9, 8 _BLOCK + 1) coefficients of F, exponents -4 _BLOCK..4 _BLOCK, with
+    I + F(z) = (I + E(w^(_BLOCK-1) z)) ... (I + E(z)), w = exp(i phase), from the
+    (9, 9) coefficients step of E.
+
+    F is sampled at the (8 _BLOCK + 1)-th roots of unity r_m: every E(w^j r_m)
+    comes from one matrix product, the maps of a block are multiplied pairwise,
+    and one FFT turns the samples into coefficients.
+    """
+    n = 8 * _BLOCK + 1
+    angle = 2.0 * math.pi / n * np.arange(n) + phase * np.arange(_BLOCK)[:, None]
+    z = np.exp(1j * angle.ravel())
+    e = (step @ _powers(z, 4, z.size)).reshape(3, 3, _BLOCK, n)
+    # The FFT takes the samples less the first one, so that it rounds only
+    # their small spread in z and not the large z-free part of F.
+    f = _pairwise_product(e)
+    f0 = f[..., 0].copy()
+    f = np.fft.fft(f - f0[..., None], axis=-1) / n
+    f[..., 0] += f0
+    return np.fft.fftshift(f, axes=-1).reshape(9, n)
+
+
+def _advance(psi: np.ndarray, coeffs: np.ndarray, phase: float, first: int, stride: int,
+             count: int) -> np.ndarray:
+    """Apply the maps I + F(z_n), z_n = exp(i phase (first + n stride)), to psi
+    in order for n < count, where F has the (9, 2 K + 1) coefficients coeffs
+    with exponents -K..K; the maps are multiplied pairwise, chunk by chunk."""
+    half = coeffs.shape[1] // 2
+    for start in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - start)
+        z = np.exp(1j * phase * (first + stride * np.arange(start, start + n)))
+        # Columns past n are zero, padding the chunk to a power of two with
+        # maps F = 0 that multiply as the identity.
+        zk = _powers(z, half, 1 << (n - 1).bit_length())
+        psi = psi + _pairwise_product((coeffs @ zk).reshape(3, 3, -1)) @ psi
+    return psi
+
+
+def _powers(z: np.ndarray, half: int, width: int) -> np.ndarray:
+    """(2 half + 1, width) array whose row k + half holds z^k, k = -half..half,
+    for z on the unit circle; the columns past z.size are zero."""
+    n = z.size
+    zk = np.empty((2 * half + 1, width), dtype=complex)
+    zk[:, n:] = 0.0
+    zk[half, :n] = 1.0
+    for k in range(half + 1, 2 * half + 1):
+        np.multiply(zk[k - 1, :n], z, out=zk[k, :n])
+    np.conjugate(zk[half + 1:], out=zk[half - 1::-1])
+    return zk
 
 
 def _rk4_step_coefficients(h0: np.ndarray, half_p: float, nu: float, dt: float) -> np.ndarray:
@@ -201,12 +250,12 @@ def _rk4_step_coefficients(h0: np.ndarray, half_p: float, nu: float, dt: float) 
 
 
 def _mul(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Matrix products b @ a of 3x3 matrices stacked along the trailing axis."""
-    return np.einsum("imn,mjn->ijn", b, a)
+    """Matrix products b @ a of 3x3 matrices stacked along the trailing axes."""
+    return np.einsum("im...,mj...->ij...", b, a)
 
 
 def _pairwise_product(e: np.ndarray) -> np.ndarray:
-    """E with I + E = (I + e[..., n-1]) ... (I + e[..., 0]) for a (3, 3, n)
+    """E with I + E = (I + e[:, :, n-1]) ... (I + e[:, :, 0]) for a (3, 3, n, ...)
     stack, n a power of two, multiplied pairwise as
     (I + B)(I + A) = I + (A + B + BA) to keep the small E apart from I."""
     while e.shape[2] > 1:

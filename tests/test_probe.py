@@ -32,7 +32,7 @@ from lambda_crossing import (
 )
 from lambda_crossing import probe
 from lambda_crossing._minimize import parabolic_vertex
-from lambda_crossing.probe import _CHUNK, _extract_peaks
+from lambda_crossing.probe import _BLOCK, _CHUNK, _extract_peaks
 
 REF = RamanParams(0.2, 0.5, 1.0, 1.0)
 T_REF = 125.0 * 2.0 * math.pi
@@ -224,6 +224,22 @@ def mp_rk4_oracle(params, probe, steps):
         return float(abs(amp) ** 2)
 
 
+# (params, probe, steps, message) the oracle refuses
+UNDER_RESOLVED = [
+    (REF, ProbeParams(1e-4, 0.05, T_REF), 100, "under-resolves"),
+    (REF, ProbeParams(1e-4, 0.05, T_REF), 25000.0, "steps must be a positive integer"),
+    (REF, ProbeParams(1e-4, 0.05, T_REF), True, "steps must be a positive integer"),
+    (REF, ProbeParams(1e-4, 0.05, T_REF), 0, "steps must be a positive integer"),
+    (REF, ProbeParams(1e-4, 0.05, T_REF), -5, "steps must be a positive integer"),
+    # a need past the largest float, and a finite but huge one, quoted in
+    # three digits
+    (RamanParams(0.2, 0.3, 1.0, 1.0), ProbeParams(1e-4, 1e300, 1e300), 10,
+     r"steps=10 under-resolves the fastest frequency; need >= inf$"),
+    (RamanParams(0.2, 0.3, 1.0, 1.0), ProbeParams(1e-4, 1e150, 1e150), 10,
+     r"steps=10 under-resolves the fastest frequency; need >= 7.96e\+300$"),
+]
+
+
 class TestTimeDomainOracle:
     @pytest.mark.parametrize(
         "params, probe, steps",
@@ -236,6 +252,16 @@ class TestTimeDomainOracle:
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), _CHUNK - 1),
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), np.int64(_CHUNK)),
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), _CHUNK + 1),
+            # one step; one step short of, exactly, and one step past a block;
+            # one step short of and three steps past a chunk of blocks
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 0.15), 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.0), _BLOCK - 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.2), _BLOCK),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.4), _BLOCK + 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1000.0),
+             _CHUNK * _BLOCK - 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1000.0),
+             _CHUNK * _BLOCK + 3),
         ],
     )
     def test_matches_matrix_form(self, params, probe, steps):
@@ -258,26 +284,44 @@ class TestTimeDomainOracle:
         assert abs(coarse - ref) / abs(fine - ref) == pytest.approx(16.0, rel=0.2)
 
     @pytest.mark.parametrize(
-        "steps, message",
-        [
-            (100, "under-resolves"),
-            (25000.0, "steps must be a positive integer"),
-            (True, "steps must be a positive integer"),
-            (0, "steps must be a positive integer"),
-            (-5, "steps must be a positive integer"),
-        ],
+        "params, probe, steps, message",
+        UNDER_RESOLVED,
+        ids=[f"{steps}-{message}" for _, _, steps, message in UNDER_RESOLVED],
     )
-    def test_under_resolved_steps_rejected(self, steps, message):
+    def test_under_resolved_steps_rejected(self, params, probe, steps, message):
         with pytest.raises(ValueError, match=message):
-            probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF), steps)
+            probe_time_domain_oracle(params, probe, steps)
 
     def test_matches_extended_precision_rk4(self):
-        # a first-order probability of 4e-6, so a small amplitude, over a run
-        # that crosses a chunk boundary of the product
-        probe, steps = ProbeParams(0.01 * RABI_BOUND, -0.0688, 100.0), _CHUNK + 1
-        assert probe_time_domain_oracle(REF, probe, steps) == pytest.approx(
-            mp_rk4_oracle(REF, probe, steps), rel=1e-12
-        )
+        cases = [
+            # a first-order probability of 4e-6, so a small amplitude, over a
+            # run of whole blocks and one step past them
+            (REF, ProbeParams(0.01 * RABI_BOUND, -0.0688, 100.0), _CHUNK + 1, 1e-12),
+            # near the structural locus (0.9161905885 = structural_exact), a
+            # probability of 2e-6 over a run that crosses a chunk of blocks: the
+            # float floor, eps sqrt(steps / _BLOCK) over an amplitude of 1.4e-3,
+            # sits far below the RK4 truncation error
+            (RamanParams(0.579, 0.00165, 0.9161905885208919, 1.0),
+             ProbeParams(2.05e-5, -4.588e-4, 790.0), 8300, 5e-11),
+        ]
+        for params, probe, steps, rel in cases:
+            assert probe_time_domain_oracle(params, probe, steps) == pytest.approx(
+                mp_rk4_oracle(params, probe, steps), rel=rel
+            )
+
+    def test_products_per_block_not_per_step(self, monkeypatch):
+        # the einsum products of a run scale with its blocks, not its steps
+        sizes = []
+        pairwise = probe._pairwise_product
+
+        def counted(e):
+            sizes.append(e.shape[2])
+            return pairwise(e)
+
+        monkeypatch.setattr(probe, "_pairwise_product", counted)
+        steps = 20000
+        probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF), steps)
+        assert sum(sizes) <= 2 * steps / _BLOCK + 2 * _BLOCK
 
     def test_breakdown_beyond_perturbative_bound(self):
         # a strong probe drives the transition out of the first-order regime
