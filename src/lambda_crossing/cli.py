@@ -36,8 +36,13 @@ OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 # Appended to a library error under --units hz: the library sees, and its
 # messages quote, angular frequencies (some errors quote none).
 _HZ_NOTE = " (any frequency quoted is angular, 2π × Hz)"
-# Rows of a levels table computed and written at a time.
-_LEVELS_BLOCK = 2**14
+# Rows of a table computed and written at a time.
+_ROW_BLOCK = 2**14
+# Blocks of fewer values keep the % template: below this the fixed cost of
+# _fmt_exact (about 40 us) outweighs its saving per value (measured crossover).
+_VECTOR_MIN = 200
+# Most values _fmt_exact formats in one pass: bounds its working set.
+_PASS_VALUES = 2**12
 
 
 class _FlagError(ValueError):
@@ -68,18 +73,158 @@ def _write_text(path: Path, text):
 
 
 def _csv_lines(header, blocks):
-    """A header line, then one line per row of each block of rows, every
-    value as _fmt does, formatted by one template per block."""
+    """A header line, then one line per row of each block of rows: every value
+    in exactly the bytes of %.17g (as _fmt gives them), comma-separated.
+
+    A block of at least _VECTOR_MIN values goes to _fmt_exact in passes of at
+    most _PASS_VALUES values; a smaller one to one % template."""
+    ncols = len(header)
     yield ",".join(header) + "\n"
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    line = ",".join(["%.17g"] * ncols) + "\n"
     for rows in blocks:
-        values = np.asarray(rows, dtype=float).reshape(-1, len(header))
-        yield (line * len(values)) % tuple(values.ravel().tolist())
+        values = np.asarray(rows, dtype=float).reshape(-1, ncols)
+        if values.size < _VECTOR_MIN:
+            yield (line * len(values)) % tuple(values.ravel().tolist())
+            continue
+        for part in np.array_split(values, -(-values.size // _PASS_VALUES)):
+            yield _fmt_exact(part.ravel(), ncols)
 
 
 def _write_csv(path: Path, header, rows):
-    """Write a header line and one line per row, as one block."""
-    _write_text(path, "".join(_csv_lines(header, [rows])))
+    """Write a header line and one line per row, formatted and written in
+    blocks of _ROW_BLOCK rows, so memory is bounded at any row count."""
+    blocks = (rows[start : start + _ROW_BLOCK] for start in range(0, len(rows), _ROW_BLOCK))
+    _write_text(path, _csv_lines(header, blocks))
+
+
+# _fmt_exact lays each value out in _WIDTH fixed byte slots, then drops the
+# zero bytes. Slot 0 holds the sign, 1-5 the lead "0.000" of 0.0001 <= |x| < 1,
+# 6-7 a "%s" that marks a value left to _fmt, 8-27 the integer digits (digit i
+# of 17 at 11 + i), 30 the point, 31-47 the fraction digits (digit i at 31 + i),
+# 48-52 the exponent "e+123" and 53 the separator. Every digit sits in both
+# copies; a mask per (form, last nonzero digit, sign) keeps the right bytes.
+_WIDTH = 56
+_LEAD = b"-0.000%s"
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter for float64
+
+
+@functools.cache
+def _fmt_tables():
+    """Tables of _fmt_exact, built on first use by numpy arithmetic: the
+    4-digit groups as uint32, the same with the first three bytes 0, 0 and
+    ".", each group's last nonzero digit (-100 for 0000), the exponent words,
+    the masks, and an empty cache of 10^n as double-doubles (see _pow10)."""
+    group = np.arange(10000)
+    digits = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    nonzero = digits != 48
+    last = np.where(nonzero.any(1), 3 - np.argmax(nonzero[:, ::-1], 1), -100)
+    pointed = digits.copy()
+    pointed[:, :3] = [0, 0, 46]
+    k = np.arange(-400, 401)
+    exponent = np.zeros((k.size, 8), np.uint8)
+    exponent[:, 0] = 101
+    exponent[:, 1] = np.where(k < 0, 45, 43)
+    exponent[:, 2] = np.where(abs(k) >= 100, abs(k) // 100 + 48, 0)
+    exponent[:, 3] = abs(k) // 10 % 10 + 48
+    exponent[:, 4] = abs(k) % 10 + 48
+    # form f is fixed notation at k = f - 4 (f < 21) or the exponent form
+    # (f = 21); it has p digits before the point (0 for k < 0)
+    f = np.arange(22)[:, None, None, None]
+    last_digit = np.arange(17)[:, None, None]
+    negative = np.arange(2)[:, None] == 1
+    fixed, small = f < 21, f < 4
+    p = np.where(fixed, np.maximum(f - 3, 0), 1)
+    i = np.arange(17)
+    keep = np.zeros((22, 17, 2, _WIDTH), bool)
+    keep[..., :1] = negative
+    keep[..., 1:3] = small
+    keep[..., 3:6] = small & (np.arange(3) < 3 - f)
+    keep[..., 11:28] = i < p
+    keep[..., 30:31] = (p >= 1) & (last_digit >= p)
+    keep[..., 31:48] = (i >= p) & (i <= last_digit)
+    keep[..., 48:53] = ~fixed
+    keep[..., 53] = True
+    fallback = np.zeros((1, _WIDTH), bool)
+    fallback[0, [6, 7, 53]] = True
+    masks = np.concatenate([keep.reshape(-1, _WIDTH), fallback]) * np.uint8(255)
+    return (digits.view("<u4").ravel(), pointed.view("<u4").ravel(), last,
+            exponent.view("<u8").ravel(), masks.view("<u8"), np.full((3, 600), np.nan))
+
+
+def _pow10(n):
+    """(hh, hl, lo): 10^n exactly as the double-double hi + lo, with hi
+    split by Dekker into hh + hl."""
+    num, den = (10**n, 1) if n >= 0 else (1, 10**-n)
+    hi = num / den  # int / int rounds correctly
+    a, b = hi.as_integer_ratio()
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hh, hi - hh, (num * b - a * den) / (den * b)
+
+
+def _fmt_exact(x, ncols) -> str:
+    """The 1-D float array x, ncols values a row, as ((",".join(["%.17g"] *
+    ncols) + "\\n") * rows) % tuple(x) gives it, formatted as whole arrays.
+
+    From k = floor(log10|x|), D = round(|x| 10^(16 - k)) is the 17-digit
+    integer of %.17g: |x| times 10^(16 - k) held as a double-double, by
+    Dekker's error-free product, is exact to about 1e-13. A carry to 10^17
+    moves k up by one. Values within 1e-6 of a rounding tie (which %.17g
+    breaks half-even on the exact binary value), outside [10^16, 10^17)
+    after a wrong k, and +-0, inf, nan and |x| outside [1e-280, 1e280] are
+    left to _fmt one at a time and spliced into the text."""
+    dig32, pointed32, last_in, exp64, masks, pow10 = _fmt_tables()
+    ax = np.abs(x)
+    ok = (ax >= 1e-280) & (ax <= 1e280)
+    ax[~ok] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    n = 316 - k  # column of 10^(16 - k) in pow10
+    hh = pow10[0].take(n)
+    if np.isnan(hh).any():
+        for col in set(n[np.isnan(hh)].tolist()):
+            pow10[:, col] = _pow10(col - 300)
+        hh = pow10[0].take(n)
+    hl, lo = pow10[1].take(n), pow10[2].take(n)
+    c = _SPLIT * ax
+    xh = c - (c - ax)
+    xl = ax - xh
+    hi = ax * (hh + hl)
+    err = ((xh * hh - hi) + xh * hl + xl * hh) + xl * hl + ax * lo
+    r = np.rint(err)
+    D = hi.astype(np.int64) + r.astype(np.int64)
+    below = (hi < 1e16) | ((hi == 1e16) & (err < 0))
+    left = ~ok | below | (D > 10**17) | (np.abs(np.abs(err - r) - 0.5) < 1e-6)
+    carry = D == 10**17
+    D[carry] = 10**16
+    k += carry
+    D[left] = 10**16
+    g0, rest = np.divmod(D, 10**16)
+    g1, rest = np.divmod(rest, 10**12)
+    g2, rest = np.divmod(rest, 10**8)
+    g3, g4 = np.divmod(rest, 10**4)
+    last = last_in.take(g4) + 13  # index of the last nonzero digit of D
+    for offset, g in ((9, g3), (5, g2), (1, g1), (-3, g0)):
+        np.maximum(last, last_in.take(g) + offset, out=last)
+    form = np.where((k >= -4) & (k < 17), k + 4, 21)
+    key = (form * 17 + last) * 2 + (x < 0)
+    key[left] = len(masks) - 1
+    out = np.empty((len(x), _WIDTH), np.uint8)
+    words, longs = out.view("<u4"), out.view("<u8")
+    longs[:, 0] = np.frombuffer(_LEAD, "<u8")[0]
+    for col, g in enumerate((g0, g1, g2, g3, g4), 2):
+        words[:, col] = dig32.take(g)
+    words[:, 7] = pointed32.take(g0)
+    words[:, 8:12] = words[:, 3:7]
+    longs[:, 6] = exp64.take(k + 400)
+    out[:, 53] = 44
+    out[ncols - 1 :: ncols, 53] = 10
+    longs &= masks.take(key, axis=0)
+    text = out.tobytes().translate(None, b"\0").decode("ascii")
+    if left.any():
+        parts = text.split("%s")
+        values = [_fmt(v) for v in x[left].tolist()] + [""]
+        text = "".join([s for pair in zip(parts, values) for s in pair])
+    return text
 
 
 def _parse_range(text: str, key: str, scale: float = 1.0) -> np.ndarray:
@@ -175,8 +320,8 @@ def cmd_levels(args, s: float, out: Path):
 
     def blocks():
         # spectra and text per block of rows, so memory is bounded at any count
-        for start in range(0, len(grid), _LEVELS_BLOCK):
-            part = grid[start : start + _LEVELS_BLOCK]
+        for start in range(0, len(grid), _ROW_BLOCK):
+            part = grid[start : start + _ROW_BLOCK]
             e = dressed_spectrum(params, part).energies
             yield np.column_stack([part, e, _gap(e)]) / s
 

@@ -64,6 +64,22 @@ def per_value_csv(path, header, rows):
 SPECIAL = [-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324, -5e-324, 0.1, 1.0 / 3.0]
 
 
+def _edge_values():
+    """Values where an exact %.17g is easiest to get wrong, and their negatives."""
+    values = [0.0, math.inf, math.nan, 5e-324, sys.float_info.max,
+              1e14 + 0.125,  # an exact tie, broken half-even
+              123456789012345.25,  # exactly 17 digits
+              1e-5, 1e-4, 1e16, 1e17,  # where %g switches between notations
+              99999999999999999.0]  # parses as 1e17
+    for k in range(-30, 31):
+        p = float(f"1e{k}")
+        values += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
+    return values + [-v for v in values]
+
+
+EDGES = _edge_values()
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize(
         "rows",
@@ -72,14 +88,41 @@ class TestWriteCsv:
             np.random.default_rng(7).standard_normal((40, 3)) * 1e-7,
             [[1, np.int64(2), np.float64(2.5)], [True, 0.0, -1e-310]],
             [],
+            # 210000 random 64-bit patterns: five row blocks of the vector writer
+            np.random.default_rng(8).integers(0, 2**64, (70000, 3), np.uint64).view(float),
+            # every edge value in each column, on the vector writer
+            np.array(EDGES * 3).reshape(-1, 3),
         ],
-        ids=["special", "array", "mixed", "empty"],
+        ids=["special", "array", "mixed", "empty", "bits", "edges"],
     )
     def test_bytes_match_per_value_writer(self, tmp_path, rows):
         header = ["a", "b", "c"]
         per_value_csv(tmp_path / "ref.csv", header, rows)
         _write_csv(tmp_path / "out.csv", header, rows)
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_edge_values_alone(self, tmp_path):
+        # one value is a table for the % template
+        out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+        for value in EDGES:
+            per_value_csv(ref, ["x"], [[value]])
+            _write_csv(out, ["x"], [[value]])
+            assert out.read_bytes() == ref.read_bytes(), value
+
+    def test_few_values_left_to_per_value_fallback(self, tmp_path, monkeypatch):
+        # ordinary values are formatted as whole arrays, and specials and
+        # rounding ties one at a time, so a table formatted by the % template
+        # alone fails here
+        left, fmt = [], cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda value: left.append(value) or fmt(value))
+        rows = np.random.default_rng(10).uniform(-0.3, 1.7, (25000, 4))
+        planted = [math.nan, -0.0, math.inf, 1e14 + 0.125, -(1e14 + 0.375)]
+        rows[[3, 7000, 9000, 12345, 24999], [0, 2, 1, 3, 3]] = planted
+        per_value_csv(tmp_path / "ref.csv", list("abcd"), rows)
+        _write_csv(tmp_path / "out.csv", list("abcd"), rows)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert {repr(v) for v in left} >= {repr(v) for v in planted}
+        assert len(left) <= len(planted) + 5
 
 
 class TestLevels:
@@ -239,6 +282,25 @@ class TestProbeSpectrum:
         peaks_header, peaks = read_csv(tmp_path / "spec_peaks.csv")
         assert peaks_header == ["position", "height", "width"]
         assert peaks
+
+    def test_large_spectrum_in_bounded_memory(self, tmp_path):
+        # 2^20 nu points: the whole table as one tuple and one string peaked
+        # at 231.6 MB, written in row blocks at 139.3 MB (VmHWM, read as in
+        # TestLevels.test_large_table_in_bounded_memory)
+        script = (
+            "from lambda_crossing.cli import main\n"
+            "assert main(['probe-spectrum', '--omega1', '0.2', '--omega2', '0.5',\n"
+            "             '--delta1', '1.0', '--omega-p', '1e-5', '--duration', '100',\n"
+            "             '--nu-range=-1:1:1048576', '--output', 'spec.csv']) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) / 1024 <= 185.0
+        assert len((tmp_path / "spec.csv").read_text().splitlines()) == 1048577
 
     def test_nu_range_sets_grid(self, tmp_path):
         out = tmp_path / "spec.csv"
