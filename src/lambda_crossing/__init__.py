@@ -12,8 +12,6 @@ from .effective import (
     ImplicitModel,
     adiabatic_limit,
     effective_energies,
-    effective_matrix,
-    effective_states,
     eliminate,
     level_shift,
     mixing_angle,
@@ -42,7 +40,6 @@ from .hamiltonian import (
     CharacterScan,
     DressedSpectrum,
     RamanParams,
-    bare_levels,
     build_hamiltonian,
     diagonalize,
     character_swap_point,

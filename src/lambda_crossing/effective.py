@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PoleError, SingularEliminationError
 from .hamiltonian import RamanParams
 
@@ -20,17 +18,16 @@ VALIDITY_RATIO = 0.5
 
 @dataclass(frozen=True)
 class EffectiveModel:
-    """Effective two-level model: coupling, detuning, energy offset, mixing angle.
+    """Effective two-level model: coupling, detuning, mixing angle.
 
     theta in (0, pi) satisfies tan(theta) = -omega_eff / delta_eff and is
-    pi/2 exactly at delta_eff = 0. offset_c is zero for the plain
-    (symmetrized) elimination; the resolvent construction supplies an
-    energy-dependent offset instead.
+    pi/2 exactly at delta_eff = 0. The model is the symmetrized
+    elimination, with no energy offset; level_shift gives the resolvent's
+    energy-dependent one.
     """
 
     omega_eff: float
     delta_eff: float
-    offset_c: float
     theta: float
     validity_warning: bool = False
 
@@ -99,7 +96,6 @@ def eliminate(params: RamanParams) -> EffectiveModel:
     return EffectiveModel(
         omega_eff=shift.r13,
         delta_eff=shift.delta_eff_of_e,
-        offset_c=0.0,
         theta=mixing_angle(shift.r13, shift.delta_eff_of_e),
         validity_warning=ratio > VALIDITY_RATIO,
     )
@@ -109,32 +105,3 @@ def effective_energies(model: EffectiveModel):
     """Eigenenergies (eps_minus, eps_plus) = -/+ sqrt(delta_eff^2 + omega_eff^2)."""
     eps = math.hypot(model.delta_eff, model.omega_eff)
     return -eps, eps
-
-
-def effective_states(model: EffectiveModel):
-    """Orthonormal eigenvectors of the symmetrized two-level Hamiltonian.
-
-    Returned in the (|1>, |3>) basis as (state_minus, state_plus) with
-    |eps_plus> = (sin(theta/2), cos(theta/2)) and
-    |eps_minus> = (cos(theta/2), -sin(theta/2)).
-    """
-    half = 0.5 * model.theta
-    plus = np.array([math.sin(half), math.cos(half)])
-    minus = np.array([math.cos(half), -math.sin(half)])
-    return minus, plus
-
-
-def effective_matrix(model: EffectiveModel) -> np.ndarray:
-    """Symmetrized 2x2 matrix [[delta_eff, omega_eff], [omega_eff, -delta_eff]].
-
-    The diagonal sign follows the mixing-angle convention above: with
-    theta = atan2(omega_eff, -delta_eff), the +eps eigenvector is
-    (sin(theta/2), cos(theta/2)), which tends to the second basis state
-    as theta -> 0 (delta_eff < 0 dominant).
-    """
-    return np.array(
-        [
-            [model.delta_eff, model.omega_eff],
-            [model.omega_eff, -model.delta_eff],
-        ]
-    )

@@ -73,11 +73,6 @@ def build_hamiltonian(params: RamanParams, delta1=None) -> np.ndarray:
     return m
 
 
-def bare_levels(params: RamanParams) -> np.ndarray:
-    """Uncoupled (drive-off) level energies in bare-basis order: (0, -d1, d2-d1)."""
-    return np.array([0.0, -params.delta1, params.delta2 - params.delta1])
-
-
 def _check_finite(name: str, value) -> None:
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} must be finite")

@@ -30,7 +30,17 @@ RABI_RATIO_PASS = 0.1
 
 _NO_PEAK = "no probe peak found at negative nu"
 
-# Cap on the nu points _nu_grids builds in one call, all rows together: 32 MiB
+# Points of the default nu grid per peak width 2 pi / duration.
+_POINTS_PER_WIDTH = 12
+
+# Half-width, in peak widths, of the window around -gap on which
+# probed_structural_resonance first evaluates each delta1.
+_REACH = 3
+
+# Relative allowance for rounding in the bounds that let a row keep its window.
+_ROUNDING = 1e-9
+
+# Cap on the points of the default nu grids of one call, all rows together: 32 MiB
 # of floats, about a hundred times the largest grid of the perfbench workloads.
 _MAX_NU_POINTS = 1 << 22
 
@@ -84,7 +94,9 @@ class Peak:
 
 @dataclass(frozen=True)
 class ProbeSpectrum:
-    """Transition probability versus nu, with extracted peaks."""
+    """Transition probability versus nu, with its two lines: peaks holds at
+    most two Peaks, the highest maximum on each side of nu = 0 (by refined
+    position, the negative side first), each with its half-maximum width."""
 
     nu_grid: np.ndarray
     probabilities: np.ndarray
@@ -107,12 +119,12 @@ def _sinc_half(x, t):
     return 0.5 * t * np.sinc(np.asarray(x) * t / (2.0 * math.pi))
 
 
-def _closed_form(spectrum: DressedSpectrum, omega_p: float, nu, t: float):
-    """First-order probability at nu for one spectrum, or for a stack of N
-    spectra against (N, M) rows of nu. Squares are products, so a row of a
-    stack and the same spectrum alone agree to the last bit."""
-    alpha = alpha_elements(spectrum)
-    a13, a31, gap = alpha.alpha13, alpha.alpha31, _gap(spectrum.energies)
+def _closed_form(alpha: AlphaElements, gap, omega_p: float, nu, t: float):
+    """First-order probability at nu for the overlaps alpha and splitting gap
+    of one spectrum, or of N spectra (arrays of N) against (N, M) rows of nu.
+    Squares are products, so a row of a stack and the same spectrum alone
+    agree to the last bit."""
+    a13, a31 = alpha.alpha13, alpha.alpha31
     if np.ndim(gap):
         a13, a31, gap = a13[:, None], a31[:, None], gap[:, None]
     f_plus = _sinc_half(gap + np.asarray(nu), t)
@@ -130,7 +142,10 @@ def probe_transition_probability(params: RamanParams, probe: ProbeParams) -> flo
     singularities at nu = +/- gap are evaluated through their finite
     sinc limits.
     """
-    return float(_closed_form(dressed_spectrum(params), probe.omega_p, probe.nu, probe.duration))
+    spec = dressed_spectrum(params)
+    p = _closed_form(alpha_elements(spec), _gap(spec.energies), probe.omega_p, probe.nu,
+                     probe.duration)
+    return float(p)
 
 
 def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int) -> float:
@@ -285,31 +300,59 @@ def _refined_maxima(nu, p):
     return at, np.where(finite, pos, nu[at])
 
 
+def _highest(p, at, positions, side):
+    """Per row of p (along its last axis), the highest of the maxima at, at
+    refined positions (from _refined_maxima), that the mask side keeps, the
+    first on a tie. Returns (column, position): the maximum's column, -1
+    where a row keeps none, and its refined position."""
+    at = tuple(k[side] for k in at)
+    # One spare column past the last point keeps argmax defined for M = 0.
+    height = np.full((*p.shape[:-1], p.shape[-1] + 1), -math.inf)
+    height[at] = p[at]
+    position = np.zeros(height.shape)
+    position[at] = positions[side]
+    best = np.argmax(height, axis=-1)[..., None]
+    found = np.take_along_axis(height, best, axis=-1)[..., 0] > -math.inf
+    return np.where(found, best[..., 0], -1), np.take_along_axis(position, best, axis=-1)[..., 0]
+
+
 def _extract_peaks(nu, p):
-    """Local maxima (see _refined_maxima) with their heights and an FWHM
-    estimate, for the peak list of one spectrum."""
-    (maxima,), positions = _refined_maxima(nu, p)
-    nu, p = nu.tolist(), p.tolist()
-    last = len(nu) - 1
+    """The two lines of one spectrum: on each side of nu = 0 by refined
+    position (below 0, then 0 and above), the highest maximum (_highest),
+    with its height and full width at half maximum, the span between the
+    nearest samples on either side at or below half its height (or the
+    grid end where there is none)."""
+    at, positions = _refined_maxima(nu, p)
     peaks = []
-    for i, position in zip(maxima.tolist(), positions.tolist()):
-        half = 0.5 * p[i]
-        lo = i
-        while lo > 0 and p[lo] > half:
-            lo -= 1
-        hi = i
-        while hi < last and p[hi] > half:
-            hi += 1
-        peaks.append(Peak(position=position, height=p[i], width=nu[hi] - nu[lo]))
+    for side in (positions < 0.0, positions >= 0.0):
+        column, position = _highest(p, at, positions, side)
+        i = int(column)
+        if i < 0:
+            continue
+        low = ~(p > 0.5 * p[i])
+        left, right = np.flatnonzero(low[:i]), np.flatnonzero(low[i:])
+        lo = left[-1] if left.size else 0
+        hi = i + right[0] if right.size else p.size - 1
+        peaks.append(Peak(position=float(position), height=float(p[i]),
+                          width=float(nu[hi] - nu[lo])))
     return tuple(peaks)
 
 
 def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid) -> ProbeSpectrum:
-    """Evaluate the probe transition probability over a nu grid and extract peaks.
+    """Evaluate the probe transition probability over a nu grid and extract
+    its two lines.
 
     The grid must be finite and strictly ascending, span at least
     [-1.5 gap, 1.5 gap] and have a spacing no coarser than a tenth of the
     2 pi / duration peak width.
+
+    peaks holds at most two Peaks, the line at negative nu first: on each
+    side of nu = 0, by refined position, the highest local maximum (the
+    first on a tie), which at negative nu is the one measured_splitting
+    reads. The sinc^2 side lobes are not listed. Where the lines merge
+    (gap below about 2 pi / duration) the merged hump is the peak on the
+    side of its refined position, and the other side reports its own
+    highest maximum, a side lobe, or nothing.
     """
     _check_probe(omega_p, duration)
     nu = np.asarray(nu_grid, dtype=float)
@@ -327,7 +370,7 @@ def probe_spectrum(params: RamanParams, omega_p: float, duration: float, nu_grid
         raise GridError(
             f"nu grid spacing {spacing:g} too coarse to resolve 2 pi / t wide peaks"
         )
-    p = _closed_form(spec, omega_p, nu, duration)
+    p = _closed_form(alpha_elements(spec), gap, omega_p, nu, duration)
     return ProbeSpectrum(nu, p, _extract_peaks(nu, p), bool(np.any(p > PERTURBATIVE_CEILING)))
 
 
@@ -355,17 +398,9 @@ def measured_splitting(spectrum: ProbeSpectrum):
     padding, returns an array of N splittings, NaN where a row has none.
     """
     p = np.asarray(spectrum.probabilities)
-    at, pos = _refined_maxima(np.asarray(spectrum.nu_grid), p)
-    negative = pos < 0.0
-    at = tuple(k[negative] for k in at)
-    # One spare column past the last point keeps argmax defined for M = 0.
-    height = np.full((*p.shape[:-1], p.shape[-1] + 1), -math.inf)
-    height[at] = p[at]
-    position = np.zeros(height.shape)
-    position[at] = pos[negative]
-    best = np.argmax(height, axis=-1)[..., None]
-    found = np.take_along_axis(height, best, axis=-1)[..., 0] > -math.inf
-    split = np.where(found, np.abs(np.take_along_axis(position, best, axis=-1)[..., 0]), math.nan)
+    at, positions = _refined_maxima(np.asarray(spectrum.nu_grid), p)
+    column, position = _highest(p, at, positions, positions < 0.0)
+    split = np.where(column >= 0, np.abs(position), math.nan)
     if split.ndim:
         return split
     if math.isnan(split):
@@ -376,17 +411,16 @@ def measured_splitting(spectrum: ProbeSpectrum):
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
     """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12."""
     _check_probe(0.0, duration)
-    return _nu_grids(_gap(dressed_spectrum(params).energies), duration)[0]
+    span, n = _nu_rows(_gap(dressed_spectrum(params).energies), duration)
+    return _nu_grids(span, n, 0.0, n)[0]
 
 
-def _nu_grids(gaps, duration: float) -> np.ndarray:
-    """The default nu grid of each gap, one row each and NaN past the row's
-    own length: np.linspace(-span, span, n) in one broadcast, with its
-    arithmetic (k * step + start, the last point set to the span). Raises
-    GridError, before anything is allocated, when the rows would hold more
-    than _MAX_NU_POINTS points in all."""
+def _nu_rows(gaps, duration: float):
+    """(span, n): the half-span 1.6 gap and the point count of each gap's
+    default nu grid, as (N, 1) columns. Raises GridError when the full rows
+    would hold more than _MAX_NU_POINTS points in all."""
     span = 1.6 * np.reshape(gaps, (-1, 1))
-    spacing = (2.0 * math.pi / duration) / 12.0
+    spacing = (2.0 * math.pi / duration) / _POINTS_PER_WIDTH
     n = np.maximum(np.ceil(2.0 * span / spacing) + 1.0, 5.0)
     points = n.size * float(n.max())
     if not points <= _MAX_NU_POINTS:
@@ -394,9 +428,54 @@ def _nu_grids(gaps, duration: float) -> np.ndarray:
             f"duration = {duration:g} needs {points:.3g} nu points, over the cap of "
             f"{_MAX_NU_POINTS}"
         )
-    k = np.arange(int(n.max()), dtype=float)
+    return span, n
+
+
+def _nu_grids(span, n, lo, hi) -> np.ndarray:
+    """Points lo <= k < hi of each row's default nu grid
+    np.linspace(-span, span, n), one row each and NaN past the row's own
+    hi - lo points. The arithmetic is linspace's (k * step + start, the last
+    point set to the span), so a point is the same float in every range."""
+    k = lo + np.arange(int(np.max(hi - lo)), dtype=float)
     nu = k * (2.0 * span / (n - 1.0)) - span
-    return np.where(k < n - 1.0, nu, np.where(k == n - 1.0, span, math.nan))
+    return np.where(k < hi, np.where(k < n - 1.0, nu, span), math.nan)
+
+
+def _window_splittings(alpha: AlphaElements, gap, span, n, omega_p: float, duration: float):
+    """Splittings read off each row's default nu grid near -gap alone, and
+    the mask of rows whose full grid provably gives the same splitting and
+    no probability above PERTURBATIVE_CEILING.
+
+    A row's window is the 2 _REACH _POINTS_PER_WIDTH + 1 points of its grid
+    nearest -gap (index 3 (n - 1) / 16), at most _REACH peak widths
+    2 pi / duration from it. With P = omega_p^2 |a31 f+ + a13 f- e^(i nu t)|^2
+    and |f+-| <= min(t / 2, 1 / |gap +- nu|), a row is kept when:
+    - omega_p^2 (|a31| + |a13|)^2 t^2 / 4, a bound on P at every nu, is at
+      most the ceiling;
+    - the window lies at nu < 0 and is not cut by the grid's start; and
+    - its highest sample exceeds omega_p^2 (|a31| / d + 2 |a13| / gap)^2, a
+      bound on P at nu < gap / 2 at least d from -gap, with d the distance
+      of the window's end points. No maximum outside the window's interior
+      can then win, and the interior maxima, their neighbours and positions
+      are the full grid's, to the last bit.
+    Each bound carries a relative margin _ROUNDING for rounding.
+    """
+    half = _REACH * _POINTS_PER_WIDTH
+    centre = np.round(0.1875 * (n - 1.0))
+    lo, hi = np.maximum(centre - half, 0.0), np.minimum(centre + half + 1.0, n)
+    nu = _nu_grids(span, n, lo, hi)
+    p = _closed_form(alpha, gap, omega_p, nu, duration)
+    splittings = measured_splitting(ProbeSpectrum(nu, p, (), False))
+    a13, a31 = np.abs(alpha.alpha13), np.abs(alpha.alpha31)
+    first, last = nu[:, 0], nu[np.arange(gap.size), (hi - lo - 1.0).astype(int)[:, 0]]
+    d = np.minimum(-(gap + first), gap + last)
+    cap = omega_p * (a13 + a31) * (0.5 * duration)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = omega_p * (a31 / d + 2.0 * a13 / gap)
+    margin = 1.0 + _ROUNDING
+    keep = (lo[:, 0] > 0.0) & (last < 0.0) & (d > 0.0) & ~np.isnan(splittings)
+    keep &= cap * cap * margin <= PERTURBATIVE_CEILING
+    return splittings, keep & (far * far * margin < np.nanmax(p, axis=1))
 
 
 @dataclass(frozen=True)
@@ -411,13 +490,17 @@ def probed_structural_resonance(
 ) -> ProbedResonance:
     """Structural resonance as the probe protocol would measure it.
 
-    For each delta1 on the grid, sweep nu, extract the negative-nu peak
-    and record the measured splitting; the resonance is the parabolic
-    refinement of the grid minimum. The spectra are one (N, M) array, each
-    row on its own default nu grid padded with NaN, and measured_splitting
-    reads all N splittings from it at once. The probe prefactor omega_p^2
-    scales the whole spectrum and cannot move the extremum, but a probe
-    strong enough to set any spectrum's perturbative_flag raises
+    For each delta1 on the grid, sweep nu over its default_nu_grid, extract
+    the negative-nu peak and record the measured splitting; the resonance
+    is the parabolic refinement of the grid minimum. Only the line near
+    -gap is evaluated where bounds prove that the full grid gives the same
+    result (_window_splittings): 2 _REACH peak widths per row, one (N, 73)
+    array. Every other row is evaluated on its full grid, in one NaN-padded
+    array, so the splittings, and every error, equal a full-grid
+    evaluation's bit for bit. Both arrays use one alpha_elements call, and
+    measured_splitting reads each array at once. The probe prefactor
+    omega_p^2 scales the whole spectrum and cannot move the extremum, but a
+    probe strong enough to set any spectrum's perturbative_flag raises
     ValueError, and so does a grid of fewer than 3 points or one that is
     not strictly monotone (ascending or descending). At the first delta1
     whose spectrum is too strong or has no negative-nu peak, the
@@ -428,15 +511,24 @@ def probed_structural_resonance(
     if grid.size < 3:
         raise ValueError(f"delta1_grid must have at least 3 points, got {grid.size}")
     spectra = dressed_spectrum(params, _monotone_grid(grid))
-    nu = _nu_grids(_gap(spectra.energies), duration)
-    p = _closed_form(spectra, omega_p, nu, duration)
-    strong = np.any(p > PERTURBATIVE_CEILING, axis=1)
-    splittings = measured_splitting(ProbeSpectrum(nu, p, (), bool(strong.any())))
+    gap = _gap(spectra.energies)
+    span, n = _nu_rows(gap, duration)
+    alpha = alpha_elements(spectra)
+    splittings, kept = _window_splittings(alpha, gap, span, n, omega_p, duration)
+    strong = np.zeros(grid.size, dtype=bool)
+    redo = np.flatnonzero(~kept)
+    if redo.size:
+        nu = _nu_grids(span[redo], n[redo], 0.0, n[redo])
+        rows = AlphaElements(alpha.alpha13[redo], alpha.alpha31[redo])
+        p = _closed_form(rows, gap[redo], omega_p, nu, duration)
+        strong[redo] = np.any(p > PERTURBATIVE_CEILING, axis=1)
+        splittings[redo] = measured_splitting(ProbeSpectrum(nu, p, (), bool(strong.any())))
     bad = strong | np.isnan(splittings)
     if bad.any():
         i = int(np.argmax(bad))
         if strong[i]:
-            raise _strong_probe(omega_p, p[i][~np.isnan(nu[i])], f" at delta1 = {grid[i]:g}")
+            row = int(np.searchsorted(redo, i))
+            raise _strong_probe(omega_p, p[row][~np.isnan(nu[row])], f" at delta1 = {grid[i]:g}")
         raise ExtractionError(f"delta1 = {grid[i]:g}: {_NO_PEAK}")
     i = int(np.argmin(splittings))
     if i == 0 or i == grid.size - 1:

@@ -14,6 +14,7 @@ import pytest
 
 from lambda_crossing import RB87, RamanParams, cli, dressed_spectrum, resonance
 from lambda_crossing import resonance_report, scattering_rate, scenario_report
+from lambda_crossing import default_nu_grid, probe_spectrum
 from lambda_crossing.cli import COMMANDS, OUTDIR_ENV, _write_csv, build_parser, main
 
 
@@ -281,7 +282,11 @@ class TestProbeSpectrum:
         assert len(rows) > 100
         peaks_header, peaks = read_csv(tmp_path / "spec_peaks.csv")
         assert peaks_header == ["position", "height", "width"]
-        assert peaks
+        # the sidecar holds the spectrum's two lines, the one at -gap first
+        params, duration = RamanParams(0.2, 0.5, 1.0, 1.0), 125 * 2 * math.pi
+        spectrum = probe_spectrum(params, 1e-4, duration, default_nu_grid(params, duration))
+        assert peaks == [[pk.position, pk.height, pk.width] for pk in spectrum.peaks]
+        assert len(peaks) == 2 and peaks[0][0] < 0.0 < peaks[1][0]
 
     def test_large_spectrum_in_bounded_memory(self, tmp_path):
         # 2^20 nu points: the whole table as one tuple and one string peaked

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lambda_crossing import (
     CharacterScan,
     RamanParams,
-    bare_levels,
     build_hamiltonian,
     character_swap_point,
     diagonalize,
@@ -92,17 +91,6 @@ class TestBuildHamiltonian:
         values = {"omega1": 0.2, "omega2": 0.5, "delta1": 1.0, "delta2": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RamanParams(**values)
-
-
-class TestBareLevels:
-    def test_on_crossing(self):
-        np.testing.assert_array_equal(bare_levels(RamanParams(0.0, 0.0, 1.0, 1.0)), [0.0, -1.0, 0.0])
-
-    def test_other_crossing(self):
-        np.testing.assert_array_equal(bare_levels(RamanParams(0.0, 0.0, 0.0, 1.0)), [0.0, 0.0, 1.0])
-
-    def test_substitution(self):
-        np.testing.assert_array_equal(bare_levels(RamanParams(0.0, 0.0, 2.0, 1.0)), [0.0, -2.0, -1.0])
 
 
 class TestDiagonalize:

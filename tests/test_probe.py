@@ -390,8 +390,10 @@ class TestProbeSpectrum:
 
 
 def loop_extract_peaks(nu, p):
-    """Reference peak extraction: scan every interior point."""
-    peaks = []
+    """Reference two-line rule: scan every interior point for maxima, keep
+    the highest on each side of nu = 0 by refined position (the first on a
+    tie), negative side first, and walk out to its half-maximum points."""
+    best = {True: None, False: None}
     logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -math.inf)
     for i in range(1, len(nu) - 1):
         if p[i] > p[i - 1] and p[i] >= p[i + 1] and p[i] > 0.0:
@@ -402,14 +404,22 @@ def loop_extract_peaks(nu, p):
                 pos = min(max(pos, nu[i - 1]), nu[i + 1])
             else:
                 pos = nu[i]
-            half = 0.5 * p[i]
-            lo = i
-            while lo > 0 and p[lo] > half:
-                lo -= 1
-            hi = i
-            while hi < len(nu) - 1 and p[hi] > half:
-                hi += 1
-            peaks.append(Peak(position=float(pos), height=float(p[i]), width=float(nu[hi] - nu[lo])))
+            side = bool(pos < 0.0)
+            if best[side] is None or p[i] > p[best[side][0]]:
+                best[side] = (i, pos)
+    peaks = []
+    for found in (best[True], best[False]):
+        if found is None:
+            continue
+        i, pos = found
+        half = 0.5 * p[i]
+        lo = i
+        while lo > 0 and p[lo] > half:
+            lo -= 1
+        hi = i
+        while hi < len(nu) - 1 and p[hi] > half:
+            hi += 1
+        peaks.append(Peak(position=float(pos), height=float(p[i]), width=float(nu[hi] - nu[lo])))
     return tuple(peaks)
 
 
@@ -431,6 +441,18 @@ class TestMeasuredSplitting:
     def test_extract_peaks_matches_loop(self, fixture):
         nu, p = fixture.nu_grid, fixture.probabilities
         assert _extract_peaks(nu, p) == loop_extract_peaks(nu, p)
+
+    def test_two_lines_not_side_lobes(self):
+        # 10^4 points over many sinc^2 lobes: the weak line at -gap is lower
+        # than the strong line's side lobes, yet each side reports its line
+        params, t = RamanParams(0.2, 0.5, 1.0, 1.0), 2000.0
+        spectrum = probe_spectrum(params, 1e-5, t, np.linspace(-1.0, 1.0, 10**4))
+        gap, width = gap32(params), 2.0 * math.pi / t
+        neg, pos = spectrum.peaks
+        assert abs(neg.position + gap) <= width and abs(pos.position - gap) <= width
+        assert neg.position == -measured_splitting(spectrum)
+        lobes = spectrum.probabilities[np.abs(spectrum.nu_grid - gap) > 2.0 * width]
+        assert lobes.max() > min(neg.height, pos.height)
 
     def test_synthetic_single_peak(self):
         # analytic sinc^2 peak at nu0: the extractor must recover nu0
@@ -625,6 +647,55 @@ class TestProbedResonance:
         expected = outcome(lambda: loop_probed_splittings(REF, grid, 2e-3, T_REF))
         assert expected[0] is ValueError and f"delta1 = {grid[3]:g}:" in expected[1]
         assert outcome(lambda: probed_structural_resonance(REF, grid, 2e-3, T_REF)) == expected
+
+    def test_window_holds_the_line_alone(self, monkeypatch):
+        # a workload-like scan: one closed-form pass of 24 _REACH + 1 points
+        # per row around -gap, against rows of about 880 points
+        star, t = structural_exact(REF), 4.0 * T_REF
+        grid = np.linspace(star - 0.01, star + 0.01, 21)
+        shapes = []
+        original = probe._closed_form
+
+        def spy(alpha, gap, omega_p, nu, t):
+            shapes.append(np.shape(nu))
+            return original(alpha, gap, omega_p, nu, t)
+
+        monkeypatch.setattr(probe, "_closed_form", spy)
+        result = probed_structural_resonance(REF, grid, 1e-5, t)
+        assert shapes == [(grid.size, 24 * probe._REACH + 1)]
+        assert default_nu_grid(REF.with_delta1(star), t).size > 12 * shapes[0][1]
+        monkeypatch.undo()
+        assert (result.splittings == loop_probed_splittings(REF, grid, 1e-5, t)).all()
+
+    @pytest.mark.parametrize(
+        "grid, omega_p, window_is_wrong",
+        [
+            # far above the crossing the line at -gap is weak, and the highest
+            # negative-nu maximum is a side lobe of the +gap line near nu = 0,
+            # which the window around -gap does not hold
+            (np.linspace(1.55, 1.6, 3), 1e-5, True),
+            # balanced lines, and a probe whose bound omega_p^2 (|a31| +
+            # |a13|)^2 t^2 / 4 exceeds PERTURBATIVE_CEILING though no sample does
+            (np.linspace(1.04, 1.06, 11), 2.2e-3, False),
+        ],
+        ids=["unbalanced", "cap-over-ceiling"],
+    )
+    def test_fallback_rows_match_full_grid(self, monkeypatch, grid, omega_p, window_is_wrong):
+        windows = []
+        original = probe._window_splittings
+
+        def spy(*args):
+            splittings, keep = original(*args)
+            windows.append((splittings.copy(), keep))
+            return splittings, keep
+
+        monkeypatch.setattr(probe, "_window_splittings", spy)
+        got = probed_structural_resonance(REF, grid, omega_p, T_REF).splittings
+        window, keep = windows[0]
+        assert not keep.any()
+        expected = loop_probed_splittings(REF, grid, omega_p, T_REF)
+        assert (got == expected).all()
+        assert (window != expected).any() == window_is_wrong
 
     def test_close_to_probeless_resonance(self):
         star = structural_exact(REF)
