@@ -44,12 +44,12 @@ _ROUNDING = 1e-9
 # of floats, about a hundred times the largest grid of the perfbench workloads.
 _MAX_NU_POINTS = 1 << 22
 
-# Steps per block of the oracle (a power of two): one block of steps is one
-# Laurent polynomial in z with exponents -4 _BLOCK..4 _BLOCK.
-_BLOCK = 8
+# Steps per block of the oracle: one block of steps is one Laurent polynomial
+# in z with exponents -4 _BLOCK..4 _BLOCK, of which only -K..K are kept.
+_BLOCK = 16
 
-# Maps per chunk of the oracle's pairwise product (a power of two), so blocks
-# in a run of blocks; bounds its (8 _BLOCK + 1, chunk) temporaries.
+# Maps per chunk of the oracle's pairwise product, so blocks in a run of
+# blocks; bounds its (2 K + 1, chunk) temporaries.
 _CHUNK = 1024
 
 
@@ -154,20 +154,28 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
 
     Fixed-step classical 4th-order Runge-Kutta from |eps2>, returning
     |<eps3|psi(t)>|^2. Requires a positive integer number of steps, at
-    least 50 per period of the fastest frequency in the problem.
+    least 50 per period of the fastest frequency in the problem, the probe's
+    Rabi frequency included.
 
     Each RK4 step is the linear map psi -> (I + E(z_n)) psi built from the
     stage matrices at t_n, t_n + dt/2 and t_n + dt, where z_n = exp(i nu t_n)
     on the nodes t_n = n dt and E is a Laurent polynomial in z. A block of
-    _BLOCK steps is then one Laurent polynomial too, found once per call;
-    the block maps, and the steps past the last whole block, are multiplied
-    pairwise, chunk by chunk, rather than applied in a step loop.
+    _BLOCK steps is then one Laurent polynomial I + F(z) too, with exponents
+    -4 _BLOCK..4 _BLOCK, found once per call. Only its exponents -K..K are
+    kept: Cauchy's estimate bounds every entry's sum of |C_k| over |k| > K by
+    T_K (see _tail_bounds), which bounds both what truncation drops and what
+    the (2 K + 1)-point sampling aliases onto the kept coefficients, and K is
+    the smallest whose T_K lies below the rounding the samples of F already
+    carry, eps _BLOCK max|C| over the coefficients C of E. A zero probe gives
+    K = 0; where no K < 4 _BLOCK meets the bound, K = 4 _BLOCK keeps all of
+    F. The block maps, and the steps past the last whole block, are
+    multiplied pairwise, chunk by chunk, rather than applied in a step loop.
     """
     _check_count("steps", steps)
     steps = int(steps)
     spec = dressed_spectrum(params)
     fastest = max(_gap(spec.energies), abs(probe.nu), params.omega1, params.omega2,
-                  abs(params.delta1))
+                  abs(params.delta1), probe.omega_p)
     # a float, since duration * fastest may overflow to inf
     need = 50.0 * probe.duration * fastest / (2.0 * math.pi)
     if steps < need:
@@ -175,28 +183,63 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
             f"steps={steps} under-resolves the fastest frequency; need >= {np.ceil(need):.3g}"
         )
     dt = probe.duration / steps
-    step = _rk4_step_coefficients(build_hamiltonian(params), 0.5 * probe.omega_p, probe.nu, dt)
+    h0 = build_hamiltonian(params)
+    half_p = 0.5 * probe.omega_p
+    step = _rk4_step_coefficients(h0, half_p, probe.nu, dt)
+    half = _half_width(step, _tail_bounds(np.abs(h0).sum(axis=1).max(), half_p, dt))
     phase = probe.nu * dt
     blocks, rest = divmod(steps, _BLOCK)
     psi = spec.states[:, 1].astype(complex)
-    psi = _advance(psi, _block_coefficients(step, phase), phase, 0, _BLOCK, blocks)
+    psi = _advance(psi, _block_coefficients(step, phase, half), phase, 0, _BLOCK, blocks)
     psi = _advance(psi, step, phase, blocks * _BLOCK, 1, rest)
     return float(abs(spec.states[:, 2] @ psi) ** 2)
 
 
-def _block_coefficients(step: np.ndarray, phase: float) -> np.ndarray:
-    """(9, 8 _BLOCK + 1) coefficients of F, exponents -4 _BLOCK..4 _BLOCK, with
+def _tail_bounds(h0_norm: float, half_p: float, dt: float) -> np.ndarray:
+    """T_K for K = 0..4 _BLOCK: a bound on the sum of |C_k| over |k| > K, for
+    every entry of the coefficients C_k of a block map F, with the probe
+    coupling half_p, step dt and h0_norm the infinity norm of h0.
+
+    On |z| = rho >= 1, and on |z| = 1/rho, every RK4 stage matrix -iH has
+    infinity norm at most a = h0_norm + half_p rho, so |E| <= expm1(dt a)
+    and |F| <= M = expm1(_BLOCK dt a). Cauchy's estimate gives
+    |C_k| <= M rho^-|k|, so T_K = 2 M rho^-(K+1) / (1 - 1/rho), here at the
+    rho that minimises it with exp for expm1, a root of
+    x rho^2 - (x + K + 1) rho + K = 0 with x = _BLOCK dt half_p. Without a
+    probe F has no exponent but 0, and every T_K is 0.
+    """
+    k = np.arange(4 * _BLOCK + 1.0)
+    x = _BLOCK * dt * half_p
+    s = x + k + 1.0
+    x_rho = 0.5 * (s + np.sqrt(s * s - 4.0 * x * k))
+    inv_rho = x / x_rho
+    return 2.0 * np.expm1(_BLOCK * dt * h0_norm + x_rho) * inv_rho ** (k + 1.0) / (1.0 - inv_rho)
+
+
+def _half_width(step: np.ndarray, tails: np.ndarray) -> int:
+    """The smallest K whose tail bound T_K lies below eps _BLOCK max|C| over
+    the coefficients step of E, the rounding the samples of a block map carry;
+    4 _BLOCK, which keeps every exponent, if none does."""
+    kept = np.flatnonzero(tails <= np.finfo(float).eps * _BLOCK * np.abs(step).max())
+    return int(kept[0]) if kept.size else 4 * _BLOCK
+
+
+def _block_coefficients(step: np.ndarray, phase: float, half: int) -> np.ndarray:
+    """(9, 2 half + 1) coefficients of F, exponents -half..half, with
     I + F(z) = (I + E(w^(_BLOCK-1) z)) ... (I + E(z)), w = exp(i phase), from the
     (9, 9) coefficients step of E.
 
-    F is sampled at the (8 _BLOCK + 1)-th roots of unity r_m: every E(w^j r_m)
+    F is sampled at the (2 half + 1)-th roots of unity r_m: every E(w^j r_m)
     comes from one matrix product, the maps of a block are multiplied pairwise,
-    and one FFT turns the samples into coefficients.
+    and one FFT turns the samples into coefficients. Each kept coefficient is
+    off by the aliased sum of those with |k| > half, and the dropped ones sum
+    to at most T_half of _tail_bounds too. The oracle takes the smallest half
+    whose T_half lies below the rounding of the samples, or half = 4 _BLOCK,
+    which keeps and aliases nothing, where none does.
     """
-    n = 8 * _BLOCK + 1
+    n = 2 * half + 1
     angle = 2.0 * math.pi / n * np.arange(n) + phase * np.arange(_BLOCK)[:, None]
-    z = np.exp(1j * angle.ravel())
-    e = (step @ _powers(z, 4, z.size)).reshape(3, 3, _BLOCK, n)
+    e = (step @ _powers(np.exp(1j * angle.ravel()), 4)).reshape(3, 3, _BLOCK, n)
     # The FFT takes the samples less the first one, so that it rounds only
     # their small spread in z and not the large z-free part of F.
     f = _pairwise_product(e)
@@ -213,25 +256,19 @@ def _advance(psi: np.ndarray, coeffs: np.ndarray, phase: float, first: int, stri
     with exponents -K..K; the maps are multiplied pairwise, chunk by chunk."""
     half = coeffs.shape[1] // 2
     for start in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - start)
-        z = np.exp(1j * phase * (first + stride * np.arange(start, start + n)))
-        # Columns past n are zero, padding the chunk to a power of two with
-        # maps F = 0 that multiply as the identity.
-        zk = _powers(z, half, 1 << (n - 1).bit_length())
-        psi = psi + _pairwise_product((coeffs @ zk).reshape(3, 3, -1)) @ psi
+        z = np.exp(1j * phase * (first + stride * np.arange(start, min(start + _CHUNK, count))))
+        psi = psi + _pairwise_product((coeffs @ _powers(z, half)).reshape(3, 3, -1)) @ psi
     return psi
 
 
-def _powers(z: np.ndarray, half: int, width: int) -> np.ndarray:
-    """(2 half + 1, width) array whose row k + half holds z^k, k = -half..half,
-    for z on the unit circle; the columns past z.size are zero."""
-    n = z.size
-    zk = np.empty((2 * half + 1, width), dtype=complex)
-    zk[:, n:] = 0.0
-    zk[half, :n] = 1.0
+def _powers(z: np.ndarray, half: int) -> np.ndarray:
+    """(2 half + 1, z.size) array whose row k + half holds z^k, k = -half..half,
+    for z on the unit circle."""
+    zk = np.empty((2 * half + 1, z.size), dtype=complex)
+    zk[half] = 1.0
     for k in range(half + 1, 2 * half + 1):
-        np.multiply(zk[k - 1, :n], z, out=zk[k, :n])
-    np.conjugate(zk[half + 1:], out=zk[half - 1::-1])
+        np.multiply(zk[k - 1], z, out=zk[k])
+    np.conjugate(zk[half + 1:], out=zk[:half][::-1])
     return zk
 
 
@@ -271,11 +308,13 @@ def _mul(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _pairwise_product(e: np.ndarray) -> np.ndarray:
     """E with I + E = (I + e[:, :, n-1]) ... (I + e[:, :, 0]) for a (3, 3, n, ...)
-    stack, n a power of two, multiplied pairwise as
-    (I + B)(I + A) = I + (A + B + BA) to keep the small E apart from I."""
+    stack, multiplied pairwise as (I + B)(I + A) = I + (A + B + BA) to keep the
+    small E apart from I; an odd last map joins the next level as its last."""
     while e.shape[2] > 1:
-        a, b = e[:, :, 0::2], e[:, :, 1::2]
-        e = a + b + _mul(b, a)
+        n = e.shape[2]
+        a, b = e[:, :, 0:n - 1:2], e[:, :, 1::2]
+        pairs = a + b + _mul(b, a)
+        e = np.concatenate((pairs, e[:, :, n - 1:]), axis=2) if n % 2 else pairs
     return e[:, :, 0]
 
 

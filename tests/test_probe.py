@@ -237,7 +237,47 @@ UNDER_RESOLVED = [
      r"steps=10 under-resolves the fastest frequency; need >= inf$"),
     (RamanParams(0.2, 0.3, 1.0, 1.0), ProbeParams(1e-4, 1e150, 1e150), 10,
      r"steps=10 under-resolves the fastest frequency; need >= 7.96e\+300$"),
+    # the probe's own Rabi frequency is the fastest
+    (RamanParams(0.2, 0.3, 1.0, 1.0), ProbeParams(1e3, 0.05, 20.0), 2000,
+     r"steps=2000 under-resolves the fastest frequency; need >= 1.59e\+05$"),
 ]
+
+
+def workload_drives(seed, count):
+    """Seeded drives like the benchmark's oracle tasks: couplings log-uniform
+    on 1e-3..0.6, delta1 near the structural locus, 3000-20000 steps at 50-90 %
+    of the resolution limit, nu = -+gap and omega_p = 0.02 / duration."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        o1, o2 = 1e-3 * 600.0 ** rng.random(2)
+        d1 = structural_exact(RamanParams(o1, o2, 1.0, 1.0)) + rng.uniform(-1.0, 1.0) * o1 * o2
+        params = RamanParams(o1, o2, d1, 1.0)
+        gap = gap32(params)
+        steps = int(3000 * (20 / 3) ** rng.random())
+        duration = rng.uniform(0.5, 0.9) * steps * 2 * math.pi / (50 * max(gap, o1, o2, abs(d1)))
+        yield params, ProbeParams(0.02 / duration, rng.choice([-1.0, 1.0]) * gap, duration), steps
+
+
+def block_inputs(params, drive, steps):
+    """The step coefficients, step phase and tail bounds of an oracle run."""
+    dt = drive.duration / steps
+    h0 = build_hamiltonian(params)
+    half_p = 0.5 * drive.omega_p
+    step = probe._rk4_step_coefficients(h0, half_p, drive.nu, dt)
+    return step, drive.nu * dt, probe._tail_bounds(np.abs(h0).sum(axis=1).max(), half_p, dt)
+
+
+def kept_widths(monkeypatch):
+    """Record the half-width of every _block_coefficients call."""
+    widths = []
+    block_coefficients = probe._block_coefficients
+
+    def recorded(step, phase, half):
+        widths.append(half)
+        return block_coefficients(step, phase, half)
+
+    monkeypatch.setattr(probe, "_block_coefficients", recorded)
+    return widths
 
 
 class TestTimeDomainOracle:
@@ -252,15 +292,22 @@ class TestTimeDomainOracle:
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), _CHUNK - 1),
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), np.int64(_CHUNK)),
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0), _CHUNK + 1),
-            # one step; one step short of, exactly, and one step past a block;
-            # one step short of and three steps past a chunk of blocks
+            # one step; runs shorter than a block; an odd count of blocks
+            # and the longest rest, and a power of two of blocks and 3 steps
             (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 0.15), 1),
-            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.0), _BLOCK - 1),
-            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.2), _BLOCK),
-            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.4), _BLOCK + 1),
-            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1000.0),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.0), 7),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.2), 8),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1.4), 9),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1000.0), 8191),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1000.0), 8195),
+            # one step short of, exactly, and one step past a block; one step
+            # short of and three steps past a chunk of blocks
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 2.0), _BLOCK - 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 2.2), _BLOCK),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 2.4), _BLOCK + 1),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 2000.0),
              _CHUNK * _BLOCK - 1),
-            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 1000.0),
+            (RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 2000.0),
              _CHUNK * _BLOCK + 3),
         ],
     )
@@ -310,7 +357,8 @@ class TestTimeDomainOracle:
             )
 
     def test_products_per_block_not_per_step(self, monkeypatch):
-        # the einsum products of a run scale with its blocks, not its steps
+        # the einsum products of a run scale with its blocks, not its steps,
+        # and no chunk of blocks is padded
         sizes = []
         pairwise = probe._pairwise_product
 
@@ -321,7 +369,81 @@ class TestTimeDomainOracle:
         monkeypatch.setattr(probe, "_pairwise_product", counted)
         steps = 20000
         probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF), steps)
-        assert sum(sizes) <= 2 * steps / _BLOCK + 2 * _BLOCK
+        assert sum(sizes) <= steps / _BLOCK + 2 * _BLOCK
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 12, 101])
+    def test_pairwise_product_of_any_count(self, count):
+        # an odd last map is carried up a level, in order
+        rng = np.random.default_rng(count)
+        shape = (3, 3, count, 2)
+        e = 0.05 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        eye = np.eye(3)[:, :, None]
+        product = np.broadcast_to(eye, (3, 3, 2)).astype(complex)
+        for n in range(count):
+            product = np.einsum("ims,mjs->ijs", eye + e[:, :, n], product)
+        assert np.abs(probe._pairwise_product(e) - (product - eye)).max() <= 1e-14
+
+    def test_truncated_coefficients_within_tail_bound(self):
+        # every kept coefficient is off by at most T_K, and the dropped ones
+        # sum to at most T_K, against the full 8 _BLOCK + 1 point sampling,
+        # to within the rounding fl that both samplings carry
+        full_width = 4 * _BLOCK
+        for params, drive, steps in workload_drives(1, 20):
+            step, phase, tails = block_inputs(params, drive, steps)
+            chosen = probe._half_width(step, tails)
+            assert chosen < full_width
+            full = probe._block_coefficients(step, phase, full_width)
+            fl = np.finfo(float).eps * _BLOCK * np.abs(step).max()
+            for half in range(chosen + 1):
+                kept = full[:, full_width - half:full_width + half + 1]
+                cut = probe._block_coefficients(step, phase, half)
+                dropped = np.abs(full).sum(axis=1) - np.abs(kept).sum(axis=1)
+                assert np.abs(cut - kept).max() <= tails[half] + 4 * fl
+                assert dropped.max() <= tails[half] + full.shape[1] * fl / 4
+            # the bound at the chosen width lies below the rounding
+            assert tails[chosen] <= fl < tails[chosen - 1]
+
+    def test_zero_probe_keeps_only_exponent_zero(self, monkeypatch):
+        widths = kept_widths(monkeypatch)
+        probe_time_domain_oracle(REF, ProbeParams(0.0, 0.05, 20.0), 2000)
+        assert widths == [0]
+        _, _, tails = block_inputs(REF, ProbeParams(0.0, 0.05, 20.0), 2000)
+        assert not tails.any()
+
+    def test_strong_probe_keeps_every_exponent(self):
+        # a step past the resolution guard (omega_p dt = 4): no K < 4 _BLOCK
+        # meets the bound, and the full sampling is the block product itself
+        h0 = build_hamiltonian(REF)
+        half_p, nu, dt = 20.0, 0.1, 0.1
+        step = probe._rk4_step_coefficients(h0, half_p, nu, dt)
+        tails = probe._tail_bounds(np.abs(h0).sum(axis=1).max(), half_p, dt)
+        half = probe._half_width(step, tails)
+        assert half == 4 * _BLOCK
+        coeffs = probe._block_coefficients(step, nu * dt, half)
+        for z in np.exp(2j * math.pi * np.random.default_rng(5).random(4)):
+            block = np.eye(3, dtype=complex)
+            for j in range(_BLOCK):
+                e = step @ (z * np.exp(1j * nu * dt * j)) ** np.arange(-4, 5)
+                block = (np.eye(3) + e.reshape(3, 3)) @ block
+            f = (coeffs @ z ** np.arange(-half, half + 1.0)).reshape(3, 3)
+            assert np.abs(f - (block - np.eye(3))).max() <= 1e-14 * np.abs(block).max()
+
+    def test_strong_and_workload_probes_match_extended_precision_rk4(self, monkeypatch):
+        widths = kept_widths(monkeypatch)
+        workload = RamanParams(0.0037, 0.317, 1.02445, 1.0)
+        cases = [
+            # the self-convergence probe: a probability of 0.72, K above 3
+            (REF, ProbeParams(0.05, -gap32(REF), 50.0), 400, 1e-13),
+            # a benchmark-like point, omega_p = 0.02 / duration: a probability
+            # of 5.8e-6, so the float floor eps sqrt(steps / _BLOCK) over an
+            # amplitude of 2.4e-3, doubled in the probability, is 4e-12
+            (workload, ProbeParams(0.02 / 738.6, -gap32(workload), 738.6), 7660, 1e-11),
+        ]
+        for params, drive, steps, rel in cases:
+            assert probe_time_domain_oracle(params, drive, steps) == pytest.approx(
+                mp_rk4_oracle(params, drive, steps), rel=rel
+            )
+        assert 3 < widths[0] < 4 * _BLOCK and widths[1] == 3
 
     def test_breakdown_beyond_perturbative_bound(self):
         # a strong probe drives the transition out of the first-order regime
