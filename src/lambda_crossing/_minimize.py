@@ -14,23 +14,24 @@ _ROOT_RTOL = 4.0 * 2.0**-52
 
 
 def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
-    """Minimize f on [a, b] to absolute abscissa tolerance xtol.
+    """Minimize f on [a, b] to max(xtol, 4 ulp of max(|a|, |b|)) in the abscissa.
 
     Brent-style: golden-section steps, replaced by a parabolic step through
     the three best points whenever that step is well behaved. Assumes a
-    single local minimum in the bracket. Returns (x, f(x)). Deterministic.
+    single local minimum in the bracket. Returns (x, f(x)); raises
+    ConvergenceError when max_iter evaluations past the first fall short.
     """
     if not b > a:
         raise ValueError("bracket must satisfy a < b")
     x = w = v = a + _GOLD * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0
+    tol1 = max(xtol, _ROOT_RTOL * max(abs(a), abs(b)))
+    tol2 = 2.0 * tol1
     for _ in range(max_iter):
         m = 0.5 * (a + b)
-        tol1 = xtol
-        tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
-            break
+            return x, fx
         golden = True
         if abs(e) > tol1:
             # Parabola through (x, fx), (w, fw), (v, fv).
@@ -72,7 +73,7 @@ def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return x, fx
+    raise ConvergenceError(f"minimum not found to xtol = {xtol:g} within {max_iter} iterations")
 
 
 def slope_root(g, a, b, xtol, what, max_iter=100):

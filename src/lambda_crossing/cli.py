@@ -36,13 +36,11 @@ OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 # Appended to a library error under --units hz: the library sees, and its
 # messages quote, angular frequencies (some errors quote none).
 _HZ_NOTE = " (any frequency quoted is angular, 2π × Hz)"
-# Rows of a table computed and written at a time.
-_ROW_BLOCK = 2**14
+# Most values of a block of a table computed, formatted and written at once.
+_BLOCK_VALUES = 2**12
 # Blocks of fewer values keep the % template: below this the fixed cost of
 # _fmt_exact (about 40 us) outweighs its saving per value (measured crossover).
 _VECTOR_MIN = 200
-# Most values _fmt_exact formats in one pass: bounds its working set.
-_PASS_VALUES = 2**12
 
 
 class _FlagError(ValueError):
@@ -76,8 +74,8 @@ def _csv_lines(header, blocks):
     """A header line, then one line per row of each block of rows: every value
     in exactly the bytes of %.17g (as _fmt gives them), comma-separated.
 
-    A block of at least _VECTOR_MIN values goes to _fmt_exact in passes of at
-    most _PASS_VALUES values; a smaller one to one % template."""
+    A block of at least _VECTOR_MIN values goes to _fmt_exact, a smaller one
+    to one % template."""
     ncols = len(header)
     yield ",".join(header) + "\n"
     line = ",".join(["%.17g"] * ncols) + "\n"
@@ -86,15 +84,20 @@ def _csv_lines(header, blocks):
         if values.size < _VECTOR_MIN:
             yield (line * len(values)) % tuple(values.ravel().tolist())
             continue
-        for part in np.array_split(values, -(-values.size // _PASS_VALUES)):
-            yield _fmt_exact(part.ravel(), ncols)
+        yield _fmt_exact(values.ravel(), ncols)
+
+
+def _row_blocks(rows, ncols):
+    """rows in near-equal slices of at most _BLOCK_VALUES values, at least one row each."""
+    count = max(1, -(-len(rows) // max(1, _BLOCK_VALUES // ncols)))
+    edges = [len(rows) * k // count for k in range(count + 1)]
+    return (rows[a:b] for a, b in zip(edges, edges[1:]))
 
 
 def _write_csv(path: Path, header, rows):
     """Write a header line and one line per row, formatted and written in
-    blocks of _ROW_BLOCK rows, so memory is bounded at any row count."""
-    blocks = (rows[start : start + _ROW_BLOCK] for start in range(0, len(rows), _ROW_BLOCK))
-    _write_text(path, _csv_lines(header, blocks))
+    _row_blocks, so memory is bounded at any row count."""
+    _write_text(path, _csv_lines(header, _row_blocks(rows, len(header))))
 
 
 # _fmt_exact lays each value out in _WIDTH fixed byte slots, then drops the
@@ -317,15 +320,15 @@ def cmd_levels(args, s: float, out: Path):
     params = _params(args, s)
     # checked whole before out is opened; dressed_spectrum sees one block
     _finite_grid(grid)
+    header = ["delta1", "eps1", "eps2", "eps3", "gap32"]
 
     def blocks():
         # spectra and text per block of rows, so memory is bounded at any count
-        for start in range(0, len(grid), _ROW_BLOCK):
-            part = grid[start : start + _ROW_BLOCK]
+        for part in _row_blocks(grid, len(header)):
             e = dressed_spectrum(params, part).energies
             yield np.column_stack([part, e, _gap(e)]) / s
 
-    _write_text(out, _csv_lines(["delta1", "eps1", "eps2", "eps3", "gap32"], blocks()))
+    _write_text(out, _csv_lines(header, blocks()))
 
 
 def cmd_resonance(args, s: float, out: Path):
@@ -339,10 +342,8 @@ def cmd_shift_scan(args, s: float, out: Path):
     ratios = _parse_range(args.ratio_range, "ratio-range")
     d2 = _num(args, "delta2", RamanParams.delta2) * s
     tol = _num(args, "tol", res.DEFAULT_TOL)
-    rows_out, skipped = res.shift_scan(_num(args, "omega2") * s, ratios, tol=tol, delta2=d2)
-    for ratio, message in skipped:
-        print(f"shift-scan: skipped ratio {ratio:g}: {message}", file=sys.stderr)
-    rows = [[r.ratio, r.shift_exact / s, r.shift_approx / s] for r in rows_out]
+    scan = res.shift_scan(_num(args, "omega2") * s, ratios, tol=tol, delta2=d2)
+    rows = [[r.ratio, r.shift_exact / s, r.shift_approx / s] for r in scan]
     _write_csv(out, ["ratio", "shift_exact", "shift_approx"], rows)
 
 

@@ -448,9 +448,13 @@ def measured_splitting(spectrum: ProbeSpectrum):
 
 
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
-    """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12."""
+    """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12; GridError at gap 0."""
     _check_probe(0.0, duration)
-    span, n = _nu_rows(_gap(dressed_spectrum(params).energies), duration)
+    gap = _gap(dressed_spectrum(params).energies)
+    if not gap > 0.0:
+        raise GridError("the default nu grid spans +/- 1.6 gap and the splitting "
+                        "gap = eps3 - eps2 is 0: give a nu grid")
+    span, n = _nu_rows(gap, duration)
     return _nu_grids(span, n, 0.0, n)[0]
 
 

@@ -79,11 +79,12 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
     minimize_scalar, read from its module globals at call time (a benchmark
     trace and fault site, so nothing here may bind search when it is
     defined): a value-only search that resolves a flat minimum to no better
-    than about sqrt(eps). A bad tol raises ValueError; missing couplings or
-    a locus at the bracket edge raise BracketError naming the locus kind what.
+    than about sqrt(eps). A bad tol raises ValueError; a coupling that is not
+    positive or a locus at the bracket edge raises BracketError naming the
+    locus kind what.
     """
     _check_tol(tol)
-    if params.omega1 * params.omega2 <= 0:
+    if not (params.omega1 > 0 and params.omega2 > 0):
         raise BracketError(f"{what} resonance requires omega1 * omega2 > 0")
     d2 = params.delta2
     lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
@@ -283,11 +284,9 @@ class ShiftScanRow:
 
 
 def shift_scan(omega2: float, ratio_grid, tol: float = DEFAULT_TOL, delta2: float = 1.0):
-    """Dynamical shift versus coupling ratio omega1/omega2 at fixed omega2.
-
-    Returns (rows, skipped) where rows are ShiftScanRow in grid order and
-    skipped collects (ratio, diagnostic) for bracket failures. omega2 and
-    delta2 must be finite and positive.
+    """Dynamical shift versus coupling ratio omega1/omega2 at fixed omega2:
+    one ShiftScanRow per ratio, in grid order. omega2 and delta2 must be
+    finite and positive; a ratio whose shift fails raises its error.
     """
     for name, value in (("omega2", omega2), ("delta2", delta2)):
         if not (math.isfinite(value) and value > 0):
@@ -295,16 +294,11 @@ def shift_scan(omega2: float, ratio_grid, tol: float = DEFAULT_TOL, delta2: floa
     if omega2 > 0.6 * delta2:
         raise ValueError("omega2 must be <= 0.6 delta2 for a meaningful scan")
     rows = []
-    skipped = []
     for ratio in ratio_grid:
         r = float(ratio)
         if not 0.0 < r <= 1.5:
             raise ValueError(f"ratio {r:g} outside (0, 1.5]")
         params = RamanParams(omega1=r * omega2, omega2=omega2, delta1=delta2, delta2=delta2)
-        try:
-            exact, approx = dynamical_shift(params, tol)
-        except BracketError as err:
-            skipped.append((r, str(err)))
-            continue
+        exact, approx = dynamical_shift(params, tol)
         rows.append(ShiftScanRow(ratio=r, shift_exact=exact, shift_approx=approx))
-    return rows, skipped
+    return rows

@@ -89,7 +89,7 @@ class TestWriteCsv:
             np.random.default_rng(7).standard_normal((40, 3)) * 1e-7,
             [[1, np.int64(2), np.float64(2.5)], [True, 0.0, -1e-310]],
             [],
-            # 210000 random 64-bit patterns: five row blocks of the vector writer
+            # 210000 random 64-bit patterns: 52 row blocks of the vector writer
             np.random.default_rng(8).integers(0, 2**64, (70000, 3), np.uint64).view(float),
             # every edge value in each column, on the vector writer
             np.array(EDGES * 3).reshape(-1, 3),
@@ -162,7 +162,7 @@ class TestLevels:
 
     @pytest.mark.parametrize("count, units", [(2001, "dimensionless"), (40000, "hz")])
     def test_blocks_match_whole_table(self, tmp_path, count, units):
-        # 40000 rows take three blocks; the bytes are those of one table
+        # 40000 rows take 49 blocks; the bytes are those of one table
         out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
         assert main(["levels", "--omega1", "0.3", "--omega2", "0.4", "--delta2", "1.1",
                      "--delta1-range", f"0:2:{count}", "--units", units,
@@ -260,6 +260,16 @@ class TestShiftScan:
         assert header == ["ratio", "shift_exact", "shift_approx"]
         for ratio, _, approx in rows:
             assert approx == pytest.approx((ratio * 0.2) ** 2 * 0.2**2 / 4.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_coupling_product_is_a_row(self, tmp_path, capsys):
+        # omega1 * omega2 underflows to 0 at both ratios: two rows of shift 0, no stderr
+        out = tmp_path / "scan.csv"
+        argv = ["shift-scan", "--omega2", "1e-170", "--ratio-range", "1e-10:1:2"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert rows == [[1e-10, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 class TestProbeSpectrum:
@@ -679,6 +689,11 @@ class TestUnits:
              "delta1-range: range count 4194305 is over the cap of 4194304"),
             *FLAG_ERRORS,
             *OVERFLOW_ERRORS,
+            (["shift-scan", "--omega2", "1e-320", "--ratio-range", "1e-10:1:2"],
+             "structural resonance requires omega1 * omega2 > 0"),
+            (["probe-spectrum", "--omega1", "0", "--omega2", "0", "--delta1", "1",
+              "--omega-p", "1e-4", "--duration", "10"],
+             "the default nu grid spans +/- 1.6 gap and the splitting gap = eps3 - eps2 is 0"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -937,7 +952,8 @@ class TestEntryPoint:
 
 def test_main_is_the_only_exit():
     # every failure reaches main's handler: no SystemExit, and no sys.exit,
-    # outside the if __name__ == "__main__" block
+    # outside the if __name__ == "__main__" block, and no sys.stderr outside
+    # main, so a command reports nothing but through main's one error line
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     entry = [
         node for node in tree.body
@@ -950,5 +966,15 @@ def test_main_is_the_only_exit():
         and (isinstance(node, ast.Name) and node.id == "SystemExit"
              or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.exit")
     ]
-    assert len(entry) == 1
+    mains = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    ]
+    in_main = {id(node) for block in mains for node in ast.walk(block)}
+    stderr = [
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in in_main
+        and isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stderr"
+    ]
+    assert len(entry) == 1 and len(mains) == 1
     assert exits == []
+    assert stderr == []

@@ -144,6 +144,9 @@ class TestEvolve:
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             evolve(p, np.array([1.0, 1.0, 0.0]), 1.0)
+        # a normalized state of the wrong size
+        with pytest.raises(ValueError, match="state vector must have 3 components"):
+            evolve(p, np.array([1.0, 0.0]), 1.0)
 
     @pytest.mark.parametrize(
         "psi0, t, message",
@@ -178,6 +181,8 @@ class TestP13Effective:
 
     def test_t_zero(self):
         assert p13_effective(RamanParams(0.2, 0.5, 1.0, 1.0), 0.0) == 0.0
+        # zero effective Rabi frequency (no coupling, delta1 = delta2): no transfer at any t
+        assert p13_effective(RamanParams(0.0, 0.0, 1.0, 1.0), 1.0) == 0.0
 
     def test_envelope_value(self):
         p = RamanParams(0.2, 0.5, 1.0, 1.0)

@@ -407,6 +407,8 @@ class TestTrackCharacter:
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             track_character(p, np.array([1.0, 0.9, 1.1]))
+        with pytest.raises(ValueError, match="at least 2 points"):
+            track_character(p, [1.0])
 
     @pytest.mark.parametrize("level", [-1, 3, 5])
     def test_swap_point_rejects_bad_level(self, level):

@@ -1,5 +1,6 @@
-"""Tests for the bracketed slope root behind the exact resonance loci, and for
-the modular minimum behind the transfer envelope."""
+"""Tests for the bracketed slope root behind the exact resonance loci, the
+value-only minimum behind the resolvent locus, and the modular minimum behind
+the transfer envelope."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_crossing import ConvergenceError, _minimize
-from lambda_crossing._minimize import modular_minimum, slope_root
+from lambda_crossing._minimize import _ROOT_RTOL, minimize_scalar, modular_minimum, slope_root
 
 
 class TestSlopeRoot:
@@ -49,6 +50,44 @@ class TestSlopeRoot:
     def test_rejects_empty_bracket(self):
         with pytest.raises(ValueError, match="a < b"):
             slope_root(lambda x: x, 1.0, 1.0, 1e-12, "test")
+
+
+MINIMA = {
+    "v": (lambda x: abs(x - 0.45), 0.45),
+    "skew": (lambda x: max(2.0 * (0.7 - x), x - 0.7), 0.7),
+    "cosh": (lambda x: math.cosh(x - 0.6), 0.6),
+}
+
+
+class TestMinimizeScalar:
+    @pytest.mark.parametrize("name", ["v", "skew"])
+    def test_finds_minimum_to_xtol(self, name):
+        # kinked minima, which a value-only search resolves to the last ulp
+        f, xmin = MINIMA[name]
+        for xtol in (1e-6, 1e-12, 1e-300):
+            x, fx = minimize_scalar(f, 0.0, 1.0, xtol=xtol)
+            assert abs(x - xmin) <= 2.0 * max(xtol, _ROOT_RTOL)
+            assert fx == f(x)
+
+    @pytest.mark.parametrize("name", MINIMA)
+    def test_tolerance_floor_bounds_evaluations(self, name):
+        # xtol = 1e-300 stops at the floor of 4 ulp of the bracket's larger
+        # end, in the few evaluations a reachable tolerance takes, not all
+        # max_iter + 1
+        f, _ = MINIMA[name]
+        calls = []
+        x, _ = minimize_scalar(lambda x: calls.append(x) or f(x), 0.0, 1.0, xtol=1e-300)
+        assert len(calls) <= 80
+        assert x == minimize_scalar(f, 0.0, 1.0, xtol=_ROOT_RTOL)[0]
+
+    def test_out_of_iterations_raises(self):
+        with pytest.raises(ConvergenceError, match="^minimum not found to xtol = 1e-15 within 2"):
+            minimize_scalar(MINIMA["v"][0], 0.0, 1.0, xtol=1e-15, max_iter=2)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0)], ids=["empty", "reversed"])
+    def test_rejects_bad_bracket(self, a, b):
+        with pytest.raises(ValueError, match="a < b"):
+            minimize_scalar(MINIMA["v"][0], a, b)
 
 
 class TestModularMinimum:

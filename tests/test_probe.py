@@ -82,6 +82,12 @@ class TestProbeInputs:
         with pytest.raises(GridError, match=r"^duration = 1e\+15 needs 4\.15e\+14 nu points"):
             default_nu_grid(REF, 1e15)
 
+    def test_default_nu_grid_refuses_zero_splitting(self):
+        # no coupling at delta1 = delta2: eps3 = eps2, so +/- 1.6 gap is one point
+        with pytest.raises(GridError, match=r"^the default nu grid spans \+/- 1\.6 gap and the "
+                           r"splitting gap = eps3 - eps2 is 0"):
+            default_nu_grid(RamanParams(0.0, 0.0, 1.0, 1.0), 10.0)
+
     def test_probed_resonance_counts_every_row(self):
         # each row's grid alone is about a quarter of the cap; the eleven rows
         # together are over it
@@ -491,6 +497,8 @@ class TestProbeSpectrum:
     def test_grid_span_validation(self):
         with pytest.raises(GridError):
             probe_spectrum(REF, 1e-4, T_REF, np.linspace(-0.05, 0.05, 2001))
+        with pytest.raises(GridError, match="nu_grid must be a 1-D grid with at least 5 points"):
+            probe_spectrum(REF, 1e-4, T_REF, np.linspace(-1.0, 1.0, 4))
         # a descending grid that spans the peaks is refused for its order
         with pytest.raises(GridError, match="nu_grid must be finite and strictly ascending"):
             probe_spectrum(REF, 1e-4, T_REF, default_nu_grid(REF, T_REF)[::-1])

@@ -172,6 +172,12 @@ class TestLocusSearch:
         p = RamanParams(1.0, 1.0, 1e300, 1e300)
         assert abs(finder(p) - p.delta2) <= DEFAULT_TOL * p.delta2
 
+    @pytest.mark.parametrize("kind", FINDERS)
+    def test_underflowing_coupling_product_gives_delta2(self, kind):
+        # omega1 * omega2 = 1e-340 underflows to 0, yet both couplings are positive
+        p = RamanParams(1e-170, 1e-170, 1.0, 1.0)
+        assert abs(FINDERS[kind](p) - 1.0) <= DEFAULT_TOL
+
     @pytest.mark.parametrize("slope", [gap32_slope, transfer_supremum_slope],
                              ids=lambda f: f.__name__)
     @pytest.mark.parametrize("omega", [2.0 * resonance._COUPLING_CLAMP, 1e-300],
@@ -183,12 +189,20 @@ class TestLocusSearch:
         values = [slope_at(slope, p, float(d1)) for d1 in np.linspace(0.5, 1.5, 201)]
         assert all(math.isfinite(v) for v in values)
 
-    @pytest.mark.parametrize("delta2", [1e-159, 1e-110, 1e80, 1e150])
-    def test_report_is_scale_free(self, delta2):
+    @pytest.mark.parametrize(
+        "delta2, omegas",
+        [
+            *[pytest.param(d2, (0.2, 0.5), id=f"{d2:g}") for d2 in (1e-159, 1e-110, 1e80, 1e150)],
+            # Omega1 Omega2 underflows to 0 here: each coupling, not the product, is tested
+            pytest.param(1e-159, (1e-3, 1e-3), id="1e-159-omega-1e-3"),
+        ],
+    )
+    def test_report_is_scale_free(self, delta2, omegas):
         # in units of delta2 the report is that of delta2 = 1: the slopes are
         # read on the delta2 = 1 Hamiltonian, the closed forms in (alpha, beta)
-        want = resonance_report(RamanParams(0.2, 0.5, 1.0, 1.0))
-        got = resonance_report(RamanParams(0.2 * delta2, 0.5 * delta2, delta2, delta2))
+        w1, w2 = omegas
+        want = resonance_report(RamanParams(w1, w2, 1.0, 1.0))
+        got = resonance_report(RamanParams(w1 * delta2, w2 * delta2, delta2, delta2))
         for field in dataclasses.fields(want):
             scaled, one = getattr(got, field.name) / delta2, getattr(want, field.name)
             bound = {"structural_exact": DEFAULT_TOL, "dynamical_exact_full": DEFAULT_TOL,
@@ -395,8 +409,7 @@ class TestShift:
 
 class TestShiftScan:
     def test_approx_column_quadratic_in_ratio_squared(self):
-        rows, skipped = shift_scan(0.2, [0.25, 0.5, 1.0])
-        assert not skipped
+        rows = shift_scan(0.2, [0.25, 0.5, 1.0])
         for row in rows:
             assert row.shift_approx == pytest.approx(
                 (row.ratio * 0.2) ** 2 * 0.2**2 / 4.0, rel=1e-14
@@ -405,11 +418,11 @@ class TestShiftScan:
 
     def test_grid_order_preserved(self):
         grid = [0.3, 0.7, 0.2, 1.1]
-        rows, _ = shift_scan(0.1, grid)
+        rows = shift_scan(0.1, grid)
         assert [row.ratio for row in rows] == grid
 
     def test_deviation_grows_in_breakdown_regime(self):
-        rows, _ = shift_scan(0.5, [0.4, 1.0])
+        rows = shift_scan(0.5, [0.4, 1.0])
         devs = [abs(r.shift_exact - r.shift_approx) / r.shift_approx for r in rows]
         assert devs[1] > devs[0]
         assert devs[1] > 0.1
@@ -439,6 +452,17 @@ class TestShiftScan:
     def test_bad_tol_raises_not_skipped(self, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             shift_scan(0.5, [0.1, 1.0], tol=tol)
+
+    def test_underflowing_coupling_product_is_a_row(self):
+        # omega1 * omega2 underflows to 0 at every ratio: the shift is 0, not an error
+        rows = shift_scan(1e-170, [1e-10, 1.0])
+        assert [(r.ratio, r.shift_exact, r.shift_approx) for r in rows] == [
+            (1e-10, 0.0, 0.0), (1.0, 0.0, 0.0)]
+
+    def test_failing_ratio_raises(self):
+        # omega1 = 1e-10 * 1e-320 underflows to 0: no coupling, no locus, no row
+        with pytest.raises(BracketError, match="structural resonance requires"):
+            shift_scan(1e-320, [1.0, 1e-10])
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(ValueError):
