@@ -332,7 +332,7 @@ def cmd_levels(args, s: float, out: Path):
 
 
 def cmd_resonance(args, s: float, out: Path):
-    report = res.resonance_report(_params(args, s), _num(args, "tol", res.DEFAULT_TOL))
+    report = res.resonance_report(_params(args, s))
     header = [field.name for field in dataclasses.fields(report)]
     row = [getattr(report, name) / s for name in header]
     _write_csv(out, header, [row])
@@ -341,8 +341,7 @@ def cmd_resonance(args, s: float, out: Path):
 def cmd_shift_scan(args, s: float, out: Path):
     ratios = _parse_range(args.ratio_range, "ratio-range")
     d2 = _num(args, "delta2", RamanParams.delta2) * s
-    tol = _num(args, "tol", res.DEFAULT_TOL)
-    scan = res.shift_scan(_num(args, "omega2") * s, ratios, tol=tol, delta2=d2)
+    scan = res.shift_scan(_num(args, "omega2") * s, ratios, delta2=d2)
     rows = [[r.ratio, r.shift_exact / s, r.shift_approx / s] for r in scan]
     _write_csv(out, ["ratio", "shift_exact", "shift_approx"], rows)
 
@@ -431,9 +430,9 @@ COMMANDS = {
     "levels": ("dressed energies over a delta1 scan", cmd_levels,
                ("omega1", "omega2", "delta1_range"), ()),
     "resonance": ("all resonance loci and the shift", cmd_resonance,
-                  ("omega1", "omega2"), ("tol",)),
+                  ("omega1", "omega2"), ()),
     "shift-scan": ("dynamical shift vs coupling ratio", cmd_shift_scan,
-                   ("omega2", "ratio_range"), ("tol",)),
+                   ("omega2", "ratio_range"), ()),
     "probe-spectrum": ("probe transition probability vs nu", cmd_probe_spectrum,
                        ("omega1", "omega2", "delta1", "omega_p", "duration"), ("nu_range",)),
     "probe-resonance": ("structural resonance via the probe protocol", cmd_probe_resonance,

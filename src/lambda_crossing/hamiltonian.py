@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -175,8 +176,8 @@ def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
 def character_swap_point(scan: CharacterScan, level: int = 1) -> float:
     """delta1 where the given dressed level swaps its dominant bare state
     between |1> and |3> (midpoint of the bracketing grid step). level must
-    be 0, 1 or 2."""
-    if level not in (0, 1, 2):
+    be 0, 1 or 2: an int or numpy integer, not a bool."""
+    if isinstance(level, bool) or not isinstance(level, Integral) or level not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
     lab = scan.labels[:, level]
     # labels are 0..2, so a step's two labels sum to 2 only as {0, 2} or {1, 1}

@@ -16,10 +16,11 @@ from ._minimize import minimize_scalar
 from .effective import _shift_terms
 from .errors import ConvergenceError
 from .hamiltonian import RamanParams
-from .resonance import _check_count, _check_tol, _locus
+from .resonance import _check_count, _locus
 
 DEFAULT_MAX_ITER = 200
 _LEVEL_TOL = 1e-12
+_LOCUS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,8 @@ def iterate_levels(
     eigenvalues of the full 3x3 Hamiltonian (characteristic residuals are
     returned for inspection).
     """
-    _check_tol(tol)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_count("max_iter", max_iter)
     e_minus, n_minus, ok_minus = _iterate_branch(params, -1.0, tol, max_iter)
     e_plus, n_plus, ok_plus = _iterate_branch(params, +1.0, tol, max_iter)
@@ -84,15 +86,14 @@ def iterate_levels(
     return LevelIteration(e_minus, e_plus, (n_minus, n_plus), True, residuals)
 
 
-def resolvent_structural_resonance(params: RamanParams, tol: float = 1e-10) -> float:
-    """Structural locus from the iterated branch splitting E_plus - E_minus.
-
-    tol defaults to 1e-10, above resonance.DEFAULT_TOL: this value-only
-    search resolves the flat minimum to no better than about sqrt(eps), so
-    a tighter tol costs evaluations and buys no accuracy."""
+def resolvent_structural_resonance(params: RamanParams) -> float:
+    """Structural locus from the iterated branch splitting E_plus - E_minus,
+    by a value-only search to _LOCUS_TOL delta2: it resolves the flat
+    minimum to no better than about sqrt(eps), so a tighter tolerance costs
+    evaluations and buys no accuracy."""
 
     def splitting(d1: float) -> float:
         levels = iterate_levels(params.with_delta1(d1))
         return levels.e_plus - levels.e_minus
 
-    return _locus(params, splitting, minimize_scalar, "structural (resolvent)", tol)
+    return _locus(params, splitting, minimize_scalar, "structural (resolvent)", _LOCUS_TOL)

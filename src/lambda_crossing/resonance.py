@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ._minimize import slope_root
+from ._minimize import _ROOT_RTOL, slope_root
 from .errors import BracketError
 from .hamiltonian import RamanParams
 
@@ -26,11 +26,8 @@ from .hamiltonian import RamanParams
 BRACKET_LO = 0.5
 BRACKET_HI = 1.5
 _EDGE_MARGIN = 1e-4
-
-DEFAULT_TOL = 1e-13
-# Clamp on the couplings a, b of the delta2 = 1 Hamiltonian: the slopes'
-# cofactors and products of eigenvalues, about a^2, stay finite.
-_COUPLING_CLAMP = 1e150
+# Omega / delta2 from which one rounding of a coupling reaches _EDGE_MARGIN.
+_COUPLING_LIMIT = _EDGE_MARGIN / math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -46,12 +43,6 @@ class ResonanceReport:
     shift_approx: float
 
 
-def _check_tol(tol: float) -> None:
-    """The one tolerance rule of the locus searches and iterate_levels."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
 def _check_count(name: str, value) -> None:
     """The one positive-integer rule, for the probe oracle's steps and
     iterate_levels' max_iter: an int or numpy integer, not a bool."""
@@ -64,40 +55,43 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
     [lo, hi] = [BRACKET_LO, BRACKET_HI] * delta2; f is a function of delta1.
 
     structural_exact and dynamical_exact_full pass an analytic slope,
-    slope_root and a seed (x0, w): the locus's sixth-order series plus or
-    minus the bound on its remainder. The search then tries
+    slope_root, tol 0 and a seed (x0, w): the locus's sixth-order series
+    plus or minus the bound on its remainder. The search then tries
     [a, b] = [x0 - w, x0 + w] first; when slope_root returns an end of it
     with the slope pointing outward, it searches only the rest, [lo, a] or
     [b, hi]. A seed that is NaN, infinite or whose [a, b] is not strictly
     inside [lo, hi] gives the full-bracket search. Either way the result is
-    a slope_root sign change to max(tol * delta2, 4 ulp): the seed picks the
-    bracket, the slope decides the value. Over log-uniform couplings this
-    takes a mean of 3.9 slope evaluations for either locus (at most 6),
-    against 6.6 and 8.8 on the full bracket.
+    a sign change of the float slope to slope_root's floor of 4 ulp: the
+    seed picks the bracket, the slope decides the value. Over log-uniform
+    couplings this takes a mean of 4.2 slope evaluations for either locus
+    (at most 7), against 6.8 and 9.1 on the full bracket.
 
-    resolvent_structural_resonance passes its splitting, no seed and
-    minimize_scalar, read from its module globals at call time (a benchmark
-    trace and fault site, so nothing here may bind search when it is
-    defined): a value-only search that resolves a flat minimum to no better
-    than about sqrt(eps). A bad tol raises ValueError; a coupling that is not
-    positive or a locus at the bracket edge raises BracketError naming the
+    resolvent_structural_resonance passes its splitting, minimize_scalar
+    (read from its module globals at call time: a benchmark trace and fault
+    site, so nothing here may bind search when it is defined), tol 1e-10
+    and no seed. A coupling that is not positive or from _COUPLING_LIMIT
+    delta2, or a locus at the bracket edge, raises BracketError naming the
     locus kind what.
     """
-    _check_tol(tol)
-    if not (params.omega1 > 0 and params.omega2 > 0):
+    o1, o2, d2 = params.omega1, params.omega2, params.delta2
+    if not (o1 > 0 and o2 > 0):
         raise BracketError(f"{what} resonance requires omega1 * omega2 > 0")
-    d2 = params.delta2
-    lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
+    if max(o1, o2) / d2 >= _COUPLING_LIMIT:
+        raise BracketError(
+            f"{what} resonance requires max(omega1, omega2) < {_COUPLING_LIMIT:.3g} delta2, "
+            f"got omega1 = {o1:g}, omega2 = {o2:g}, delta2 = {d2:g}"
+        )
+    lo, hi, xtol = BRACKET_LO * d2, BRACKET_HI * d2, tol * d2
     x0, w = (math.nan, math.nan) if seed is None else seed
     a, b = x0 - w, x0 + w
     if lo < a < b < hi:
-        x, fx = search(f, a, b, xtol=tol * d2)
+        x, fx = search(f, a, b, xtol=xtol)
         if x == a and fx >= 0.0:
-            x, _ = search(f, lo, a, xtol=tol * d2)
+            x, _ = search(f, lo, a, xtol=xtol)
         elif x == b and fx <= 0.0:
-            x, _ = search(f, b, hi, xtol=tol * d2)
+            x, _ = search(f, b, hi, xtol=xtol)
     else:
-        x, _ = search(f, lo, hi, xtol=tol * d2)
+        x, _ = search(f, lo, hi, xtol=xtol)
     if min(x - lo, hi - x) < _EDGE_MARGIN * d2:
         raise BracketError(
             f"{what} locus {x:g} is at the edge of the search bracket [{lo:g}, {hi:g}]; "
@@ -140,14 +134,13 @@ def transfer_supremum_slope(energies, x: float, b2: float) -> float:
     return (s - g / (h * h) * (n2 + g * (n1 / w))) / h
 
 
-def _slope_locus(params: RamanParams, slope, what: str, tol: float, seed=None) -> float:
+def _slope_locus(params: RamanParams, slope, what: str, seed=None) -> float:
     """_locus from seed (None: the full bracket) as the root of
-    slope(eigvalsh, x, b^2), one 3x3 eigvalsh per step. The slope is read at
-    x = delta1 / delta2 on the delta2 = 1 Hamiltonian, its couplings a and b
-    clamped at _COUPLING_CLAMP, so it is scale-free."""
+    slope(eigvalsh, x, b^2) to slope_root's floor, one 3x3 eigvalsh per
+    step. The slope is read at x = delta1 / delta2 on the delta2 = 1
+    Hamiltonian, so it is scale-free."""
     d2 = params.delta2
-    a = min(0.5 * params.omega1 / d2, _COUPLING_CLAMP)
-    b = min(0.5 * params.omega2 / d2, _COUPLING_CLAMP)
+    a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
     m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
 
     def f(d1):
@@ -155,7 +148,7 @@ def _slope_locus(params: RamanParams, slope, what: str, tol: float, seed=None) -
         m[1, 1], m[2, 2] = -x, 1.0 - x
         return slope(np.linalg.eigvalsh(m).tolist(), x, b2)
 
-    return _locus(params, f, partial(slope_root, what=what), what, tol, seed)
+    return _locus(params, f, partial(slope_root, what=what), what, 0.0, seed)
 
 
 def _couplings(params: RamanParams):
@@ -165,29 +158,30 @@ def _couplings(params: RamanParams):
     return r1 * r1, r2 * r2
 
 
-def _seed_window(params: RamanParams, tol: float, s: float) -> float:
-    """max(0.75 tol, 10 s^4) delta2 for s = alpha + beta: the bound on either
-    seed series' remainder (tests: TestSixthOrderSeries), floored under tol so
-    one secant step from an exact seed leaves slope_root less than xtol."""
-    return max(0.75 * tol, 10.0 * s * s * s * s) * params.delta2
+def _seed_window(params: RamanParams, s: float) -> float:
+    """max(_ROOT_RTOL, 10 s^4) delta2 for s = alpha + beta: the bound on
+    either seed series' remainder (tests: TestSixthOrderSeries), floored at
+    the 4 ulp where slope_root stops, so a seeded bracket is never narrower
+    than the search's own resolution."""
+    return max(_ROOT_RTOL, 10.0 * s * s * s * s) * params.delta2
 
 
-def _structural_seed(params: RamanParams, tol: float):
+def _structural_seed(params: RamanParams):
     """(x0, w): the full model's structural series through sixth order in
     the couplings, with _seed_window's w."""
     a, b = _couplings(params)
     y = (b - a) + b * (3.0 * a - b) + b * (-3.0 * a * a - 11.0 * a * b + 2.0 * b * b)
-    return params.delta2 + params.delta2 * y, _seed_window(params, tol, a + b)
+    return params.delta2 + params.delta2 * y, _seed_window(params, a + b)
 
 
-def _dynamical_seed(params: RamanParams, tol: float):
+def _dynamical_seed(params: RamanParams):
     """(x0, w): dynamical_approx plus the full model's corrections through
     sixth order in the couplings, with _seed_window's w."""
     a, b = _couplings(params)
     diff, ab = b - a, a * b
     y = (diff - diff * diff + a * (a - b)
          + b * (3.0 * a * a - ab + 2.0 * b * b) - 4.0 * ab * math.sqrt(ab))
-    return params.delta2 + params.delta2 * y, _seed_window(params, tol, a + b)
+    return params.delta2 + params.delta2 * y, _seed_window(params, a + b)
 
 
 def _closed_form(params: RamanParams, y: float) -> float:
@@ -200,10 +194,10 @@ def _closed_form(params: RamanParams, y: float) -> float:
     return x
 
 
-def structural_exact(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
+def structural_exact(params: RamanParams) -> float:
     """delta1 minimizing the full-model splitting gap32 over the crossing
     bracket: the root of gap32_slope, seeded by the sixth-order series."""
-    return _slope_locus(params, gap32_slope, "structural", tol, _structural_seed(params, tol))
+    return _slope_locus(params, gap32_slope, "structural", _structural_seed(params))
 
 
 def structural_approx(params: RamanParams) -> float:
@@ -225,11 +219,10 @@ def dynamical_exact_effective(params: RamanParams) -> float:
     return _closed_form(params, 0.5 + 0.5 * math.sqrt(disc))
 
 
-def dynamical_exact_full(params: RamanParams, tol: float = DEFAULT_TOL) -> float:
+def dynamical_exact_full(params: RamanParams) -> float:
     """delta1 maximizing the full-model transfer supremum over the bracket:
     the root of transfer_supremum_slope, seeded by the sixth-order series."""
-    return _slope_locus(params, transfer_supremum_slope, "dynamical", tol,
-                        _dynamical_seed(params, tol))
+    return _slope_locus(params, transfer_supremum_slope, "dynamical", _dynamical_seed(params))
 
 
 def dynamical_approx(params: RamanParams) -> float:
@@ -248,23 +241,23 @@ def shift_approx(params: RamanParams) -> float:
     return _closed_form(params, 4.0 * a * b)
 
 
-def dynamical_shift(params: RamanParams, tol: float = DEFAULT_TOL):
+def dynamical_shift(params: RamanParams):
     """(shift_exact, shift_approx): structural minus dynamical locus, and
-    its lowest-order closed form. shift_exact is within
-    2 max(tol delta2, 4 ulp(delta1)) of the true difference, from the two
-    slope-root searches; the shift is Omega1^2 Omega2^2 / (8 delta2^3) at
-    lowest order, so at weak coupling tol must sit far below it. Below
-    Omega ~ 1e-3 delta2 the shift nears ulp(delta1), which then limits its
-    accuracy whatever tol is."""
-    exact = structural_exact(params, tol) - dynamical_exact_full(params, tol)
+    its lowest-order closed form. shift_exact is within 2 x 4 ulp(delta1)
+    of the difference of the float slopes' roots, each of which sits about
+    eps max(omega1, omega2, delta2) from the true locus through the
+    spectrum's rounding. The shift is Omega1^2 Omega2^2 / (8 delta2^3) at
+    lowest order, so below Omega ~ 1e-3 delta2 it nears ulp(delta1), which
+    then limits its accuracy."""
+    exact = structural_exact(params) - dynamical_exact_full(params)
     return exact, shift_approx(params)
 
 
-def resonance_report(params: RamanParams, tol: float = DEFAULT_TOL) -> ResonanceReport:
+def resonance_report(params: RamanParams) -> ResonanceReport:
     """Compute every locus and the shift in one pass; shift_exact carries
-    the bound 2 max(tol delta2, 4 ulp(delta1)) of dynamical_shift."""
-    s_exact = structural_exact(params, tol)
-    d_full = dynamical_exact_full(params, tol)
+    the bound of dynamical_shift."""
+    s_exact = structural_exact(params)
+    d_full = dynamical_exact_full(params)
     return ResonanceReport(
         structural_exact=s_exact,
         structural_approx=structural_approx(params),
@@ -283,10 +276,11 @@ class ShiftScanRow:
     shift_approx: float
 
 
-def shift_scan(omega2: float, ratio_grid, tol: float = DEFAULT_TOL, delta2: float = 1.0):
+def shift_scan(omega2: float, ratio_grid, *, delta2: float = 1.0):
     """Dynamical shift versus coupling ratio omega1/omega2 at fixed omega2:
-    one ShiftScanRow per ratio, in grid order. omega2 and delta2 must be
-    finite and positive; a ratio whose shift fails raises its error.
+    one ShiftScanRow per ratio, in grid order. omega2 and delta2 (keyword
+    only) must be finite and positive; a ratio whose shift fails raises its
+    error.
     """
     for name, value in (("omega2", omega2), ("delta2", delta2)):
         if not (math.isfinite(value) and value > 0):
@@ -299,6 +293,6 @@ def shift_scan(omega2: float, ratio_grid, tol: float = DEFAULT_TOL, delta2: floa
         if not 0.0 < r <= 1.5:
             raise ValueError(f"ratio {r:g} outside (0, 1.5]")
         params = RamanParams(omega1=r * omega2, omega2=omega2, delta1=delta2, delta2=delta2)
-        exact, approx = dynamical_shift(params, tol)
+        exact, approx = dynamical_shift(params)
         rows.append(ShiftScanRow(ratio=r, shift_exact=exact, shift_approx=approx))
     return rows

@@ -28,8 +28,8 @@ def read_csv(path):
 COMMON_FLAGS = {"--help", "--config", "--output", "--units", "--delta2"}
 SURFACE = {
     "levels": {"--omega1", "--omega2", "--delta1-range"},
-    "resonance": {"--omega1", "--omega2", "--tol"},
-    "shift-scan": {"--omega2", "--ratio-range", "--tol"},
+    "resonance": {"--omega1", "--omega2"},
+    "shift-scan": {"--omega2", "--ratio-range"},
     "probe-spectrum": {
         "--omega1", "--omega2", "--delta1", "--omega-p", "--duration", "--nu-range"
     },
@@ -498,6 +498,17 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["resonance", "--omega1", "0.2", "--omega2", "0.5"],
+                                      ["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1:3"]],
+                             ids=["resonance", "shift-scan"])
+    def test_tol_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # the loci stop at their own floor: --tol is resolvent's flag alone
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--tol", "1e-13", "--output", str(tmp_path / "x.csv")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --tol 1e-13" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("omega9 = 0.3\n")
@@ -552,7 +563,7 @@ def with_configs(argv, directory):
 
 
 # Each input error that main once left to a SystemExit, as (argv, message),
-# then couplings 1e300 times delta2 (past the slopes' clamp at 1e150), a run
+# then couplings 1e300 times delta2 (past the loci's coupling limit), a run
 # cut by a float overflow, grids that overflow (under --units hz,
 # and in the range's own steps), an --units hz error that quotes no
 # frequency, a shift whose closed form overflows and couplings whose ratio
@@ -578,8 +589,8 @@ FLAG_ERRORS = [
 ]
 OVERFLOW_ERRORS = [
     (["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e-300"],
-     "structural locus 1.5e-300 is at the edge of the search bracket [5e-301, 1.5e-300]; "
-     "parameters are outside the isolated-crossing regime"),
+     "structural resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
+     "got omega1 = 1, omega2 = 1, delta2 = 1e-300"),
     (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "1e200",
       "--delta2", "1"],
      "closed form overflows at omega1 = 1e+200, omega2 = 1e+200, delta2 = 1"),
@@ -596,8 +607,8 @@ OVERFLOW_ERRORS = [
       "--delta2", "1e6"],
      "closed form overflows at omega1 = 1e+150, omega2 = 1e+150, delta2 = 1e+06"),
     (["resonance", "--omega1", "1e200", "--omega2", "1e200", "--delta2", "1e-200"],
-     "structural locus 1.5e-200 is at the edge of the search bracket [5e-201, 1.5e-200]; "
-     "parameters are outside the isolated-crossing regime"),
+     "structural resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
+     "got omega1 = 1e+200, omega2 = 1e+200, delta2 = 1e-200"),
 ]
 
 
@@ -619,7 +630,8 @@ class TestUnits:
         [
             (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta2", "0"],
              "delta2 must be positive"),
-            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "-1"],
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
+              "--tol", "-1"],
              "tol must be positive"),
             (["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "nan:1:5"],
              "delta1-range: range bounds must be finite"),
@@ -631,7 +643,8 @@ class TestUnits:
             (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0",
               "--max-iter", "2.5"],
              "max_iter: malformed number '2.5'"),
-            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "abc"],
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
+              "--tol", "abc"],
              "tol: malformed number 'abc'"),
             (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "0"],
              "duration must be finite and positive"),
@@ -646,11 +659,14 @@ class TestUnits:
             (PROBE_SPECTRUM + ["--omega-p", "1", "--duration", "785.4"],
              "omega_p = 1 is too strong for the first-order probe: peak probability 1.08e+05 "
              "exceeds PERTURBATIVE_CEILING = 0.5"),
-            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "inf"],
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
+              "--tol", "Infinity"],
              "tol must be positive and finite, got inf"),
-            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--tol", "nan"],
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
+              "--tol", "nan"],
              "tol must be positive and finite, got nan"),
-            (["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1.5:3", "--tol", "inf"],
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
+              "--tol", "+inf"],
              "tol must be positive and finite, got inf"),
             (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
               "--tol", "inf"],
@@ -694,6 +710,17 @@ class TestUnits:
             (["probe-spectrum", "--omega1", "0", "--omega2", "0", "--delta1", "1",
               "--omega-p", "1e-4", "--duration", "10"],
              "the default nu grid spans +/- 1.6 gap and the splitting gap = eps3 - eps2 is 0"),
+            # couplings up to 5e299 delta2: the loci there would be rounding noise
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta2", "1e-300"],
+             "structural resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
+             "got omega1 = 0.2, omega2 = 0.5, delta2 = 1e-300"),
+            # the loci take no tolerance, from a flag or a config file
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--config",
+              config("tol = 1e-13\n")],
+             "config: unknown key 'tol'"),
+            (["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1.5:3", "--config",
+              config("tol = 1e-13\n")],
+             "config: unknown key 'tol'"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -716,7 +743,7 @@ class TestUnits:
         assert len(rows) == 1
         row = dict(zip(header, rows[0]))
         for locus in ("structural_exact", "dynamical_exact_full"):
-            assert abs(row[locus] - 1e300) <= resonance.DEFAULT_TOL * 1e300
+            assert abs(row[locus] - 1e300) <= 1e-13 * 1e300
         assert row["shift_exact"] == 0.0
 
     @pytest.mark.parametrize(

@@ -276,7 +276,7 @@ class TestGap32Slope:
             seen.append((energies, x, b2))
             return gap32_slope(energies, x, b2)
 
-        _slope_locus(p, slope, "structural", 1e-12, seed=None)
+        _slope_locus(p, slope, "structural", seed=None)
         assert len(seen) > 3
         a, b = 0.5 * p.omega1 / p.delta2, 0.5 * p.omega2 / p.delta2
         for energies, x, b2 in seen:
@@ -410,9 +410,10 @@ class TestTrackCharacter:
         with pytest.raises(ValueError, match="at least 2 points"):
             track_character(p, [1.0])
 
-    @pytest.mark.parametrize("level", [-1, 3, 5])
+    @pytest.mark.parametrize("level", [-1, 3, 5, True, 1.0, False])
     def test_swap_point_rejects_bad_level(self, level):
-        # -1 would silently read level 2; 5 would be numpy's IndexError
+        # -1 would silently read level 2; 5, True and 1.0 would be numpy's
+        # IndexError, and False would index as a mask: a level is an integer
         scan = track_character(RamanParams(0.2, 0.5, 1.0, 1.0), np.linspace(0.9, 1.2, 3))
         with pytest.raises(ValueError, match=f"level must be 0, 1 or 2, got {level}"):
             character_swap_point(scan, level=level)

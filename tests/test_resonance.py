@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import inspect
 import math
 from pathlib import Path
 from unittest import mock
@@ -43,9 +44,13 @@ from lambda_crossing._minimize import (
     parabolic_vertex,
     slope_root,
 )
-from lambda_crossing.resonance import DEFAULT_TOL, gap32_slope, transfer_supremum_slope
+from lambda_crossing.resonance import gap32_slope, transfer_supremum_slope
 
 RNG = np.random.default_rng(1234)
+EPS = 2.0**-52
+# An absolute locus bound, in units of delta2, where the reference is not
+# exact to the last bits (a series, a value search, a rescaled run).
+LOCUS_TOL = 1e-13
 
 
 def slope_at(slope, params, d1):
@@ -87,21 +92,19 @@ class TestStructural:
             )
 
     def test_argmin_certificate(self):
-        # a +-10 tol step at tol = 1e-10 moves gap32 by about 1e-18, below one
-        # ulp, so the value certificate runs at CERTIFICATE_TOL; at 1e-10 the
-        # locus is held to the 50-digit one and its slope must change sign
-        # across the step (about -+9.8e-10 at (0.2, 0.5))
+        # a step of 1e-9 moves gap32 by about 1e-18, below one ulp, so the
+        # value certificate steps 10 CERTIFICATE_TOL; the locus is held to the
+        # 50-digit one and its slope must change sign across +-1e-9 (about
+        # -+9.8e-10 at (0.2, 0.5))
         for o1, o2 in [(0.2, 0.5), (0.4, 0.4)]:
             p = RamanParams(o1, o2, 1.0, 1.0)
-            star = structural_exact(p, CERTIFICATE_TOL)
+            star = structural_exact(p)
             g0 = gap32(p.with_delta1(star))
             eps = 10.0 * CERTIFICATE_TOL
             assert gap32(p.with_delta1(star + eps)) >= g0
             assert gap32(p.with_delta1(star - eps)) >= g0
-            tol = 1e-10
-            star = structural_exact(p, tol)
-            assert abs(star - mp_locus(p, mp_gap, star)) <= tol * p.delta2
-            eps = 10.0 * tol
+            assert abs(star - mp_locus(p, mp_gap, star)) <= 1e-10 * p.delta2
+            eps = 1e-9
             assert slope_at(gap32_slope, p, star - eps) < 0.0 < slope_at(gap32_slope, p, star + eps)
 
     def test_approx_reference_value(self):
@@ -152,39 +155,49 @@ class TestLocusSearch:
         assert str(err.value).startswith(f"{kind} {reason}")
 
     @pytest.mark.parametrize(
-        "finder, params, message",
+        "finder, omega, kind",
         [
-            (resonance_report, RamanParams(1e200, 1e200, 1.0, 1.0),
-             "structural locus 1.5 is at the edge of the search bracket [0.5, 1.5]"),
+            (resonance_report, 1e200, "structural"),
+            (dynamical_exact_full, 1e15, "dynamical"),
+            (dynamical_exact_full, 1e12, "dynamical"),
+            (resolvent_structural_resonance, 1e12, "structural (resolvent)"),
+            (resolvent_structural_resonance, 1e200, "structural (resolvent)"),
         ],
-        ids=["omega-1e200"],
+        ids=["omega-1e200", "dynamical-1e15", "dynamical-1e12", "resolvent-1e12",
+             "resolvent-1e200"],
     )
-    def test_extreme_scale_is_bracket_error(self, finder, params, message):
-        # the couplings are clamped at 1e150 delta2, so the slopes stay finite
+    def test_extreme_scale_is_bracket_error(self, finder, omega, kind):
+        # from 4.5e11 delta2 one rounding of a coupling reaches the edge
+        # margin: the searches would return noise (dynamical 0.99994 at 1e12,
+        # 1.0625 at 1e15, against exactly delta2) or fail in the iteration
         with pytest.raises(BracketError) as err:
-            finder(params)
-        assert str(err.value).startswith(message)
+            finder(RamanParams(omega, omega, 1.0, 1.0))
+        assert str(err.value) == (
+            f"{kind} resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
+            f"got omega1 = {omega:g}, omega2 = {omega:g}, delta2 = 1"
+        )
 
     @pytest.mark.parametrize("finder", [structural_exact, dynamical_exact_full],
                              ids=lambda f: f.__name__)
     def test_vanishing_couplings_give_delta2(self, finder):
         # at Omega / delta2 = 1e-300 the levels cross at delta2 itself
         p = RamanParams(1.0, 1.0, 1e300, 1e300)
-        assert abs(finder(p) - p.delta2) <= DEFAULT_TOL * p.delta2
+        assert abs(finder(p) - p.delta2) <= LOCUS_TOL * p.delta2
 
     @pytest.mark.parametrize("kind", FINDERS)
     def test_underflowing_coupling_product_gives_delta2(self, kind):
         # omega1 * omega2 = 1e-340 underflows to 0, yet both couplings are positive
         p = RamanParams(1e-170, 1e-170, 1.0, 1.0)
-        assert abs(FINDERS[kind](p) - 1.0) <= DEFAULT_TOL
+        assert abs(FINDERS[kind](p) - 1.0) <= LOCUS_TOL
 
     @pytest.mark.parametrize("slope", [gap32_slope, transfer_supremum_slope],
                              ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("omega", [2.0 * resonance._COUPLING_CLAMP, 1e-300],
+    @pytest.mark.parametrize("omega", [resonance._COUPLING_LIMIT, 1e-300],
                              ids=["clamp", "1e-300"])
     def test_slopes_finite_at_extreme_couplings(self, slope, omega):
-        # no NaN reaches slope_root: at a = b = 1e150 the cofactors stay
-        # below the float range, at 1e-300 b^2 underflows to 0
+        # no NaN reaches slope_root: at the coupling limit the cofactors,
+        # about a^2 = 5e22, stay far inside the float range, at 1e-300 b^2
+        # underflows to 0
         p = RamanParams(omega, omega, 1.0, 1.0)
         values = [slope_at(slope, p, float(d1)) for d1 in np.linspace(0.5, 1.5, 201)]
         assert all(math.isfinite(v) for v in values)
@@ -205,8 +218,8 @@ class TestLocusSearch:
         got = resonance_report(RamanParams(w1 * delta2, w2 * delta2, delta2, delta2))
         for field in dataclasses.fields(want):
             scaled, one = getattr(got, field.name) / delta2, getattr(want, field.name)
-            bound = {"structural_exact": DEFAULT_TOL, "dynamical_exact_full": DEFAULT_TOL,
-                     "shift_exact": 2.0 * DEFAULT_TOL}.get(field.name, 64.0 * math.ulp(one))
+            bound = {"structural_exact": LOCUS_TOL, "dynamical_exact_full": LOCUS_TOL,
+                     "shift_exact": 2.0 * LOCUS_TOL}.get(field.name, 64.0 * math.ulp(one))
             assert abs(scaled - one) <= bound, field.name
 
     @pytest.mark.parametrize(
@@ -273,15 +286,23 @@ class TestLocusSearch:
         assert from_minimize == {"modular_minimum"}
         assert "_minimize" not in imported
 
-    @pytest.mark.parametrize(
-        "entry",
-        [structural_exact, dynamical_exact_full, resolvent_structural_resonance, iterate_levels],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("entry", [iterate_levels], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_tol_is_value_error(self, entry, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             entry(RamanParams(0.2, 0.5, 1.0, 1.0), tol=tol)
+
+    def test_finders_take_no_tol(self):
+        # every locus stops at slope_root's floor (the resolvent's at its own
+        # constant); a tol left in a call raises, never becomes delta2
+        finders = [structural_exact, dynamical_exact_full, dynamical_shift, resonance_report,
+                   shift_scan, resolvent_structural_resonance]
+        for finder in finders:
+            assert "tol" not in inspect.signature(finder).parameters, finder.__name__
+        delta2 = inspect.signature(shift_scan).parameters["delta2"]
+        assert delta2.kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            shift_scan(0.5, [1.0], 1e-13)
 
 
 class TestDynamical:
@@ -306,18 +327,16 @@ class TestDynamical:
 
     def test_full_local_maximum_certificate(self):
         # as test_argmin_certificate: transfer_supremum spreads 2.2e-15 within
-        # 1e-9 of the locus, so the +-5 tol values are compared at
-        # CERTIFICATE_TOL; at 1e-10 the slope reads about +-2.2e-11 there
+        # 1e-9 of the locus, so its values are compared 5 CERTIFICATE_TOL
+        # apart; 5e-10 away the slope reads about +-2.2e-11
         p = RamanParams(0.2, 0.5, 1.0, 1.0)
-        star = dynamical_exact_full(p, CERTIFICATE_TOL)
+        star = dynamical_exact_full(p)
         a0 = transfer_supremum(p.with_delta1(star))
         eps = 5.0 * CERTIFICATE_TOL
         assert a0 >= transfer_supremum(p.with_delta1(star + eps))
         assert a0 >= transfer_supremum(p.with_delta1(star - eps))
-        tol = 1e-10
-        star = dynamical_exact_full(p, tol)
-        assert abs(star - mp_locus(p, mp_transfer, star)) <= tol * p.delta2
-        eps = 5.0 * tol
+        assert abs(star - mp_locus(p, mp_transfer, star)) <= 1e-10 * p.delta2
+        eps = 5e-10
         slopes = [slope_at(transfer_supremum_slope, p, star + s) for s in (-eps, eps)]
         assert slopes[0] < 0.0 < slopes[1]
 
@@ -329,13 +348,16 @@ class TestDynamical:
         # for a locus at the edge; the supremum peaks at delta2 + (b2 - a2)/D
         p = RamanParams(omega1, omega2, delta2, delta2)
         series = delta2 + (omega2**2 - omega1**2) / (4.0 * delta2)
-        assert abs(dynamical_exact_full(p) - series) <= DEFAULT_TOL * delta2
+        assert abs(dynamical_exact_full(p) - series) <= LOCUS_TOL * delta2
 
     def test_full_symmetric_is_delta2(self):
-        # symmetric couplings put the full-model transfer maximum at delta2
-        for om in (0.1, 0.3):
+        # symmetric couplings put the full-model transfer maximum at delta2;
+        # the float slope's root is within 8 eps max(Omega, delta2) of it (5.1
+        # at most over 3000 draws up to the coupling limit, delta2 in
+        # [e^-0.7, e^0.7]), the rounding of the spectrum
+        for om in (0.1, 0.3, 3.0, 1e3):
             p = RamanParams(om, om, 1.0, 1.0)
-            assert dynamical_exact_full(p) == pytest.approx(1.0, abs=1e-6)
+            assert abs(dynamical_exact_full(p) - 1.0) <= 8.0 * EPS * max(om, 1.0)
 
     def test_full_agrees_with_effective_at_weak_coupling(self):
         p = RamanParams(0.1, 0.2, 1.0, 1.0)
@@ -450,8 +472,10 @@ class TestShiftScan:
 
     @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_bad_tol_raises_not_skipped(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            shift_scan(0.5, [0.1, 1.0], tol=tol)
+        # shift_scan takes no tol, and delta2 only by keyword: a third
+        # positional argument raises instead of being read as delta2
+        with pytest.raises(TypeError):
+            shift_scan(0.5, [0.1, 1.0], tol)
 
     def test_underflowing_coupling_product_is_a_row(self):
         # omega1 * omega2 underflows to 0 at every ratio: the shift is 0, not an error
@@ -515,16 +539,16 @@ class TestExactLociReference:
     def test_both_loci_match_50_digits(self, omegas):
         p = RamanParams(*omegas, 1.0, 1.0)
         for finder, quantity in ((structural_exact, mp_gap), (dynamical_exact_full, mp_transfer)):
-            tight = finder(p, 1e-15)
-            reference = mp_locus(p, quantity, tight)
-            assert abs(tight - reference) <= 1e-14
-            assert abs(finder(p) - reference) <= DEFAULT_TOL
+            locus = finder(p)
+            reference = mp_locus(p, quantity, locus)
+            assert abs(locus - reference) <= 2.0 * math.ulp(reference)
 
     def test_scaled_delta2(self):
         p = RamanParams(0.3, 0.9, 2.0, 2.0)
         for finder, quantity in ((structural_exact, mp_gap), (dynamical_exact_full, mp_transfer)):
-            tight = finder(p, 1e-15)
-            assert abs(tight - mp_locus(p, quantity, tight)) <= 1e-14 * p.delta2
+            locus = finder(p)
+            reference = mp_locus(p, quantity, locus)
+            assert abs(locus - reference) <= 2.0 * math.ulp(reference)
 
 
 class TestWeakCouplingShift:
@@ -532,10 +556,10 @@ class TestWeakCouplingShift:
                              ids=lambda o: f"{o[0]:g}-{o[1]:g}")
     def test_default_tol_resolves_the_shift(self, omegas):
         # the shift is about omega1^2 omega2^2 / (8 delta2^3), 5e-12 to
-        # 5e-11 here, so the default tol must sit far below it
+        # 5e-11 here, so the loci must be resolved far below it
         p = RamanParams(*omegas, 1.0, 1.0)
-        reference = mp_locus(p, mp_gap, structural_exact(p, 1e-15)) - mp_locus(
-            p, mp_transfer, dynamical_exact_full(p, 1e-15)
+        reference = mp_locus(p, mp_gap, structural_exact(p)) - mp_locus(
+            p, mp_transfer, dynamical_exact_full(p)
         )
         assert dynamical_shift(p)[0] == pytest.approx(reference, rel=1e-2)
         assert resonance_report(p).shift_exact == pytest.approx(reference, rel=1e-2)
@@ -564,8 +588,8 @@ class TestSixthOrderSeries:
                 omega1**2 * omega2**2 / (8 * D**3) + abs(omega1 * omega2) ** 3 / (16 * D**5)
                 - omega1**2 * omega2**2 * (3 * omega1**2 + 5 * omega2**2) / (32 * D**5)
             )
-            s_ref = mp_locus(p, mp_gap, structural_exact(p, 1e-15))
-            d_ref = mp_locus(p, mp_transfer, dynamical_exact_full(p, 1e-15))
+            s_ref = mp_locus(p, mp_gap, structural_exact(p))
+            d_ref = mp_locus(p, mp_transfer, dynamical_exact_full(p))
             bound = 10 * (a2 + b2) ** 4 / D**7
             assert abs(structural - s_ref) <= bound
             assert abs(dynamical - d_ref) <= bound
@@ -630,7 +654,7 @@ class TestStructuralQuartic:
             except BracketError:
                 continue
             checked += 1
-            assert abs(exact - d1) <= DEFAULT_TOL * d2
+            assert abs(exact - d1) <= LOCUS_TOL * d2
             # a value-only search resolves a flat minimum to about sqrt(eps)
             assert abs(searched - d1) <= math.sqrt(np.finfo(float).eps) * d2
         assert checked >= 50
@@ -656,16 +680,14 @@ class TestExactLociProperties:
         assert s_calls.call_count <= 12 and d_calls.call_count <= 12
         # within 1e-8 delta2 of value-only Brent searches, which resolve a
         # flat extremum only to about sqrt(eps)
-        assert abs(structural - minimize_scalar(gap, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
+        assert abs(structural - minimize_scalar(gap, 0.5, 1.5, xtol=LOCUS_TOL)[0]) <= 1e-8
         neg_supremum = lambda d1: -supremum(d1)  # noqa: E731
-        assert abs(dynamical - minimize_scalar(neg_supremum, 0.5, 1.5, xtol=DEFAULT_TOL)[0]) <= 1e-8
-        # certificates at +-10 tol delta2: tol = 1e-7 makes that step move
-        # gap32 and transfer_supremum by far more than their rounding noise
+        assert abs(dynamical - minimize_scalar(neg_supremum, 0.5, 1.5, xtol=LOCUS_TOL)[0]) <= 1e-8
+        # certificates at +-10 CERTIFICATE_TOL delta2: that step moves gap32
+        # and transfer_supremum by far more than their rounding noise
         step = 10.0 * CERTIFICATE_TOL
-        s_star = structural_exact(p, CERTIFICATE_TOL)
-        assert gap(s_star - step) > gap(s_star) < gap(s_star + step)
-        d_star = dynamical_exact_full(p, CERTIFICATE_TOL)
-        assert supremum(d_star - step) < supremum(d_star) > supremum(d_star + step)
+        assert gap(structural - step) > gap(structural) < gap(structural + step)
+        assert supremum(dynamical - step) < supremum(dynamical) > supremum(dynamical + step)
 
 
 class TestLocusConvergence:
@@ -674,7 +696,7 @@ class TestLocusConvergence:
     def test_out_of_iterations_names_kind(self, monkeypatch, finder, kind):
         monkeypatch.setattr(resonance, "slope_root", functools.partial(slope_root, max_iter=1))
         with pytest.raises(ConvergenceError, match=f"^{kind} locus: slope root not found"):
-            finder(RamanParams(0.2, 0.5, 1.0, 1.0), 1e-15)
+            finder(RamanParams(0.2, 0.5, 1.0, 1.0))
 
 
 class TestFaultSites:
@@ -749,19 +771,19 @@ SLOPE_LOCI = {
 }
 
 
-def outcome(finder, params, tol):
+def outcome(finder, params):
     """finder's locus, or the text of the BracketError it raises."""
     try:
-        return finder(params, tol)
+        return finder(params)
     except BracketError as err:
         return str(err)
 
 
-def full_bracket_locus(kind, params, tol):
+def full_bracket_locus(kind, params):
     """The unseeded search: slope_root on all of [0.5, 1.5] delta2 of the
     same slope, through _locus's edge check."""
     slope = getattr(resonance, SLOPE_LOCI[kind][2])
-    return outcome(lambda p, t: resonance._slope_locus(p, slope, kind, t, seed=None), params, tol)
+    return outcome(lambda p: resonance._slope_locus(p, slope, kind, seed=None), params)
 
 
 def seeded_draws(n, seed, hi=0.6):
@@ -777,11 +799,12 @@ def seeded_draws(n, seed, hi=0.6):
         yield RamanParams(omega1, omega2, d2, d2)
 
 
-def assert_same_outcome(got, want, tol, d2):
+def assert_same_outcome(got, want):
+    # two sign changes of the same float slope, each to 4 ulp
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
     else:
-        assert abs(got - want) <= 2.0 * max(tol * d2, 4.0 * math.ulp(want))
+        assert abs(got - want) <= 2.0 * 4.0 * math.ulp(want)
 
 
 class TestSeededSearch:
@@ -794,10 +817,9 @@ class TestSeededSearch:
         finder = SLOPE_LOCI[kind][0]
         edges = 0
         for p in seeded_draws(400, 77, hi=2.0):
-            for tol in (1e-10, 1e-13, 1e-15):
-                want = full_bracket_locus(kind, p, tol)
-                assert_same_outcome(outcome(finder, p, tol), want, tol, p.delta2)
-                edges += isinstance(want, str)
+            want = full_bracket_locus(kind, p)
+            assert_same_outcome(outcome(finder, p), want)
+            edges += isinstance(want, str)
         assert edges > 0
 
     @pytest.mark.parametrize("kind", SLOPE_LOCI)
@@ -807,17 +829,17 @@ class TestSeededSearch:
         draws = list(seeded_draws(40, 78)) + [
             RamanParams(2.0, 0.1, 1.0, 1.0), RamanParams(0.1, 2.0, 1.0, 1.0),
         ]
-        want = [full_bracket_locus(kind, p, DEFAULT_TOL) for p in draws]
+        want = [full_bracket_locus(kind, p) for p in draws]
         for p, locus in zip(draws, want):
             centre = p.delta2 if isinstance(locus, str) else locus
-            seed = (centre + miss * p.delta2, DEFAULT_TOL * p.delta2)
-            monkeypatch.setattr(resonance, seed_name, lambda params, tol, seed=seed: seed)
-            assert_same_outcome(outcome(finder, p, DEFAULT_TOL), locus, DEFAULT_TOL, p.delta2)
+            seed = (centre + miss * p.delta2, LOCUS_TOL * p.delta2)
+            monkeypatch.setattr(resonance, seed_name, lambda params, seed=seed: seed)
+            assert_same_outcome(outcome(finder, p), locus)
         assert want[-2].startswith(f"{kind} locus 0.5 is at the edge")
         assert want[-1].startswith(f"{kind} locus 1.5 is at the edge")
 
     def test_mean_slope_evaluations(self):
-        # the full-bracket search took a mean of 6.61 (structural) and 8.82
+        # the full-bracket search takes a mean of 6.8 (structural) and 9.1
         # (dynamical) evaluations over such draws
         rng = np.random.default_rng(79)
         counts = {kind: [] for kind in SLOPE_LOCI}
