@@ -14,6 +14,11 @@ from numbers import Integral
 import numpy as np
 
 _AMBIG_TOL = 1e-9  # track_character's top-two squared-overlap gap for 'ambiguous'
+# _overlap_weights takes the quotient form of n0 or n2 where the direct
+# difference keeps less than this share of its subtracted b^2 or a^2
+_CANCEL = 0.5
+# the two other levels of levels 0, 1, 2
+_PREV, _NEXT = np.array([1, 0, 0]), np.array([2, 2, 1])
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,16 @@ def diagonalize(h) -> DressedSpectrum:
 
     Energies are returned ascending; eigenvector signs are fixed by making
     the largest-magnitude component positive, so overlaps are reproducible
-    across parameter scans.
+    across parameter scans. A complex, non-3x3, non-finite or asymmetric
+    matrix raises ValueError, in that order.
     """
-    m = np.asarray(h, dtype=float)
+    m = np.asarray(h)
+    if np.iscomplexobj(m):
+        raise ValueError("Hamiltonian matrix must be real")
+    m = m.astype(float)
     if m.shape != (3, 3):
         raise ValueError("Hamiltonian must be 3x3")
+    _check_finite("Hamiltonian matrix", m)
     if not np.abs(m - m.T).max() <= 1e-12 * max(np.abs(m).max(), 1e-300):
         raise ValueError("Hamiltonian matrix is not symmetric")
     return _signed_eigh(m)
@@ -154,14 +164,65 @@ class CharacterScan:
     ambiguous: np.ndarray
 
 
+def _overlap_weights(params: RamanParams, grid: np.ndarray) -> np.ndarray:
+    """Squared overlaps |<j|eps_k>|^2, shape (N, bare j, level k), at each
+    delta1 of grid, from one eigvalsh and no eigenvectors.
+
+    With c = delta2 - delta1 and a, b = omega1 / 2, omega2 / 2, the diagonal
+    of adj(e - H) at an eigenvalue e is n0 = (e + delta1)(e - c) - b^2,
+    n1 = e (e - c), n2 = e (e + delta1) - a^2, and |<j|eps_k>|^2 is
+    n_j / (n0 + n1 + n2) at e = eps_k. Everything is first scaled by the
+    power of two that puts delta2 in [1, 2), which is exact, so the products
+    see only the ratios to delta2 and no delta2 makes them underflow or
+    overflow. One Newton step on det(x - H) = x (x + delta1)(x - c)
+    - a^2 (x - c) - b^2 x, subtracted from each of e, e + delta1 and e - c,
+    leaves each accurate to its own size, however near zero. Where the
+    difference in n0 or n2 keeps less than _CANCEL of its b^2 or a^2, the
+    equal quotient a^2 (e - c) / e or b^2 e / (e - c) (det = 0 at e) replaces
+    it. A row with a non-finite weight, which a zero gap gives through the
+    Newton step, takes _signed_eigh's states ** 2 instead. The energies stay
+    here: they differ from eigh's in the last bits, and dressed_spectrum's
+    are the package's one definition.
+    """
+    m = build_hamiltonian(params, grid)
+    k = 1 - math.frexp(params.delta2)[1]
+    n = np.empty((3, grid.size, 3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.linalg.eigvalsh(np.ldexp(m, k))
+        u = e + np.ldexp(grid, k)[:, None]
+        v = e - np.ldexp(params.delta2 - grid, k)[:, None]
+        a2 = np.ldexp(0.5 * params.omega1, k) ** 2
+        b2 = np.ldexp(0.5 * params.omega2, k) ** 2
+        step = (v * (e * u - a2) - b2 * e) / ((e - e[:, _PREV]) * (e - e[:, _NEXT]))
+        e -= step
+        u -= step
+        v -= step
+        np.multiply(u, v, out=n[0])
+        n[0] -= b2
+        np.multiply(e, v, out=n[1])
+        np.multiply(e, u, out=n[2])
+        n[2] -= a2
+        np.copyto(n[0], a2 * v / e, where=np.abs(n[0]) < _CANCEL * b2)
+        np.copyto(n[2], b2 * e / v, where=np.abs(n[2]) < _CANCEL * a2)
+        n /= n[0] + n[1] + n[2]
+    weights = n.transpose(1, 0, 2)
+    if not np.isfinite(n).all():
+        bad = ~np.isfinite(weights).all(axis=(1, 2))
+        weights[bad] = _signed_eigh(m[bad]).states ** 2
+    return weights
+
+
 def _dominant(weights: np.ndarray, ambig_tol: float):
     """Dominant bare state of each level from (..., bare, level) squared
-    overlaps: the last index of their argsort (so exact ties resolve as
-    np.argsort orders them), flagged ambiguous when the runner-up is within
-    ambig_tol."""
-    order = np.argsort(weights, axis=-2)
-    ranked = np.take_along_axis(weights, order[..., -2:, :], axis=-2)
-    return order[..., -1, :], ranked[..., 1, :] - ranked[..., 0, :] <= ambig_tol
+    overlaps: the last index of the largest (so exact ties resolve as
+    np.argsort orders them), flagged ambiguous when the runner-up, the
+    median of the three, is within ambig_tol of it."""
+    w0, w1, w2 = weights[..., 0, :], weights[..., 1, :], weights[..., 2, :]
+    lo, hi = np.minimum(w0, w1), np.maximum(w0, w1)
+    top = np.maximum(hi, w2)
+    runner_up = np.maximum(lo, np.minimum(hi, w2))
+    labels = np.where(w2 == top, 2, np.where(w1 == top, 1, 0))
+    return labels, top - runner_up <= ambig_tol
 
 
 def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
@@ -169,7 +230,7 @@ def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
     grid = _monotone_grid(delta1_grid)
     if grid.size < 2:
         raise ValueError("delta1_grid must be a 1-D grid with at least 2 points")
-    labels, ambiguous = _dominant(dressed_spectrum(params, grid).states ** 2, _AMBIG_TOL)
+    labels, ambiguous = _dominant(_overlap_weights(params, grid), _AMBIG_TOL)
     return CharacterScan(delta1_grid=grid, labels=labels, ambiguous=ambiguous)
 
 

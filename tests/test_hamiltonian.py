@@ -1,7 +1,9 @@
 """Tests for the 3-level Hamiltonian, its spectrum, and character tracking."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from lambda_crossing import (
     gap32,
     track_character,
 )
-from lambda_crossing.hamiltonian import _dominant
+from lambda_crossing import hamiltonian
+from lambda_crossing.hamiltonian import _dominant, _overlap_weights
 from lambda_crossing.resonance import _slope_locus, gap32_slope
 
 RNG = np.random.default_rng(20260823)
@@ -111,6 +114,27 @@ class TestDiagonalize:
         m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
             diagonalize(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_by_name(self, bad):
+        # named before the symmetry check, which would call it asymmetric
+        m = build_hamiltonian(RamanParams(0.2, 0.5, 1.0, 1.0))
+        m[0, 2] = m[2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Hamiltonian matrix must be finite$"):
+                diagonalize(m)
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_rejects_complex(self, imag):
+        # a complex matrix is refused, not cast with its imaginary part dropped
+        m = build_hamiltonian(RamanParams(0.2, 0.5, 1.0, 1.0)).astype(complex)
+        m[0, 1] += 1j * imag
+        m[1, 0] -= 1j * imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Hamiltonian matrix must be real$"):
+                diagonalize(m)
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3, 3)])
     def test_rejects_non_3x3(self, shape):
@@ -320,6 +344,78 @@ def loop_character(weights, ambig_tol=1e-9):
             labels[i, k] = int(order[-1])
             ambiguous[i, k] = bool(w[order[-1], k] - w[order[-2], k] <= ambig_tol)
     return labels, ambiguous
+
+
+def mp_weights(p):
+    """50-digit squared overlaps (bare, level), levels ascending, from
+    mpmath.eigsy of the float inputs."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(p.omega1) / 2, mpmath.mpf(p.omega2) / 2
+        d1, d2 = mpmath.mpf(p.delta1), mpmath.mpf(p.delta2)
+        e, v = mpmath.eigsy(mpmath.matrix([[0, a, 0], [a, -d1, b], [0, b, d2 - d1]]))
+        order = sorted(range(3), key=lambda k: e[k])
+        return np.array([[float(v[j, k] ** 2) for k in order] for j in range(3)])
+
+
+class TestOverlapWeights:
+    @pytest.mark.parametrize("lo", [1e-6, 1e-12])
+    def test_against_50_digit_reference(self, lo):
+        # couplings log-uniform on [lo, 0.6] delta2, delta1 alternately within
+        # max(omega)^2 of delta2 and across [0.5, 1.5] delta2. The weights are
+        # never less exact than eigh's states ** 2 by more than one ulp of 1
+        # (measured: half an ulp; the direct n0 and n2 alone lose up to 18
+        # ulp), and within 1e-14 (measured: 4.8e-15 at worst over 1800
+        # draws); eigh's are off by up to 1.7e-6 at lo = 1e-6 and by 1.0 at
+        # lo = 1e-12.
+        rng = np.random.default_rng(32)
+        for i in range(300):
+            o1, o2 = 10.0 ** rng.uniform(math.log10(lo), math.log10(0.6), 2)
+            near = 1.0 + rng.uniform(-1.0, 1.0) * max(o1, o2) ** 2
+            d1 = near if i % 2 else rng.uniform(0.5, 1.5)
+            p = RamanParams(float(o1), float(o2), float(d1), 1.0)
+            ref = mp_weights(p)
+            err = np.abs(_overlap_weights(p, np.array([p.delta1]))[0] - ref).max()
+            eigh_err = np.abs(dressed_spectrum(p).states ** 2 - ref).max()
+            assert err <= eigh_err + 2.0**-52, (p, err, eigh_err)
+            assert err <= 1e-14, (p, err)
+
+    def test_generic_rows_read_no_eigenvectors(self, monkeypatch):
+        def refuse(matrices):
+            raise AssertionError("eigh called on a generic row")
+
+        p = RamanParams(0.2, 0.5, 1.0, 1.0)
+        grid = np.linspace(0.5, 1.5, 801)
+        ref = dressed_spectrum(p, grid).states ** 2
+        monkeypatch.setattr(hamiltonian, "_signed_eigh", refuse)
+        np.testing.assert_allclose(_overlap_weights(p, grid), ref, rtol=0.0, atol=1e-14)
+
+    def test_degenerate_rows_take_eigh(self):
+        # lasers off at delta1 = 0 and delta1 = delta2: two equal energies,
+        # a non-finite Newton step, so eigh's unit vectors; exact in between
+        p = RamanParams(0.0, 0.0, 1.0, 1.0)
+        grid = np.array([0.0, 0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(_overlap_weights(p, grid), dressed_spectrum(p, grid).states ** 2)
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5, 1.0, 2.0])
+    def test_picker_matches_argsort_on_ties(self, tol):
+        # integer weights 0..2 (and some -0.0) tie in most columns
+        rng = np.random.default_rng(41)
+        weights = rng.integers(0, 3, size=(4000, 3, 3)).astype(float)
+        weights[(weights == 0.0) & (rng.random(weights.shape) < 0.5)] = -0.0
+        labels, ambiguous = _dominant(weights, tol)
+        ref_labels, ref_ambiguous = loop_character(weights, tol)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(ambiguous, ref_ambiguous)
+
+    def test_labels_scale_free(self):
+        scans = []
+        for scale in (1e-160, 1.0, 1e160):
+            p = RamanParams(0.2 * scale, 0.5 * scale, scale, scale)
+            scans.append(track_character(p, np.linspace(0.5, 1.5, 801) * scale))
+        for scan in (scans[0], scans[2]):
+            np.testing.assert_array_equal(scan.labels, scans[1].labels)
+            np.testing.assert_array_equal(scan.ambiguous, scans[1].ambiguous)
+        assert len(np.unique(scans[1].labels[:, 1])) > 1
 
 
 def loop_swap_point(scan, level):
