@@ -10,7 +10,6 @@ from .dynamics import evolve, p13_effective, p13_full, transfer_envelope, transf
 from .effective import (
     EffectiveModel,
     ImplicitModel,
-    adiabatic_limit,
     effective_energies,
     eliminate,
     level_shift,

@@ -30,7 +30,7 @@ from . import resonance as res
 from .errors import LambdaCrossingError
 from .hamiltonian import RamanParams, _finite_grid, _gap, dressed_spectrum
 from .probe import _MAX_NU_POINTS
-from .resolvent import DEFAULT_MAX_ITER, _LEVEL_TOL, iterate_levels
+from .resolvent import iterate_levels
 
 OUTDIR_ENV = "LAMBDA_CROSSING_OUTDIR"
 # Appended to a library error under --units hz: the library sees, and its
@@ -289,13 +289,13 @@ def _require(args, *keys):
             raise _FlagError(f"missing required option {_flag(key)}")
 
 
-def _num(args, key, default=None, parse=float):
-    """The flag's value read by parse (float or int), or default if unset."""
+def _num(args, key, default=None):
+    """The flag's value as a float, or default if unset."""
     value = getattr(args, key)
     if value is None:
         return default
     try:
-        return parse(value)
+        return float(value)
     except ValueError:
         raise _FlagError(f"{key}: malformed number {value!r}") from None
 
@@ -376,11 +376,7 @@ def cmd_probe_resonance(args, s: float, out: Path):
 
 
 def cmd_resolvent(args, s: float, out: Path):
-    levels = iterate_levels(
-        _params(args, s, "delta1"),
-        tol=_num(args, "tol", _LEVEL_TOL),
-        max_iter=_num(args, "max_iter", DEFAULT_MAX_ITER, parse=int),
-    )
+    levels = iterate_levels(_params(args, s, "delta1"))
     header = ["e_minus", "e_plus", "iterations_minus", "iterations_plus"]
     row = [levels.e_minus / s, levels.e_plus / s, *levels.iterations]
     _write_csv(out, header, [row])
@@ -438,7 +434,7 @@ COMMANDS = {
     "probe-resonance": ("structural resonance via the probe protocol", cmd_probe_resonance,
                         ("omega1", "omega2", "delta1_range", "omega_p", "duration"), ()),
     "resolvent": ("iterated implicit-Hamiltonian levels", cmd_resolvent,
-                  ("omega1", "omega2", "delta1"), ("tol", "max_iter")),
+                  ("omega1", "omega2", "delta1"), ()),
     "experiment": ("alkali-atom scenario report (inputs in Hz)", cmd_experiment,
                    ("preset", "scenario", "delta2"), ("omega", "omega1", "omega2", "delta1")),
 }

@@ -39,7 +39,7 @@ def p13_effective(params: RamanParams, t: float) -> float:
     _, rabi = effective_energies(model)
     if rabi == 0.0:
         return 0.0
-    return model.omega_eff**2 / rabi**2 * math.sin(t * rabi) ** 2
+    return (model.omega_eff / rabi) ** 2 * math.sin(t * rabi) ** 2
 
 
 def _residues(params: RamanParams):

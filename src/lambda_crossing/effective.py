@@ -75,11 +75,6 @@ def level_shift(params: RamanParams, e: float) -> ImplicitModel:
     return ImplicitModel(o1sq / quarter, o2sq / quarter, r13, delta_eff, offset_c)
 
 
-def adiabatic_limit(params: RamanParams) -> ImplicitModel:
-    """Level-shift elements at E = 0: identical to plain adiabatic elimination."""
-    return level_shift(params, 0.0)
-
-
 def eliminate(params: RamanParams) -> EffectiveModel:
     """Adiabatically eliminate |2> and return the effective two-level model.
 

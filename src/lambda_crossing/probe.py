@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from ._minimize import parabolic_vertex
 from .errors import BracketError, ExtractionError, GridError
 from .hamiltonian import DressedSpectrum, RamanParams, _gap, _monotone_grid, build_hamiltonian
 from .hamiltonian import dressed_spectrum
-from .resonance import _check_count, shift_approx
+from .resonance import shift_approx
 
 # First-order probabilities above this are outside the perturbative regime.
 PERTURBATIVE_CEILING = 0.5
@@ -171,7 +172,9 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     F. The block maps, and the steps past the last whole block, are
     multiplied pairwise, chunk by chunk, rather than applied in a step loop.
     """
-    _check_count("steps", steps)
+    # an int or numpy integer, not a bool
+    if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     steps = int(steps)
     spec = dressed_spectrum(params)
     fastest = max(_gap(spec.energies), abs(probe.nu), params.omega1, params.omega2,

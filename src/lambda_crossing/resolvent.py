@@ -16,10 +16,11 @@ from ._minimize import minimize_scalar
 from .effective import _shift_terms
 from .errors import ConvergenceError
 from .hamiltonian import RamanParams
-from .resonance import _check_count, _locus
+from .resonance import _locus
 
-DEFAULT_MAX_ITER = 200
+# Each branch stops at a step of _LEVEL_TOL delta2, within _MAX_ITER steps.
 _LEVEL_TOL = 1e-12
+_MAX_ITER = 200
 _LOCUS_TOL = 1e-10
 
 
@@ -42,44 +43,47 @@ def _char_residual(params: RamanParams, e: float) -> float:
     return -e * ((-params.delta1 - e) * c - b * b) - a * a * c
 
 
-def _iterate_branch(params: RamanParams, sign: float, tol: float, max_iter: int):
+def _iterate_branch(params: RamanParams, sign: float):
     e = 0.0
     prev_step = None
-    bound = tol * params.delta2
-    for n in range(1, max_iter + 1):
-        offset_c, delta_eff, r13, _, _, _ = _shift_terms(params, e)
-        target = offset_c + sign * math.hypot(delta_eff, r13)
-        step = target - e
-        if abs(step) <= bound:
-            return target, n, True
-        # Damp when iterates oscillate without contracting.
-        if prev_step is not None and step * prev_step < 0 and abs(step) >= 0.9 * abs(prev_step):
-            e = e + 0.5 * step
-        else:
-            e = target
-        prev_step = step
-    return e, max_iter, False
+    bound = _LEVEL_TOL * params.delta2
+    try:
+        for n in range(1, _MAX_ITER + 1):
+            offset_c, delta_eff, r13, _, _, _ = _shift_terms(params, e)
+            target = offset_c + sign * math.hypot(delta_eff, r13)
+            step = target - e
+            if abs(step) <= bound:
+                return target, n, True
+            # Damp when iterates oscillate without contracting.
+            if prev_step is not None and step * prev_step < 0 and abs(step) >= 0.9 * abs(prev_step):
+                e = e + 0.5 * step
+            else:
+                e = target
+            prev_step = step
+    except ValueError:
+        # _shift_terms' one ValueError: the inf or nan an overflowing shift left in e
+        raise ValueError(
+            f"the level shift overflows at omega1 = {params.omega1:g}, omega2 = "
+            f"{params.omega2:g}, delta1 = {params.delta1:g}, delta2 = {params.delta2:g}"
+        ) from None
+    return e, _MAX_ITER, False
 
 
-def iterate_levels(
-    params: RamanParams, tol: float = _LEVEL_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> LevelIteration:
+def iterate_levels(params: RamanParams) -> LevelIteration:
     """Fixed-point iteration of both crossing-branch energies.
 
     Each branch iterates E <- C(E) + s * sqrt(delta_eff(E)^2 + r13(E)^2)
-    from E = 0. max_iter must be a positive integer; raises ConvergenceError
-    if either branch fails within max_iter. Converged energies are exact
-    eigenvalues of the full 3x3 Hamiltonian (characteristic residuals are
-    returned for inspection).
+    from E = 0 until a step is at most _LEVEL_TOL delta2. Raises
+    ConvergenceError if either branch fails within _MAX_ITER steps, and
+    ValueError where the level shift overflows. Converged energies are
+    exact eigenvalues of the full 3x3 Hamiltonian (characteristic residuals
+    are returned for inspection).
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    _check_count("max_iter", max_iter)
-    e_minus, n_minus, ok_minus = _iterate_branch(params, -1.0, tol, max_iter)
-    e_plus, n_plus, ok_plus = _iterate_branch(params, +1.0, tol, max_iter)
+    e_minus, n_minus, ok_minus = _iterate_branch(params, -1.0)
+    e_plus, n_plus, ok_plus = _iterate_branch(params, +1.0)
     if not (ok_minus and ok_plus):
         raise ConvergenceError(
-            f"fixed-point iteration did not converge within {max_iter} steps "
+            f"fixed-point iteration did not converge within {_MAX_ITER} steps "
             f"(minus: {ok_minus}, plus: {ok_plus})"
         )
     residuals = (_char_residual(params, e_minus), _char_residual(params, e_plus))

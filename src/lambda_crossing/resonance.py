@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 
 import numpy as np
 
@@ -41,13 +40,6 @@ class ResonanceReport:
     dynamical_approx: float
     shift_exact: float
     shift_approx: float
-
-
-def _check_count(name: str, value) -> None:
-    """The one positive-integer rule, for the probe oracle's steps and
-    iterate_levels' max_iter: an int or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> float:

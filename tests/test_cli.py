@@ -34,9 +34,12 @@ SURFACE = {
         "--omega1", "--omega2", "--delta1", "--omega-p", "--duration", "--nu-range"
     },
     "probe-resonance": {"--omega1", "--omega2", "--delta1-range", "--omega-p", "--duration"},
-    "resolvent": {"--omega1", "--omega2", "--delta1", "--tol", "--max-iter"},
+    "resolvent": {"--omega1", "--omega2", "--delta1"},
     "experiment": {"--preset", "--scenario", "--omega", "--omega1", "--omega2", "--delta1"},
 }
+
+
+RESOLVENT = ["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05"]
 
 
 def test_parser_surface():
@@ -498,15 +501,23 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["resonance", "--omega1", "0.2", "--omega2", "0.5"],
-                                      ["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1:3"]],
-                             ids=["resonance", "shift-scan"])
-    def test_tol_flag_is_usage_error(self, tmp_path, capsys, argv):
-        # the loci stop at their own floor: --tol is resolvent's flag alone
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["resonance", "--omega1", "0.2", "--omega2", "0.5"], "--tol", "1e-13"),
+            (["shift-scan", "--omega2", "0.5", "--ratio-range", "0.1:1:3"], "--tol", "1e-13"),
+            (RESOLVENT, "--tol", "1e-13"),
+            (RESOLVENT, "--max-iter", "500"),
+        ],
+        ids=["resonance", "shift-scan", "resolvent-tol", "resolvent-max-iter"],
+    )
+    def test_tol_flag_is_usage_error(self, tmp_path, capsys, argv, flag, value):
+        # every search and iteration stops at its own floor and cap: no
+        # subcommand takes a tolerance or an iteration cap
         with pytest.raises(SystemExit) as exit_:
-            main(argv + ["--tol", "1e-13", "--output", str(tmp_path / "x.csv")])
+            main(argv + [flag, value, "--output", str(tmp_path / "x.csv")])
         assert exit_.value.code == 2
-        assert "unrecognized arguments: --tol 1e-13" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -630,9 +641,7 @@ class TestUnits:
         [
             (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta2", "0"],
              "delta2 must be positive"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
-              "--tol", "-1"],
-             "tol must be positive"),
+            (RESOLVENT + ["--config", config("tol = 1e-12\n")], "config: unknown key 'tol'"),
             (["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "nan:1:5"],
              "delta1-range: range bounds must be finite"),
             (["levels", "--omega1", "nan", "--omega2", "0.5", "--delta1-range", "0:1:5"],
@@ -640,12 +649,10 @@ class TestUnits:
             (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "300e3",
               "--delta2", "0", "--units", "hz"],
              "delta2 must be positive"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0",
-              "--max-iter", "2.5"],
-             "max_iter: malformed number '2.5'"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
-              "--tol", "abc"],
-             "tol: malformed number 'abc'"),
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0x"],
+             "delta1: malformed number '1.0x'"),
+            (["resolvent", "--omega1", "abc", "--omega2", "0.5", "--delta1", "1.05"],
+             "omega1: malformed number 'abc'"),
             (PROBE_SPECTRUM + ["--omega-p", "1e-4", "--duration", "0"],
              "duration must be finite and positive"),
             (PROBE_RESONANCE + ["--omega-p", "1e-5", "--duration", "0"],
@@ -659,23 +666,23 @@ class TestUnits:
             (PROBE_SPECTRUM + ["--omega-p", "1", "--duration", "785.4"],
              "omega_p = 1 is too strong for the first-order probe: peak probability 1.08e+05 "
              "exceeds PERTURBATIVE_CEILING = 0.5"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
-              "--tol", "Infinity"],
-             "tol must be positive and finite, got inf"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
-              "--tol", "nan"],
-             "tol must be positive and finite, got nan"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
-              "--tol", "+inf"],
-             "tol must be positive and finite, got inf"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.05",
-              "--tol", "inf"],
-             "tol must be positive and finite, got inf"),
+            # the level shift's squares overflow, and the message names the drive
+            (["resolvent", "--omega1", "1e200", "--omega2", "1e200", "--delta1", "1"],
+             "the level shift overflows at omega1 = 1e+200, omega2 = 1e+200, delta1 = 1, "
+             "delta2 = 1"),
+            (["resolvent", "--omega1", "1e200", "--omega2", "1e200", "--delta1", "1", "--units",
+              "hz"],
+             "the level shift overflows at omega1 = 6.28319e+200, omega2 = 6.28319e+200, "
+             "delta1 = 6.28319, delta2 = 6.28319" + HZ_NOTE),
+            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "0"],
+             "energy E too close to the bare intermediate level -delta1"),
+            # the minus branch never converges; the cap is fixed, and named
+            (["resolvent", "--omega1", "0.005", "--omega2", "1.887", "--delta1", "-0.54"],
+             "fixed-point iteration did not converge within 200 steps (minus: False, plus: True)"),
             (["shift-scan", "--omega2", "0", "--ratio-range", "0.1:1.5:3"],
              "omega2 must be finite and positive, got 0.0"),
-            (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0",
-              "--max-iter", "0"],
-             "max_iter must be a positive integer, got 0"),
+            (RESOLVENT + ["--config", config("max_iter = 500\n")],
+             "config: unknown key 'max_iter'"),
             (PROBE_RESONANCE + ["--omega-p", "1", "--duration", "785.4"],
              "omega_p = 1.0 is too strong for the first-order probe at delta1 = 1.04: peak "
              "probability"),
@@ -714,7 +721,8 @@ class TestUnits:
             (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta2", "1e-300"],
              "structural resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
              "got omega1 = 0.2, omega2 = 0.5, delta2 = 1e-300"),
-            # the loci take no tolerance, from a flag or a config file
+            # the loci take no tolerance, from a flag or a config file (the
+            # resolvent's rows are above)
             (["resonance", "--omega1", "0.2", "--omega2", "0.5", "--config",
               config("tol = 1e-13\n")],
              "config: unknown key 'tol'"),

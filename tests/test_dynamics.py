@@ -179,6 +179,13 @@ class TestP13Effective:
         t_max = math.pi / (2.0 * m.omega_eff)
         assert p13_effective(p, t_max) == pytest.approx(1.0, abs=1e-12)
 
+    def test_full_transfer_at_weak_coupling(self):
+        # omega_eff^2 and the Rabi frequency squared both underflow here: the
+        # transfer is their ratio, taken first
+        p = RamanParams(1e-90, 1e-90, 1.0, 1.0)
+        t_max = math.pi / (2.0 * eliminate(p).omega_eff)
+        assert p13_effective(p, t_max) == pytest.approx(1.0, abs=1e-12)
+
     def test_t_zero(self):
         assert p13_effective(RamanParams(0.2, 0.5, 1.0, 1.0), 0.0) == 0.0
         # zero effective Rabi frequency (no coupling, delta1 = delta2): no transfer at any t

@@ -345,6 +345,11 @@ class TestTimeDomainOracle:
         with pytest.raises(ValueError, match=message):
             probe_time_domain_oracle(params, probe, steps)
 
+    def test_numpy_integer_steps_are_the_int(self):
+        params, probe = RamanParams(0.6, 0.3, 0.8, 1.0), ProbeParams(0.02, -0.3, 40.0)
+        assert (probe_time_domain_oracle(params, probe, np.int64(2000))
+                == probe_time_domain_oracle(params, probe, 2000))
+
     def test_matches_extended_precision_rk4(self):
         cases = [
             # a first-order probability of 4e-6, so a small amplitude, over a

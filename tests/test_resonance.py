@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lambda_crossing
 from lambda_crossing import (
     BracketError,
     ConvergenceError,
@@ -286,12 +287,6 @@ class TestLocusSearch:
         assert from_minimize == {"modular_minimum"}
         assert "_minimize" not in imported
 
-    @pytest.mark.parametrize("entry", [iterate_levels], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_bad_tol_is_value_error(self, entry, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            entry(RamanParams(0.2, 0.5, 1.0, 1.0), tol=tol)
-
     def test_finders_take_no_tol(self):
         # every locus stops at slope_root's floor (the resolvent's at its own
         # constant); a tol left in a call raises, never becomes delta2
@@ -303,6 +298,24 @@ class TestLocusSearch:
         assert delta2.kind is inspect.Parameter.KEYWORD_ONLY
         with pytest.raises(TypeError):
             shift_scan(0.5, [1.0], 1e-13)
+
+
+def test_no_exported_call_takes_a_numerical_knob():
+    # every tolerance and iteration cap is a module constant: a public call
+    # that takes one again fails here
+    knobs = {"tol", "xtol", "max_iter"}
+    swept = 0
+    for name in dir(lambda_crossing):
+        obj = getattr(lambda_crossing, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # the error classes: Exception's C signature
+            continue
+        assert not knobs & set(parameters), name
+        swept += 1
+    assert swept >= 50
 
 
 class TestDynamical:
