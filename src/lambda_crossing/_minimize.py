@@ -17,9 +17,10 @@ def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
     """Minimize f on [a, b] to max(xtol, 4 ulp of max(|a|, |b|)) in the abscissa.
 
     Brent-style: golden-section steps, replaced by a parabolic step through
-    the three best points whenever that step is well behaved. Assumes a
-    single local minimum in the bracket. Returns (x, f(x)); raises
-    ConvergenceError when max_iter evaluations past the first fall short.
+    the three best points whenever that step is well behaved. The first
+    evaluation is at a + _GOLD * (b - a). Assumes a single local minimum in
+    the bracket. Returns (x, f(x)); raises ConvergenceError when max_iter
+    evaluations past the first fall short.
     """
     if not b > a:
         raise ValueError("bracket must satisfy a < b")

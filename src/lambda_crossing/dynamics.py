@@ -33,10 +33,17 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
 
 
 def p13_effective(params: RamanParams, t: float) -> float:
-    """Two-level Rabi transfer probability |1> -> |3> of the effective model."""
+    """Two-level Rabi transfer probability |1> -> |3> of the effective model.
+    Raises ValueError naming the drive where the Rabi frequency overflows."""
     _check_finite("t", t)
     model = eliminate(params)
     _, rabi = effective_energies(model)
+    # rabi >= |omega_eff|, and is NaN where delta_eff is: one test covers both
+    if not math.isfinite(rabi):
+        raise ValueError(
+            f"the effective Rabi frequency overflows at omega1 = {params.omega1:g}, omega2 = "
+            f"{params.omega2:g}, delta1 = {params.delta1:g}, delta2 = {params.delta2:g}"
+        )
     if rabi == 0.0:
         return 0.0
     return (model.omega_eff / rabi) ** 2 * math.sin(t * rabi) ** 2

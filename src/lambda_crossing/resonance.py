@@ -58,12 +58,14 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
     couplings this takes a mean of 4.2 slope evaluations for either locus
     (at most 7), against 6.8 and 9.1 on the full bracket.
 
-    resolvent_structural_resonance passes its splitting, minimize_scalar
-    (read from its module globals at call time: a benchmark trace and fault
-    site, so nothing here may bind search when it is defined), tol 1e-10
-    and no seed. A coupling that is not positive or from _COUPLING_LIMIT
-    delta2, or a locus at the bracket edge, raises BracketError naming the
-    locus kind what.
+    resolvent_structural_resonance passes its splitting, tol 1e-10, no
+    seed and a search that starts minimize_scalar at _structural_seed's x0
+    in a window inside [lo, hi], and runs it on [lo, hi] where the window
+    does not hold the minimum. It reads minimize_scalar from its module
+    globals at call time (a benchmark trace and fault site, so nothing here
+    may bind search when it is defined). A coupling that is not positive
+    or from _COUPLING_LIMIT delta2, or a locus at the bracket edge, raises
+    BracketError naming the locus kind what.
     """
     o1, o2, d2 = params.omega1, params.omega2, params.delta2
     if not (o1 > 0 and o2 > 0):

@@ -1,6 +1,7 @@
 """Tests for time evolution and the 1->3 transfer envelope."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -190,6 +191,14 @@ class TestP13Effective:
         assert p13_effective(RamanParams(0.2, 0.5, 1.0, 1.0), 0.0) == 0.0
         # zero effective Rabi frequency (no coupling, delta1 = delta2): no transfer at any t
         assert p13_effective(RamanParams(0.0, 0.0, 1.0, 1.0), 1.0) == 0.0
+
+    @pytest.mark.parametrize("o1, o2", [(1e200, 1e200), (1e160, 1e150)])
+    def test_overflowing_rabi_frequency_is_named(self, o1, o2):
+        # omega_eff overflows to inf, and delta_eff to NaN (inf - inf) or -inf
+        message = (f"the effective Rabi frequency overflows at omega1 = {o1:g}, "
+                   f"omega2 = {o2:g}, delta1 = 1, delta2 = 1")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            p13_effective(RamanParams(o1, o2, 1.0, 1.0), 1.0)
 
     def test_envelope_value(self):
         p = RamanParams(0.2, 0.5, 1.0, 1.0)

@@ -80,6 +80,13 @@ class TestMinimizeScalar:
         assert len(calls) <= 80
         assert x == minimize_scalar(f, 0.0, 1.0, xtol=_ROOT_RTOL)[0]
 
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.999, 1.002), (-3.0, 7.5)])
+    def test_first_evaluation_is_golden_point(self, a, b):
+        # the resolvent locus places its seed at this abscissa
+        calls = []
+        minimize_scalar(lambda x: calls.append(x) or abs(x - 0.45), a, b)
+        assert calls[0] == a + _minimize._GOLD * (b - a)
+
     def test_out_of_iterations_raises(self):
         with pytest.raises(ConvergenceError, match="^minimum not found to xtol = 1e-15 within 2"):
             minimize_scalar(MINIMA["v"][0], 0.0, 1.0, xtol=1e-15, max_iter=2)

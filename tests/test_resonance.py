@@ -866,3 +866,34 @@ class TestSeededSearch:
                 counts[kind].append(calls.call_count)
         means = {kind: float(np.mean(c)) for kind, c in counts.items()}
         assert max(means.values()) <= 5.0, means
+
+
+class TestSeededResolventSearch:
+    """The structural series starts the resolvent's value-only search."""
+
+    def test_level_iteration_budget(self):
+        # the full-bracket search takes a mean of 15.9 level iterations on
+        # these drives; a second minimize_scalar call is the fallback
+        levels, searches = [], []
+        for p in seeded_draws(240, 80):
+            with mock.patch.object(resolvent, "iterate_levels",
+                                   wraps=resolvent.iterate_levels) as level_calls, \
+                 mock.patch.object(resolvent, "minimize_scalar",
+                                   wraps=resolvent.minimize_scalar) as search_calls:
+                resolvent_structural_resonance(p)
+            levels.append(level_calls.call_count)
+            searches.append(search_calls.call_count)
+        assert np.mean(levels) <= 8.0, np.mean(levels)
+        assert set(searches) == {1}
+
+    @pytest.mark.parametrize("omegas", [(0.2, 0.5), (0.05, 0.08)], ids=["strong", "weak"])
+    @pytest.mark.parametrize("miss", [-0.05, 0.05], ids=["low", "high"])
+    def test_missed_seed_falls_back_to_full_bracket(self, monkeypatch, omegas, miss):
+        p = RamanParams(*omegas, 1.0, 1.0)
+        x0, w = resonance._structural_seed(p)
+        monkeypatch.setattr(resolvent, "_structural_seed", lambda params: (x0 + miss, w))
+        with mock.patch.object(resolvent, "minimize_scalar",
+                               wraps=resolvent.minimize_scalar) as search_calls:
+            locus = resolvent_structural_resonance(p)
+        assert search_calls.call_count == 2
+        assert abs(locus - structural_exact(p)) <= 1e-8
