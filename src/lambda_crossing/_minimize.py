@@ -11,16 +11,19 @@ from .errors import ConvergenceError
 _GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 # Floor of the root tolerance, relative to |x|: a few units in the last place.
 _ROOT_RTOL = 4.0 * 2.0**-52
+# Iteration caps of the two bracket searches, read at call time.
+_BRENT_MAX_ITER = 200
+_ROOT_MAX_ITER = 100
 
 
-def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
+def minimize_scalar(f, a, b, xtol):
     """Minimize f on [a, b] to max(xtol, 4 ulp of max(|a|, |b|)) in the abscissa.
 
     Brent-style: golden-section steps, replaced by a parabolic step through
     the three best points whenever that step is well behaved. The first
     evaluation is at a + _GOLD * (b - a). Assumes a single local minimum in
-    the bracket. Returns (x, f(x)); raises ConvergenceError when max_iter
-    evaluations past the first fall short.
+    the bracket. Returns (x, f(x)); raises ConvergenceError when
+    _BRENT_MAX_ITER evaluations past the first fall short.
     """
     if not b > a:
         raise ValueError("bracket must satisfy a < b")
@@ -29,7 +32,7 @@ def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
     d = e = 0.0
     tol1 = max(xtol, _ROOT_RTOL * max(abs(a), abs(b)))
     tol2 = 2.0 * tol1
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         m = 0.5 * (a + b)
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             return x, fx
@@ -74,21 +77,21 @@ def minimize_scalar(f, a, b, xtol=1e-10, max_iter=200):
                 w, fw = u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    raise ConvergenceError(f"minimum not found to xtol = {xtol:g} within {max_iter} iterations")
+    raise ConvergenceError(
+        f"minimum not found to xtol = {xtol:g} within {_BRENT_MAX_ITER} iterations")
 
 
-def slope_root(g, a, b, xtol, what, max_iter=100):
-    """Minimizer on [a, b] of a function whose slope is g, to xtol.
+def slope_root(g, a, b):
+    """Minimizer on [a, b] of a function whose slope is g, to 4 ulp.
 
     g must be negative left of the minimizer and positive right of it;
     only its sign and its values are used. The root is found by
     Brent-Dekker: secant or inverse quadratic interpolation, replaced by
     bisection whenever that step is not well behaved, on a bracket that
-    always holds a sign change. The result lies within max(xtol, 4 ulp)
-    of the sign change. When g does not change sign on [a, b], returns
-    the end g descends to: a if g(a) >= 0, else b if g(b) <= 0. Returns
-    (x, g(x)); raises ConvergenceError naming the locus kind what when
-    max_iter evaluations past the two ends do not reach xtol.
+    always holds a sign change, to within _ROOT_RTOL |x|. When g does not
+    change sign on [a, b], returns the end g descends to: a if g(a) >= 0,
+    else b if g(b) <= 0. Returns (x, g(x)); raises ConvergenceError when
+    _ROOT_MAX_ITER evaluations past the two ends fall short.
     """
     if not b > a:
         raise ValueError("bracket must satisfy a < b")
@@ -100,12 +103,12 @@ def slope_root(g, a, b, xtol, what, max_iter=100):
     # b is the best estimate; [b, c] holds the sign change; a is b's predecessor.
     c, fc = a, fa
     step = prev_step = b - a
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if abs(fc) < abs(fb):
             a, fa = b, fb
             b, fb = c, fc
             c, fc = a, fa
-        tol1 = 0.5 * max(xtol, _ROOT_RTOL * abs(b))
+        tol1 = 0.5 * (_ROOT_RTOL * abs(b))
         half = 0.5 * (c - b)
         if fb == 0.0 or abs(half) < tol1:
             return b, fb
@@ -129,9 +132,7 @@ def slope_root(g, a, b, xtol, what, max_iter=100):
         if (fb < 0.0) != (fa < 0.0):
             c, fc = a, fa
             step = prev_step = b - a
-    raise ConvergenceError(
-        f"{what} locus: slope root not found to xtol = {xtol:g} within {max_iter} iterations"
-    )
+    raise ConvergenceError(f"slope root not found to 4 ulp within {_ROOT_MAX_ITER} iterations")
 
 
 def modular_minimum(a, b, m, n):
@@ -169,14 +170,11 @@ def modular_minimum(a, b, m, n):
 def parabolic_vertex(x0, y0, x1, y1, x2, y2):
     """Abscissa of the vertex of the parabola through three points.
 
-    Falls back to x1 when the three points are collinear. Arrays are taken
-    elementwise, with the same arithmetic as scalars: squares are products,
-    never pow, so both agree to the last bit.
+    Falls back to x1 when the three points are collinear. One numpy path,
+    elementwise (a 0-d array for scalars), with squares as products.
     """
-    d0, d2 = x1 - x0, x1 - x2
+    d0, d2 = np.subtract(x1, x0), np.subtract(x1, x2)
     denom = d0 * (y1 - y2) - d2 * (y1 - y0)
     num = d0 * d0 * (y1 - y2) - d2 * d2 * (y1 - y0)
-    if isinstance(denom, float):
-        return x1 if denom == 0.0 else x1 - 0.5 * num / denom
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom == 0.0, x1, x1 - 0.5 * num / denom)

@@ -9,7 +9,7 @@ import numpy as np
 from ._minimize import modular_minimum
 from .effective import effective_energies, eliminate
 from .errors import EnvelopeError
-from .hamiltonian import RamanParams, _check_finite, build_hamiltonian, dressed_spectrum
+from .hamiltonian import RamanParams, _at_drive, _check_finite, build_hamiltonian, dressed_spectrum
 
 
 def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
@@ -32,18 +32,23 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
     return spec.states @ (np.exp(-1j * spec.energies * t) * coeff)
 
 
+def _check_phase(params: RamanParams, t, rate: float, name: str) -> None:
+    """ValueError naming the drive and the largest |t| where t * rate is not finite."""
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    if not math.isfinite(t_max * rate):
+        raise ValueError(f"the phase t * ({name}) overflows {_at_drive(params)}, t = {t_max:g}")
+
+
 def p13_effective(params: RamanParams, t: float) -> float:
     """Two-level Rabi transfer probability |1> -> |3> of the effective model.
-    Raises ValueError naming the drive where the Rabi frequency overflows."""
+    Raises ValueError naming the drive where the Rabi frequency, or t times it, overflows."""
     _check_finite("t", t)
     model = eliminate(params)
     _, rabi = effective_energies(model)
     # rabi >= |omega_eff|, and is NaN where delta_eff is: one test covers both
     if not math.isfinite(rabi):
-        raise ValueError(
-            f"the effective Rabi frequency overflows at omega1 = {params.omega1:g}, omega2 = "
-            f"{params.omega2:g}, delta1 = {params.delta1:g}, delta2 = {params.delta2:g}"
-        )
+        raise ValueError(f"the effective Rabi frequency overflows {_at_drive(params)}")
+    _check_phase(params, t, rabi, "effective Rabi frequency")
     if rabi == 0.0:
         return 0.0
     return (model.omega_eff / rabi) ** 2 * math.sin(t * rabi) ** 2
@@ -61,9 +66,8 @@ def _residues(params: RamanParams):
     if a == 0.0 or b == 0.0:
         return (0.0, 0.0, 0.0), f
     if not (h > 0.0 and g > 0.0):
-        raise ValueError(f"double precision does not resolve the dressed levels at omega1 = "
-                         f"{params.omega1:g}, omega2 = {params.omega2:g}, "
-                         f"delta1 = {params.delta1:g}, delta2 = {params.delta2:g}")
+        raise ValueError("double precision does not resolve the dressed levels "
+                         + _at_drive(params))
     return ((a / h) * (b / w), -(a / h) * (b / g), (a / g) * (b / w)), f
 
 
@@ -79,10 +83,12 @@ def _transfer(c, f, t):
 
 def p13_full(params: RamanParams, t) -> float:
     """Exact |<3| exp(-iHt) |1>|^2 at a scalar or array of finite times t:
-    _transfer over _residues, whose ValueError names a drive where double
-    precision gives two equal levels."""
+    _transfer over _residues. A ValueError names the drive where double precision
+    gives two equal levels, or t times the largest half-gap overflows."""
     _check_finite("t", t)
-    return _transfer(*_residues(params), t)
+    c, f = _residues(params)
+    _check_phase(params, t, max(f), "largest half-gap")
+    return _transfer(c, f, t)
 
 
 def _crest(c, f, t, lo, hi):

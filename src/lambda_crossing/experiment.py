@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ScenarioError
 from .hamiltonian import RamanParams
+from .probe import _probe_bounds
 from .resonance import shift_approx
 
 # mu_B / h in Hz per Gauss.
@@ -148,8 +149,7 @@ def scenario_report(
         raise ValueError(f"unknown scenario {scenario!r}")
     params = RamanParams(omega1, omega2, delta2 if delta1 is None else delta1, delta2)
     shift = shift_approx(params)
-    time_bound = 1.0 / shift if shift > 0 else math.inf
-    rabi_bound = 2.0 * shift
+    time_bound, rabi_bound = _probe_bounds(shift, 1.0)
     de31, de23, de21 = splittings(spec)
     notes = (
         "Secondary ac-Stark and Bloch-Siegert shifts are suppressed relative to "

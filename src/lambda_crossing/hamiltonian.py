@@ -8,7 +8,7 @@ is the recommended dimensionless convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
@@ -77,6 +77,10 @@ def build_hamiltonian(params: RamanParams, delta1=None) -> np.ndarray:
     m[..., 1, 1] = -d1
     m[..., 2, 2] = -(d1 - params.delta2)
     return m
+
+
+def _at_drive(params: RamanParams) -> str:
+    return "at " + ", ".join(f"{f.name} = {getattr(params, f.name):g}" for f in fields(params))
 
 
 def _check_finite(name: str, value) -> None:
@@ -212,17 +216,17 @@ def _overlap_weights(params: RamanParams, grid: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _dominant(weights: np.ndarray, ambig_tol: float):
+def _dominant(weights: np.ndarray):
     """Dominant bare state of each level from (..., bare, level) squared
     overlaps: the last index of the largest (so exact ties resolve as
     np.argsort orders them), flagged ambiguous when the runner-up, the
-    median of the three, is within ambig_tol of it."""
+    median of the three, is within _AMBIG_TOL of it."""
     w0, w1, w2 = weights[..., 0, :], weights[..., 1, :], weights[..., 2, :]
     lo, hi = np.minimum(w0, w1), np.maximum(w0, w1)
     top = np.maximum(hi, w2)
     runner_up = np.maximum(lo, np.minimum(hi, w2))
     labels = np.where(w2 == top, 2, np.where(w1 == top, 1, 0))
-    return labels, top - runner_up <= ambig_tol
+    return labels, top - runner_up <= _AMBIG_TOL
 
 
 def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
@@ -230,7 +234,7 @@ def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
     grid = _monotone_grid(delta1_grid)
     if grid.size < 2:
         raise ValueError("delta1_grid must be a 1-D grid with at least 2 points")
-    labels, ambiguous = _dominant(_overlap_weights(params, grid), _AMBIG_TOL)
+    labels, ambiguous = _dominant(_overlap_weights(params, grid))
     return CharacterScan(delta1_grid=grid, labels=labels, ambiguous=ambiguous)
 
 

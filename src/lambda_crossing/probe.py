@@ -597,6 +597,11 @@ class FeasibilityReport:
     rabi_bound: float
 
 
+def _probe_bounds(shift: float, cycle: float):
+    """Probe time cycle / shift (inf at zero shift), amplitude 2 shift; cycle: 2 pi or 1 (Hz)."""
+    return (cycle / shift if shift > 0 else math.inf), 2.0 * shift
+
+
 def feasibility_check(params: RamanParams, omega_p: float, duration: float) -> FeasibilityReport:
     """Compare duration and omega_p against the shift-resolution requirements.
 
@@ -605,9 +610,7 @@ def feasibility_check(params: RamanParams, omega_p: float, duration: float) -> F
     bounds the probe amplitude by twice the shift.
     """
     _check_probe(omega_p, duration)
-    shift = shift_approx(params)
-    time_required = 2.0 * math.pi / shift if shift > 0 else math.inf
-    rabi_bound = 2.0 * shift
+    time_required, rabi_bound = _probe_bounds(shift_approx(params), 2.0 * math.pi)
     time_ratio = duration / time_required if time_required < math.inf else 0.0
     rabi_ratio = omega_p / rabi_bound if rabi_bound > 0 else math.inf
     return FeasibilityReport(

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._minimize import _GOLD, _ROOT_RTOL, minimize_scalar
+from ._minimize import _GOLD, minimize_scalar
 from .effective import _shift_terms
 from .errors import ConvergenceError
-from .hamiltonian import RamanParams
+from .hamiltonian import RamanParams, _at_drive
 from .resonance import _locus, _structural_seed
 
 # Each branch stops at a step of _LEVEL_TOL delta2, within _MAX_ITER steps.
@@ -62,10 +62,7 @@ def _iterate_branch(params: RamanParams, sign: float):
             prev_step = step
     except ValueError:
         # _shift_terms' one ValueError: the inf or nan an overflowing shift left in e
-        raise ValueError(
-            f"the level shift overflows at omega1 = {params.omega1:g}, omega2 = "
-            f"{params.omega2:g}, delta1 = {params.delta1:g}, delta2 = {params.delta2:g}"
-        ) from None
+        raise ValueError(f"the level shift overflows {_at_drive(params)}") from None
     return e, _MAX_ITER, False
 
 
@@ -96,24 +93,25 @@ def resolvent_structural_resonance(params: RamanParams) -> float:
     minimum to no better than about sqrt(eps), so a tighter tolerance costs
     evaluations and buys no accuracy. Started at the structural series, it
     takes a mean of 6.1 iterate_levels calls over the benchmark's draws,
-    against 15.0 on the full bracket."""
+    against 15.0 on the full bracket. Its ConvergenceError reads "structural
+    (resolvent) locus: ...". It reads minimize_scalar and iterate_levels,
+    benchmark trace and fault sites, from this module at call time."""
 
     def splitting(d1: float) -> float:
         levels = iterate_levels(params.with_delta1(d1))
         return levels.e_plus - levels.e_minus
 
-    def search(f, lo, hi, xtol):
-        # Brent's first evaluation, a + G (b - a), is the series x0, with
-        # w + 8 r of room either side (r bounds minimize_scalar's resolution);
-        # [lo, hi] where the window leaves it or x ends within 4 r of its end
+    def solve(lo, hi):
+        # Brent starts at a + G (b - a) = x0 with w + 8 xtol (xtol: above its 4-ulp floor)
+        # of room either side; [lo, hi] if [a, b] is not inside or x ends within 4 xtol of it
+        xtol = _LOCUS_TOL * params.delta2
         x0, w = _structural_seed(params)
-        r = max(xtol, _ROOT_RTOL * hi)
-        span = (w + 8.0 * r) / _GOLD
+        span = (w + 8.0 * xtol) / _GOLD
         a, b = x0 - _GOLD * span, x0 + (1.0 - _GOLD) * span
         if lo < a < b < hi:
-            x, fx = minimize_scalar(f, a, b, xtol=xtol)
-            if min(x - a, b - x) > 4.0 * r:
-                return x, fx
-        return minimize_scalar(f, lo, hi, xtol=xtol)
+            x, _ = minimize_scalar(splitting, a, b, xtol=xtol)
+            if min(x - a, b - x) > 4.0 * xtol:
+                return x
+        return minimize_scalar(splitting, lo, hi, xtol=xtol)[0]
 
-    return _locus(params, splitting, search, "structural (resolvent)", _LOCUS_TOL)
+    return _locus(params, "structural (resolvent)", solve)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ._minimize import _ROOT_RTOL, slope_root
-from .errors import BracketError
+from .errors import BracketError, ConvergenceError
 from .hamiltonian import RamanParams
 
 # Search bracket around the delta1 ~ delta2 crossing, in units of delta2.
@@ -42,31 +41,12 @@ class ResonanceReport:
     shift_approx: float
 
 
-def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> float:
-    """delta1 where search(f, lo, hi, xtol=tol * delta2) puts the locus in
-    [lo, hi] = [BRACKET_LO, BRACKET_HI] * delta2; f is a function of delta1.
-
-    structural_exact and dynamical_exact_full pass an analytic slope,
-    slope_root, tol 0 and a seed (x0, w): the locus's sixth-order series
-    plus or minus the bound on its remainder. The search then tries
-    [a, b] = [x0 - w, x0 + w] first; when slope_root returns an end of it
-    with the slope pointing outward, it searches only the rest, [lo, a] or
-    [b, hi]. A seed that is NaN, infinite or whose [a, b] is not strictly
-    inside [lo, hi] gives the full-bracket search. Either way the result is
-    a sign change of the float slope to slope_root's floor of 4 ulp: the
-    seed picks the bracket, the slope decides the value. Over log-uniform
-    couplings this takes a mean of 4.2 slope evaluations for either locus
-    (at most 7), against 6.8 and 9.1 on the full bracket.
-
-    resolvent_structural_resonance passes its splitting, tol 1e-10, no
-    seed and a search that starts minimize_scalar at _structural_seed's x0
-    in a window inside [lo, hi], and runs it on [lo, hi] where the window
-    does not hold the minimum. It reads minimize_scalar from its module
-    globals at call time (a benchmark trace and fault site, so nothing here
-    may bind search when it is defined). A coupling that is not positive
-    or from _COUPLING_LIMIT delta2, or a locus at the bracket edge, raises
-    BracketError naming the locus kind what.
-    """
+def _locus(params: RamanParams, what: str, solve) -> float:
+    """solve(lo, hi): the locus of kind what, by its engine's own search in
+    [lo, hi] = [BRACKET_LO, BRACKET_HI] * delta2. The one place that names
+    the kind: a coupling that is not positive or from _COUPLING_LIMIT delta2,
+    or a locus at the bracket edge, raises BracketError naming what, and a
+    ConvergenceError from solve is raised again as "{what} locus: {err}"."""
     o1, o2, d2 = params.omega1, params.omega2, params.delta2
     if not (o1 > 0 and o2 > 0):
         raise BracketError(f"{what} resonance requires omega1 * omega2 > 0")
@@ -75,17 +55,11 @@ def _locus(params: RamanParams, f, search, what: str, tol: float, seed=None) -> 
             f"{what} resonance requires max(omega1, omega2) < {_COUPLING_LIMIT:.3g} delta2, "
             f"got omega1 = {o1:g}, omega2 = {o2:g}, delta2 = {d2:g}"
         )
-    lo, hi, xtol = BRACKET_LO * d2, BRACKET_HI * d2, tol * d2
-    x0, w = (math.nan, math.nan) if seed is None else seed
-    a, b = x0 - w, x0 + w
-    if lo < a < b < hi:
-        x, fx = search(f, a, b, xtol=xtol)
-        if x == a and fx >= 0.0:
-            x, _ = search(f, lo, a, xtol=xtol)
-        elif x == b and fx <= 0.0:
-            x, _ = search(f, b, hi, xtol=xtol)
-    else:
-        x, _ = search(f, lo, hi, xtol=xtol)
+    lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
+    try:
+        x = solve(lo, hi)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{what} locus: {err}") from None
     if min(x - lo, hi - x) < _EDGE_MARGIN * d2:
         raise BracketError(
             f"{what} locus {x:g} is at the edge of the search bracket [{lo:g}, {hi:g}]; "
@@ -129,10 +103,14 @@ def transfer_supremum_slope(energies, x: float, b2: float) -> float:
 
 
 def _slope_locus(params: RamanParams, slope, what: str, seed=None) -> float:
-    """_locus from seed (None: the full bracket) as the root of
-    slope(eigvalsh, x, b^2) to slope_root's floor, one 3x3 eigvalsh per
-    step. The slope is read at x = delta1 / delta2 on the delta2 = 1
-    Hamiltonian, so it is scale-free."""
+    """_locus of kind what: the root of slope(eigvalsh, x, b^2) to slope_root's
+    floor of 4 ulp, one 3x3 eigvalsh per step, at x = delta1 / delta2 on the
+    delta2 = 1 Hamiltonian, so scale-free. seed (x0, w), the sixth-order series
+    and its remainder bound, gives [a, b] = [x0 - w, x0 + w] to search first,
+    then [lo, a] or [b, hi] if the root is an end with the slope pointing out;
+    None, NaN, infinity or an [a, b] not strictly inside [lo, hi] gives the full
+    bracket. The seed picks the bracket, the slope the value: a mean of 4.2 slope
+    evaluations (at most 7) over log-uniform couplings, 6.8 and 9.1 unseeded."""
     d2 = params.delta2
     a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
     m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
@@ -142,7 +120,19 @@ def _slope_locus(params: RamanParams, slope, what: str, seed=None) -> float:
         m[1, 1], m[2, 2] = -x, 1.0 - x
         return slope(np.linalg.eigvalsh(m).tolist(), x, b2)
 
-    return _locus(params, f, partial(slope_root, what=what), what, 0.0, seed)
+    def solve(lo, hi):
+        x0, w = (math.nan, math.nan) if seed is None else seed
+        left, right = x0 - w, x0 + w
+        if lo < left < right < hi:
+            x, fx = slope_root(f, left, right)
+            if x == left and fx >= 0.0:
+                x, _ = slope_root(f, lo, left)
+            elif x == right and fx <= 0.0:
+                x, _ = slope_root(f, right, hi)
+            return x
+        return slope_root(f, lo, hi)[0]
+
+    return _locus(params, what, solve)
 
 
 def _couplings(params: RamanParams):

@@ -243,6 +243,22 @@ class TestP13Full:
         with pytest.raises(ValueError, match="t must be finite"):
             p13(RamanParams(0.2, 0.5, 1.0, 1.0), t)
 
+    @pytest.mark.parametrize(
+        "p13, rate",
+        [(p13_effective, "effective Rabi frequency"), (p13_full, "largest half-gap")],
+        ids=["effective", "full"],
+    )
+    @pytest.mark.parametrize("t", [1e200, np.array([0.0, -1e200, 3.0])], ids=["scalar", "array"])
+    def test_overflowing_phase_is_named(self, p13, rate, t):
+        # both times are finite, and so is the rate, but their product is not;
+        # an array is named by its largest |t|
+        p = RamanParams(1e150, 1e150, 1.0, 1.0)
+        message = (f"the phase t * ({rate}) overflows at omega1 = 1e+150, omega2 = 1e+150, "
+                   "delta1 = 1, delta2 = 1, t = 1e+200")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            p13(p, t)
+        assert 0.0 <= p13(p, 1e-200) <= 1.0
+
     def test_never_negative(self):
         # <3|H|1> = 0 makes P = O(t^4), so the sin^2 terms cancel at order t^2
         # and their rounded sum dips below zero (to -2e-33 here) unless clipped

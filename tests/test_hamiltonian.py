@@ -397,12 +397,14 @@ class TestOverlapWeights:
         np.testing.assert_array_equal(_overlap_weights(p, grid), dressed_spectrum(p, grid).states ** 2)
 
     @pytest.mark.parametrize("tol", [0.0, 0.5, 1.0, 2.0])
-    def test_picker_matches_argsort_on_ties(self, tol):
-        # integer weights 0..2 (and some -0.0) tie in most columns
+    def test_picker_matches_argsort_on_ties(self, monkeypatch, tol):
+        # integer weights 0..2 (and some -0.0) tie in most columns; _dominant
+        # reads the module's _AMBIG_TOL at call time
         rng = np.random.default_rng(41)
         weights = rng.integers(0, 3, size=(4000, 3, 3)).astype(float)
         weights[(weights == 0.0) & (rng.random(weights.shape) < 0.5)] = -0.0
-        labels, ambiguous = _dominant(weights, tol)
+        monkeypatch.setattr(hamiltonian, "_AMBIG_TOL", tol)
+        labels, ambiguous = _dominant(weights)
         ref_labels, ref_ambiguous = loop_character(weights, tol)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(ambiguous, ref_ambiguous)
@@ -465,7 +467,7 @@ class TestTrackCharacter:
             [0.5 + 1e-8, 0.5 - 1e-8, 0.0],
         ]
         weights = np.array(columns).T[None]
-        labels, ambiguous = _dominant(weights, 1e-9)
+        labels, ambiguous = _dominant(weights)
         ref_labels, ref_ambiguous = loop_character(weights)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(ambiguous, ref_ambiguous)

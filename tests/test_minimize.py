@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_crossing import ConvergenceError, _minimize
+from lambda_crossing import ConvergenceError, RamanParams, _minimize, resonance
 from lambda_crossing._minimize import _ROOT_RTOL, minimize_scalar, modular_minimum, slope_root
 
 
@@ -24,12 +24,12 @@ class TestSlopeRoot:
         ids=["linear", "cubic", "tan", "step"],
     )
     def test_finds_root_to_xtol(self, g, root):
-        for xtol in (1e-6, 1e-12, 1e-15):
-            x, _ = slope_root(g, 0.0, 1.0, xtol, "test")
-            assert abs(x - root) <= max(xtol, 4.0 * 2.0**-52 * root)
+        # the one tolerance is the floor of 4 ulp
+        x, _ = slope_root(g, 0.0, 1.0)
+        assert abs(x - root) <= 4.0 * 2.0**-52 * root
 
     def test_returns_value_at_root(self):
-        x, gx = slope_root(lambda x: x * x - 0.5, 0.0, 1.0, 1e-14, "test")
+        x, gx = slope_root(lambda x: x * x - 0.5, 0.0, 1.0)
         assert gx == x * x - 0.5
 
     @pytest.mark.parametrize(
@@ -39,17 +39,24 @@ class TestSlopeRoot:
         ids=["rising", "falling", "zero-at-a", "zero-at-b"],
     )
     def test_no_sign_change_returns_descent_end(self, g, end):
-        x, gx = slope_root(g, 0.0, 1.0, 1e-12, "test")
+        x, gx = slope_root(g, 0.0, 1.0)
         assert x == end
         assert gx == g(end)
 
-    def test_out_of_iterations_raises_naming_kind(self):
+    def test_out_of_iterations_raises_naming_kind(self, monkeypatch):
+        # slope_root says what it missed; _locus, its caller, names the kind
+        monkeypatch.setattr(_minimize, "_ROOT_MAX_ITER", 2)
+        g = lambda x: x**3 - 0.2  # noqa: E731
+        with pytest.raises(ConvergenceError,
+                           match="^slope root not found to 4 ulp within 2 iterations$"):
+            slope_root(g, 0.0, 1.0)
         with pytest.raises(ConvergenceError, match="^structural locus: slope root not found"):
-            slope_root(lambda x: x**3 - 0.2, 0.0, 1.0, 1e-15, "structural", max_iter=2)
+            resonance._locus(RamanParams(0.2, 0.5, 1.0, 1.0), "structural",
+                             lambda lo, hi: slope_root(g, lo, hi)[0])
 
     def test_rejects_empty_bracket(self):
         with pytest.raises(ValueError, match="a < b"):
-            slope_root(lambda x: x, 1.0, 1.0, 1e-12, "test")
+            slope_root(lambda x: x, 1.0, 1.0)
 
 
 MINIMA = {
@@ -73,7 +80,7 @@ class TestMinimizeScalar:
     def test_tolerance_floor_bounds_evaluations(self, name):
         # xtol = 1e-300 stops at the floor of 4 ulp of the bracket's larger
         # end, in the few evaluations a reachable tolerance takes, not all
-        # max_iter + 1
+        # _BRENT_MAX_ITER + 1
         f, _ = MINIMA[name]
         calls = []
         x, _ = minimize_scalar(lambda x: calls.append(x) or f(x), 0.0, 1.0, xtol=1e-300)
@@ -84,17 +91,18 @@ class TestMinimizeScalar:
     def test_first_evaluation_is_golden_point(self, a, b):
         # the resolvent locus places its seed at this abscissa
         calls = []
-        minimize_scalar(lambda x: calls.append(x) or abs(x - 0.45), a, b)
+        minimize_scalar(lambda x: calls.append(x) or abs(x - 0.45), a, b, xtol=1e-10)
         assert calls[0] == a + _minimize._GOLD * (b - a)
 
-    def test_out_of_iterations_raises(self):
+    def test_out_of_iterations_raises(self, monkeypatch):
+        monkeypatch.setattr(_minimize, "_BRENT_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="^minimum not found to xtol = 1e-15 within 2"):
-            minimize_scalar(MINIMA["v"][0], 0.0, 1.0, xtol=1e-15, max_iter=2)
+            minimize_scalar(MINIMA["v"][0], 0.0, 1.0, xtol=1e-15)
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0)], ids=["empty", "reversed"])
     def test_rejects_bad_bracket(self, a, b):
         with pytest.raises(ValueError, match="a < b"):
-            minimize_scalar(MINIMA["v"][0], a, b)
+            minimize_scalar(MINIMA["v"][0], a, b, xtol=1e-10)
 
 
 class TestModularMinimum:

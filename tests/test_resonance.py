@@ -2,9 +2,9 @@
 
 import ast
 import dataclasses
-import functools
 import inspect
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -39,7 +39,7 @@ from lambda_crossing import (
     structural_exact,
     transfer_supremum,
 )
-from lambda_crossing import dynamics, probe, resolvent, resonance
+from lambda_crossing import _minimize, dynamics, hamiltonian, probe, resolvent, resonance
 from lambda_crossing._minimize import (
     minimize_scalar,
     parabolic_vertex,
@@ -316,6 +316,38 @@ def test_no_exported_call_takes_a_numerical_knob():
         assert not knobs & set(parameters), name
         swept += 1
     assert swept >= 50
+
+
+def test_search_layer_takes_no_knob(monkeypatch):
+    # below the public API too: the locus driver, both searches and the
+    # character picker read every tolerance and cap from a module constant
+    signatures = {
+        resonance._locus: ["params", "what", "solve"],
+        slope_root: ["g", "a", "b"],
+        minimize_scalar: ["f", "a", "b", "xtol"],
+        hamiltonian._dominant: ["weights"],
+    }
+    for func, names in signatures.items():
+        parameters = inspect.signature(func).parameters
+        assert list(parameters) == names, func.__name__
+        assert all(q.default is inspect.Parameter.empty for q in parameters.values())
+    # every cap at 1: each engine's ConvergenceError names its locus kind
+    p = RamanParams(0.2, 0.5, 1.0, 1.0)
+    monkeypatch.setattr(_minimize, "_ROOT_MAX_ITER", 1)
+    monkeypatch.setattr(_minimize, "_BRENT_MAX_ITER", 1)
+    engines = [
+        (structural_exact, "structural locus: slope root not found to 4 ulp within 1 "),
+        (dynamical_exact_full, "dynamical locus: slope root not found to 4 ulp within 1 "),
+        (resolvent_structural_resonance,
+         "structural (resolvent) locus: minimum not found to xtol = 1e-10 within 1 "),
+    ]
+    for finder, message in engines:
+        with pytest.raises(ConvergenceError, match="^" + re.escape(message)):
+            finder(p)
+    monkeypatch.setattr(resolvent, "_MAX_ITER", 1)
+    message = "structural (resolvent) locus: fixed-point iteration did not converge within 1 steps"
+    with pytest.raises(ConvergenceError, match="^" + re.escape(message)):
+        resolvent_structural_resonance(p)
 
 
 class TestDynamical:
@@ -707,8 +739,9 @@ class TestLocusConvergence:
     @pytest.mark.parametrize("finder, kind", [(structural_exact, "structural"),
                                               (dynamical_exact_full, "dynamical")])
     def test_out_of_iterations_names_kind(self, monkeypatch, finder, kind):
-        monkeypatch.setattr(resonance, "slope_root", functools.partial(slope_root, max_iter=1))
-        with pytest.raises(ConvergenceError, match=f"^{kind} locus: slope root not found"):
+        monkeypatch.setattr(_minimize, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match=f"^{kind} locus: slope root not found to 4 ulp within 1 "):
             finder(RamanParams(0.2, 0.5, 1.0, 1.0))
 
 
