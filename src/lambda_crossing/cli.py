@@ -251,7 +251,7 @@ def _parse_range(text: str, key: str, scale: float = 1.0) -> np.ndarray:
 
 
 def _load_config(path: str) -> dict:
-    values = {}
+    values, seen = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -263,7 +263,10 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise _FlagError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in seen:
+            raise _FlagError(f"config: key {key!r} repeated on lines {seen[key]} and {lineno}")
+        values[key], seen[key] = value.strip(), lineno
     return values
 
 
@@ -387,15 +390,10 @@ def cmd_experiment(args, s: float, out: Path):
     preset = exp.PRESETS.get(str(args.preset).lower())
     if preset is None:
         raise _FlagError(f"unknown preset {args.preset!r}")
-    if args.omega is not None:
-        omega1 = omega2 = _num(args, "omega")
-    else:
-        _require(args, "omega1", "omega2")
-        omega1, omega2 = _num(args, "omega1"), _num(args, "omega2")
     report = exp.scenario_report(
         preset,
-        omega1,
-        omega2,
+        _num(args, "omega1"),
+        _num(args, "omega2"),
         _num(args, "delta2"),
         delta1=_num(args, "delta1"),
         scenario=str(args.scenario),
@@ -436,7 +434,7 @@ COMMANDS = {
     "resolvent": ("iterated implicit-Hamiltonian levels", cmd_resolvent,
                   ("omega1", "omega2", "delta1"), ()),
     "experiment": ("alkali-atom scenario report (inputs in Hz)", cmd_experiment,
-                   ("preset", "scenario", "delta2"), ("omega", "omega1", "omega2", "delta1")),
+                   ("preset", "scenario", "delta2", "omega1", "omega2"), ("delta1",)),
 }
 COMMON_FLAGS = ("config", "output", "units", "delta2")
 # No flag looks like a number, so a token that starts with "-" and then a
@@ -448,7 +446,6 @@ FLAG_SETTINGS = {
     "output": {"help": "output file path"},
     "units": {"choices": ["dimensionless", "hz"]},
     "scenario": {"choices": ["optical", "microwave"]},
-    "omega": {"help": "shorthand for equal omega1 and omega2"},
     "delta1_range": {"help": "start:stop:count"},
     "ratio_range": {"help": "start:stop:count"},
     "nu_range": {"help": "start:stop:count"},

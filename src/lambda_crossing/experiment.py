@@ -28,8 +28,8 @@ class AlkaliSpec:
     hfs_splitting is the zero-field hyperfine splitting in Hz,
     gamma_excited the excited-state decay rate Gamma / 2 pi in Hz
     (optical scenario only). Every number given must be finite;
-    hfs_splitting, bohr_magneton_over_h and gamma_excited positive, and
-    g_j >= g_i (g_j == g_i is left to bias_field, which calls it singular).
+    hfs_splitting and gamma_excited positive, and g_j >= g_i (g_j == g_i
+    is left to bias_field, which calls it singular).
     """
 
     hfs_splitting: float
@@ -37,19 +37,16 @@ class AlkaliSpec:
     g_j: float
     g_i: float
     gamma_excited: float | None = None
-    bohr_magneton_over_h: float = BOHR_MAGNETON_HZ_PER_G
 
     def __post_init__(self):
         if self.nuclear_spin <= 0 or (2 * self.nuclear_spin) % 1 != 0:
             raise ValueError("nuclear spin must be a positive half-integer")
-        for name in ("hfs_splitting", "g_j", "g_i", "bohr_magneton_over_h"):
+        for name in ("hfs_splitting", "g_j", "g_i"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("hfs_splitting", "bohr_magneton_over_h"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.hfs_splitting <= 0:
+            raise ValueError(f"hfs_splitting must be positive, got {self.hfs_splitting!r}")
         if self.g_j < self.g_i:
             raise ValueError(f"g_j must be >= g_i, got g_j = {self.g_j!r} < g_i = {self.g_i!r}")
         gamma = self.gamma_excited
@@ -97,14 +94,14 @@ def bias_field(spec: AlkaliSpec) -> float:
     """
     if spec.g_j == spec.g_i:
         raise ValueError("g_j = g_i makes the bias field singular")
-    return spec.chi * spec.hfs_splitting / (spec.bohr_magneton_over_h * (spec.g_j - spec.g_i))
+    return spec.chi * spec.hfs_splitting / (BOHR_MAGNETON_HZ_PER_G * (spec.g_j - spec.g_i))
 
 
 def splittings(spec: AlkaliSpec):
     """Transition frequencies (delta_e31, delta_e23, delta_e21) in Hz at the bias field."""
     chi = spec.chi
     de31 = math.sqrt(1.0 - chi * chi) * spec.hfs_splitting
-    de23 = spec.g_i * spec.bohr_magneton_over_h * bias_field(spec) + 0.5 * spec.hfs_splitting * (
+    de23 = spec.g_i * BOHR_MAGNETON_HZ_PER_G * bias_field(spec) + 0.5 * spec.hfs_splitting * (
         math.sqrt(1.0 + chi * chi) - math.sqrt(1.0 - chi * chi)
     )
     return de31, de23, de31 + de23
@@ -141,9 +138,9 @@ def scenario_report(
 
     The optical scenario is viable only if scattering broadening stays
     well below the dynamical shift; the microwave scenario has no
-    spontaneous emission and is limited only by the probe-time and
-    probe-amplitude bounds. The drive values are checked as RamanParams
-    checks them (delta1 defaults to delta2).
+    spontaneous emission and is viable whenever there is a shift to
+    resolve: shift > 0 (one that underflows to 0 is not). The drive values
+    are checked as RamanParams checks them (delta1 defaults to delta2).
     """
     if scenario not in ("optical", "microwave"):
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -163,7 +160,7 @@ def scenario_report(
         feasible = rate < 0.1 * (2.0 * math.pi * shift)
     else:
         rate = None
-        feasible = True
+        feasible = shift > 0.0
     return ExperimentReport(
         scenario=scenario,
         bias_field=bias_field(spec),

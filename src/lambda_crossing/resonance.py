@@ -102,13 +102,13 @@ def transfer_supremum_slope(energies, x: float, b2: float) -> float:
     return (s - g / (h * h) * (n2 + g * (n1 / w))) / h
 
 
-def _slope_locus(params: RamanParams, slope, what: str, seed=None) -> float:
+def _slope_locus(params: RamanParams, slope, what: str, seed) -> float:
     """_locus of kind what: the root of slope(eigvalsh, x, b^2) to slope_root's
     floor of 4 ulp, one 3x3 eigvalsh per step, at x = delta1 / delta2 on the
     delta2 = 1 Hamiltonian, so scale-free. seed (x0, w), the sixth-order series
     and its remainder bound, gives [a, b] = [x0 - w, x0 + w] to search first,
     then [lo, a] or [b, hi] if the root is an end with the slope pointing out;
-    None, NaN, infinity or an [a, b] not strictly inside [lo, hi] gives the full
+    NaN, infinity or an [a, b] not strictly inside [lo, hi] gives the full
     bracket. The seed picks the bracket, the slope the value: a mean of 4.2 slope
     evaluations (at most 7) over log-uniform couplings, 6.8 and 9.1 unseeded."""
     d2 = params.delta2
@@ -121,7 +121,7 @@ def _slope_locus(params: RamanParams, slope, what: str, seed=None) -> float:
         return slope(np.linalg.eigvalsh(m).tolist(), x, b2)
 
     def solve(lo, hi):
-        x0, w = (math.nan, math.nan) if seed is None else seed
+        x0, w = seed
         left, right = x0 - w, x0 + w
         if lo < left < right < hi:
             x, fx = slope_root(f, left, right)

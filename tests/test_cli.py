@@ -35,7 +35,7 @@ SURFACE = {
     },
     "probe-resonance": {"--omega1", "--omega2", "--delta1-range", "--omega-p", "--duration"},
     "resolvent": {"--omega1", "--omega2", "--delta1"},
-    "experiment": {"--preset", "--scenario", "--omega", "--omega1", "--omega2", "--delta1"},
+    "experiment": {"--preset", "--scenario", "--omega1", "--omega2", "--delta1"},
 }
 
 
@@ -377,7 +377,8 @@ class TestExperiment:
                 "experiment",
                 "--preset", "rb87",
                 "--scenario", "microwave",
-                "--omega", "300e3",
+                "--omega1", "300e3",
+                "--omega2", "300e3",
                 "--delta2", "1e6",
                 "--units", "hz",
                 "--output", str(out),
@@ -395,8 +396,8 @@ class TestExperiment:
 
     def test_optical_report_has_scattering_rate(self, tmp_path):
         out = tmp_path / "exp.txt"
-        argv = ["experiment", "--preset", "rb87", "--scenario", "optical",
-                "--omega", "200e6", "--delta2", "10e9", "--output", str(out)]
+        argv = ["experiment", "--preset", "rb87", "--scenario", "optical", "--omega1", "200e6",
+                "--omega2", "200e6", "--delta2", "10e9", "--output", str(out)]
         assert main(argv) == 0
         values = dict(line.split(" = ", 1) for line in out.read_text().splitlines())
         rate = scattering_rate(RB87, 200e6, 200e6, 10e9)
@@ -413,13 +414,47 @@ class TestExperiment:
         assert values["dynamical_shift_Hz"] == f"{shift:.17g}"
         assert "scattering_rate_per_s" not in values
 
+    def test_flags_beat_config_couplings(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega1 = 300e3\nomega2 = 300e3\n")
+        argv = ["experiment", "--preset", "rb87", "--scenario", "microwave", "--delta2", "1e6"]
+        flags = ["--omega1", "100e3", "--omega2", "200e3"]
+        both, flags_only = tmp_path / "both.txt", tmp_path / "flags.txt"
+        assert main(argv + flags + ["--config", str(cfg), "--output", str(both)]) == 0
+        assert main(argv + flags + ["--output", str(flags_only)]) == 0
+        assert both.read_bytes() == flags_only.read_bytes()
+        shift = scenario_report(RB87, 100e3, 200e3, 1e6).dynamical_shift
+        assert shift == pytest.approx(100.0, rel=1e-12)
+        assert f"dynamical_shift_Hz = {shift:.17g}\n" in both.read_text()
+
+    def test_omega_shorthand_is_usage_error(self, tmp_path, capsys):
+        # the couplings have one way in, --omega1 and --omega2
+        argv = ["experiment", "--preset", "rb87", "--scenario", "microwave", "--delta2", "1e6",
+                "--omega1", "100e3", "--omega2", "200e3", "--omega", "300e3"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--output", str(tmp_path / "exp.txt")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "ambiguous option: --omega could match --omega1, --omega2" in err
+        assert not (tmp_path / "exp.txt").exists()
+
+    def test_omega_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega = 300e3\n")
+        argv = ["experiment", "--preset", "rb87", "--scenario", "microwave", "--delta2", "1e6",
+                "--omega1", "100e3", "--omega2", "200e3", "--config", str(cfg)]
+        assert main(argv + ["--output", str(tmp_path / "exp.txt")]) == 1
+        assert capsys.readouterr().err == "error: config: unknown key 'omega'\n"
+        assert not (tmp_path / "exp.txt").exists()
+
     def test_delta2_required(self, tmp_path, capsys):
         rc = main(
             [
                 "experiment",
                 "--preset", "rb87",
                 "--scenario", "microwave",
-                "--omega", "300e3",
+                "--omega1", "300e3",
+                "--omega2", "300e3",
                 "--output", str(tmp_path / "exp.txt"),
             ]
         )
@@ -433,7 +468,8 @@ class TestExperiment:
                 "experiment",
                 "--preset", "cs133",
                 "--scenario", "microwave",
-                "--omega", "1e3",
+                "--omega1", "1e3",
+                "--omega2", "1e3",
                 "--delta2", "1e6",
                 "--output", str(tmp_path / "exp.txt"),
             ]
@@ -489,8 +525,11 @@ class TestConfigHandling:
             (None, "error: config: [Errno 2] No such file or directory: "),
             ("omega1 = 0.3\nomega2 0.4\n", "error: config line 2: expected key = value"),
             ("units = bogus\n", "error: units must be dimensionless or hz, got 'bogus'"),
+            # a key given twice is refused, not settled by its last line
+            ("omega1 = 0.3\n# again\nomega2 = 0.4\nomega1 = 0.5\n",
+             "error: config: key 'omega1' repeated on lines 1 and 4\n"),
         ],
-        ids=["missing-file", "no-equals", "bogus-units"],
+        ids=["missing-file", "no-equals", "bogus-units", "repeated-key"],
     )
     def test_bad_config(self, tmp_path, capsys, text, message):
         cfg, out = tmp_path / "run.cfg", tmp_path / "x.csv"
@@ -548,8 +587,8 @@ PROBE_RESONANCE = [
     "probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range", "1.04:1.06:11"
 ]
 OPTICAL = [
-    "experiment", "--preset", "rb87", "--scenario", "optical", "--omega", "200e6",
-    "--delta2", "10e9",
+    "experiment", "--preset", "rb87", "--scenario", "optical", "--omega1", "200e6",
+    "--omega2", "200e6", "--delta2", "10e9",
 ]
 LEVELS = ["levels", "--omega1", "0.5", "--omega2", "0.5"]
 
@@ -594,16 +633,16 @@ FLAG_ERRORS = [
      "missing required option --omega2"),
     (LEVELS + ["--delta1-range", "0:2:5", "--config", config("units = bogus\n")],
      "units must be dimensionless or hz, got 'bogus'"),
-    (["experiment", "--preset", "xx", "--scenario", "microwave", "--omega", "1e3",
-      "--delta2", "1e6"],
+    (["experiment", "--preset", "xx", "--scenario", "microwave", "--omega1", "1e3",
+      "--omega2", "1e3", "--delta2", "1e6"],
      "unknown preset 'xx'"),
 ]
 OVERFLOW_ERRORS = [
     (["resonance", "--omega1", "1", "--omega2", "1", "--delta2", "1e-300"],
      "structural resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
      "got omega1 = 1, omega2 = 1, delta2 = 1e-300"),
-    (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "1e200",
-      "--delta2", "1"],
+    (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega1", "1e200",
+      "--omega2", "1e200", "--delta2", "1"],
      "closed form overflows at omega1 = 1e+200, omega2 = 1e+200, delta2 = 1"),
     (["levels", "--omega1", "1", "--omega2", "0.45", "--delta1-range", "0:1e308:3",
       "--units", "hz"],
@@ -614,8 +653,8 @@ OVERFLOW_ERRORS = [
     (["probe-resonance", "--omega1", "0.2", "--omega2", "0.5", "--delta1-range",
       "0.165:0.169:11", "--omega-p", "1e-5", "--duration", "785.4", "--units", "hz"],
      "measured-splitting minimum is on the delta1 grid edge" + HZ_NOTE),
-    (["experiment", "--preset", "rb87", "--scenario", "optical", "--omega", "1e150",
-      "--delta2", "1e6"],
+    (["experiment", "--preset", "rb87", "--scenario", "optical", "--omega1", "1e150",
+      "--omega2", "1e150", "--delta2", "1e6"],
      "closed form overflows at omega1 = 1e+150, omega2 = 1e+150, delta2 = 1e+06"),
     (["resonance", "--omega1", "1e200", "--omega2", "1e200", "--delta2", "1e-200"],
      "structural resonance requires max(omega1, omega2) < 4.5e+11 delta2, "
@@ -646,8 +685,8 @@ class TestUnits:
              "delta1-range: range bounds must be finite"),
             (["levels", "--omega1", "nan", "--omega2", "0.5", "--delta1-range", "0:1:5"],
              "omega1 must be finite"),
-            (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "300e3",
-              "--delta2", "0", "--units", "hz"],
+            (["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega1", "300e3",
+              "--omega2", "300e3", "--delta2", "0", "--units", "hz"],
              "delta2 must be positive"),
             (["resolvent", "--omega1", "0.2", "--omega2", "0.5", "--delta1", "1.0x"],
              "delta1: malformed number '1.0x'"),
@@ -761,8 +800,8 @@ class TestUnits:
             ["resonance", "--omega1", "0.2x", "--omega2", "0.5", "--units", "hz"],
             ["levels", "--omega1", "0.5", "--omega2", "0.5", "--delta1-range", "nan:1:5",
              "--units", "hz"],
-            ["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega", "300e3",
-             "--delta2", "0", "--units", "hz"],
+            ["experiment", "--preset", "rb87", "--scenario", "microwave", "--omega1", "300e3",
+             "--omega2", "300e3", "--delta2", "0", "--units", "hz"],
         ],
         ids=["probe-spectrum-flag", "malformed-number", "range", "experiment"],
     )
@@ -975,6 +1014,19 @@ class TestEntryPoint:
         if status == 1:
             assert len(proc.stderr.splitlines()) == 1
         assert files_in(tmp_path) == before
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m lambda_crossing.cli exits with main's status: 0 with its
+        # CSV written, 2 on an unknown flag with nothing written
+        argv = ["resonance", "--omega1", "0.2", "--omega2", "0.5"]
+        proc = run_process(argv + ["--output", "r.csv"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        header, rows = read_csv(tmp_path / "r.csv")
+        assert header[0] == "structural_exact" and len(rows) == 1
+        proc = run_process(argv + ["--omega3", "1", "--output", "x.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --omega3 1" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
 
     def test_vanishing_coupling_ratio_exits_zero(self, tmp_path):
         # at Omega / delta2 = 1e-300 both loci sit at delta2: exit 0, one row

@@ -35,14 +35,12 @@ class TestAlkaliSpec:
             ("hfs_splitting", math.inf, "hfs_splitting must be finite"),
             ("g_j", math.nan, "g_j must be finite"),
             ("g_i", -math.inf, "g_i must be finite"),
-            ("bohr_magneton_over_h", math.nan, "bohr_magneton_over_h must be finite"),
             ("gamma_excited", -6e6, "gamma_excited must be finite and positive"),
             ("gamma_excited", 0.0, "gamma_excited must be finite and positive"),
             ("gamma_excited", math.nan, "gamma_excited must be finite and positive"),
             ("gamma_excited", math.inf, "gamma_excited must be finite and positive"),
             ("hfs_splitting", -6.835e9, "hfs_splitting must be positive, got -6835000000.0"),
             ("hfs_splitting", 0.0, "hfs_splitting must be positive"),
-            ("bohr_magneton_over_h", -1.3996e6, "bohr_magneton_over_h must be positive"),
             ("g_j", -2.0023, "g_j must be >= g_i, got g_j = -2.0023 < g_i = -0.000995"),
             ("g_i", 2.5, "g_j must be >= g_i"),
         ],
@@ -185,6 +183,15 @@ class TestScenarioReport:
         assert report.scattering_rate is None
         assert report.feasible
 
+    @pytest.mark.parametrize("scenario", ["optical", "microwave"])
+    @pytest.mark.parametrize("omega1", [0.0, 1e-200], ids=["zero", "underflow"])
+    def test_zero_shift_is_infeasible(self, scenario, omega1):
+        # no shift to resolve, exact or underflowed: neither verdict holds
+        report = scenario_report(RB87, omega1, 300e3, 1e6, scenario=scenario)
+        assert report.dynamical_shift == 0.0
+        assert report.probe_time_bound == math.inf
+        assert report.feasible is False
+
     def test_transition_frequencies_included(self):
         report = scenario_report(RB87, 300e3, 300e3, 1e6, scenario="microwave")
         assert report.delta_e21 == report.delta_e31 + report.delta_e23
@@ -223,7 +230,6 @@ class TestScenarioReport:
             RB87,
             hfs_splitting=RB87.hfs_splitting * s,
             gamma_excited=RB87.gamma_excited * s,
-            bohr_magneton_over_h=RB87.bohr_magneton_over_h * s,
         )
         a = scenario_report(RB87, 200e6, 200e6, 10e9, delta1=10e9, scenario="optical")
         b = scenario_report(spec, s * 200e6, s * 200e6, s * 10e9, delta1=s * 10e9, scenario="optical")

@@ -300,7 +300,7 @@ class TestGap32Slope:
             seen.append((energies, x, b2))
             return gap32_slope(energies, x, b2)
 
-        _slope_locus(p, slope, "structural", seed=None)
+        _slope_locus(p, slope, "structural", (math.nan, math.nan))
         assert len(seen) > 3
         a, b = 0.5 * p.omega1 / p.delta2, 0.5 * p.omega2 / p.delta2
         for energies, x, b2 in seen:

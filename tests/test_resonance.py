@@ -323,6 +323,7 @@ def test_search_layer_takes_no_knob(monkeypatch):
     # character picker read every tolerance and cap from a module constant
     signatures = {
         resonance._locus: ["params", "what", "solve"],
+        resonance._slope_locus: ["params", "slope", "what", "seed"],
         slope_root: ["g", "a", "b"],
         minimize_scalar: ["f", "a", "b", "xtol"],
         hamiltonian._dominant: ["weights"],
@@ -348,6 +349,13 @@ def test_search_layer_takes_no_knob(monkeypatch):
     message = "structural (resolvent) locus: fixed-point iteration did not converge within 1 steps"
     with pytest.raises(ConvergenceError, match="^" + re.escape(message)):
         resolvent_structural_resonance(p)
+
+
+def test_alkali_spec_holds_species_data_only():
+    # mu_B / h is a physical constant (experiment.BOHR_MAGNETON_HZ_PER_G),
+    # not a field a species could override
+    names = [field.name for field in dataclasses.fields(lambda_crossing.AlkaliSpec)]
+    assert names == ["hfs_splitting", "nuclear_spin", "g_j", "g_i", "gamma_excited"]
 
 
 class TestDynamical:
@@ -827,9 +835,10 @@ def outcome(finder, params):
 
 def full_bracket_locus(kind, params):
     """The unseeded search: slope_root on all of [0.5, 1.5] delta2 of the
-    same slope, through _locus's edge check."""
+    same slope, through _locus's edge check (a NaN seed picks the full bracket)."""
     slope = getattr(resonance, SLOPE_LOCI[kind][2])
-    return outcome(lambda p: resonance._slope_locus(p, slope, kind, seed=None), params)
+    nan_seed = (math.nan, math.nan)
+    return outcome(lambda p: resonance._slope_locus(p, slope, kind, nan_seed), params)
 
 
 def seeded_draws(n, seed, hi=0.6):
