@@ -456,12 +456,12 @@ FLAG_SETTINGS = {
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
-        prog="lambda-crossing",
+        prog="lambda-crossing", allow_abbrev=False,
         description="Avoided-crossing resonance analysis of a driven 3-level Lambda system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, required, optional) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = _NEGATIVE_VALUE
         for key in dict.fromkeys(COMMON_FLAGS + required + optional):
             p.add_argument(_flag(key), dest=key, **FLAG_SETTINGS.get(key, {}))

@@ -9,7 +9,7 @@ import numpy as np
 from ._minimize import modular_minimum
 from .effective import effective_energies, eliminate
 from .errors import EnvelopeError
-from .hamiltonian import RamanParams, _at_drive, _check_finite, build_hamiltonian, dressed_spectrum
+from .hamiltonian import RamanParams, _at_drive, _check_finite, _scalar_spectrum, dressed_spectrum
 
 
 def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
@@ -55,14 +55,14 @@ def p13_effective(params: RamanParams, t: float) -> float:
 
 
 def _residues(params: RamanParams):
-    """(c, f) from one eigvalsh: the residues c_k = <3|eps_k><eps_k|1> =
-    a b / prod_{j != k} (eps_k - eps_j), a, b = omega1 / 2, omega2 / 2, as
-    products of ratios that cannot overflow (all zero when a b = 0), and f,
-    the half-gaps of the level pairs (1, 2), (1, 3), (2, 3)."""
-    e1, e2, e3 = np.linalg.eigvalsh(build_hamiltonian(params)).tolist()
+    """(c, f) from _scalar_spectrum: the residues c_k = <3|eps_k><eps_k|1> = a b /
+    prod_{j != k} (e_k - e_j) as ratio products that cannot overflow (all 0 when
+    a b = 0), and f, delta2 times the half-gaps of pairs (1, 2), (1, 3), (2, 3)."""
+    d1, d2 = params.delta1, params.delta2
+    (e1, e2, e3), _ = _scalar_spectrum(params)(d1 / d2, (d2 - d1) / d2)
     h, g, w = e2 - e1, e3 - e2, e3 - e1
-    a, b = 0.5 * params.omega1, 0.5 * params.omega2
-    f = (0.5 * h, 0.5 * w, 0.5 * g)
+    a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
+    f = (0.5 * d2 * h, 0.5 * d2 * w, 0.5 * d2 * g)
     if a == 0.0 or b == 0.0:
         return (0.0, 0.0, 0.0), f
     if not (h > 0.0 and g > 0.0):
@@ -73,11 +73,11 @@ def _residues(params: RamanParams):
 
 def _transfer(c, f, t):
     """P(t) = -4 sum_{j<k} c_j c_k sin^2((eps_k - eps_j) t / 2), which is
-    |sum_k c_k exp(-i eps_k t)|^2 as sum_k c_k = <3|1> = 0, clipped at 0
+    |sum_k c_k exp(-i eps_k t)|^2 as sum_k c_k = <3|1> = 0, clipped to [0, 1]
     against rounding; t is a scalar or an array, and P(0) = 0 exactly."""
     c1, c2, c3 = c
     s = np.sin(np.asarray(t, dtype=float)[..., None] * np.array(f))
-    out = np.maximum((s * s) @ np.array([c1 * c2, c1 * c3, c2 * c3]) * -4.0, 0.0)
+    out = np.minimum(np.maximum((s * s) @ np.array([c1 * c2, c1 * c3, c2 * c3]) * -4.0, 0.0), 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -188,6 +188,6 @@ def transfer_supremum(params: RamanParams) -> float:
     """Supremum over time of the 1->3 transfer, (sum_k |c_k|)^2 = 4 c2^2 =
     (2 a b / (h g))^2 with h, g = eps2 - eps1, eps3 - eps2, as the residues
     alternate in sign and sum to zero: smooth in delta1, and the quantity
-    whose slope resonance.transfer_supremum_slope roots."""
+    whose slope resonance.transfer_supremum_slope roots; clipped at 1."""
     (_, c2, _), _ = _residues(params)
-    return 4.0 * c2 * c2
+    return min(4.0 * c2 * c2, 1.0)

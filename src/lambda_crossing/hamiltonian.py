@@ -149,9 +149,40 @@ def _gap(energies):
     return energies[..., 2] - energies[..., 1]
 
 
+def _scalar_spectrum(params: RamanParams):
+    """levels(x, c): one 3x3 eigvalsh of the delta2 = 1 Hamiltonian, a, b =
+    omega1 / 2 delta2, omega2 / 2 delta2 off the diagonal and (0, -x, c) on it
+    for x, c = delta1 / delta2, 1 - x (one matrix, refilled in place): its
+    ascending e_k and n_k = (e_k + x)(e_k - c) - b^2, the (1, 1) entry of
+    adj(e_k - H). The one spectrum of gap32, the transfer and both slope loci;
+    a ValueError names the drive where an entry overflows."""
+    d2 = params.delta2
+    a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
+    m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
+
+    def levels(x: float, c: float):
+        if not math.isfinite(a + b + x + c):
+            raise ValueError("the delta2 = 1 Hamiltonian overflows " + _at_drive(params))
+        m[1, 1], m[2, 2] = -x, c
+        e = np.linalg.eigvalsh(m).tolist()
+        return e, [(ek + x) * (ek - c) - b2 for ek in e]
+
+    return levels
+
+
+def _secular(e, u, v, a2, b2):
+    """(det(e - H), n0, n1, n2), the diagonal of adj(e - H), for floats or
+    arrays: v n2 - b^2 e, u v - b^2, e v, e u - a^2 with u = e + delta1 and
+    v = e - (delta2 - delta1), passed apart from e so each keeps its own size."""
+    n2 = e * u - a2
+    return v * n2 - b2 * e, u * v - b2, e * v, n2
+
+
 def gap32(params: RamanParams) -> float:
-    """Energy splitting between the two upper dressed levels, eps3 - eps2 >= 0."""
-    return float(_gap(dressed_spectrum(params).energies))
+    """eps3 - eps2 >= 0 from _scalar_spectrum, the spectrum the structural locus reads."""
+    d1, d2 = params.delta1, params.delta2
+    e, _ = _scalar_spectrum(params)(d1 / d2, (d2 - d1) / d2)
+    return d2 * (e[2] - e[1])
 
 
 @dataclass(frozen=True)
@@ -172,40 +203,31 @@ def _overlap_weights(params: RamanParams, grid: np.ndarray) -> np.ndarray:
     """Squared overlaps |<j|eps_k>|^2, shape (N, bare j, level k), at each
     delta1 of grid, from one eigvalsh and no eigenvectors.
 
-    With c = delta2 - delta1 and a, b = omega1 / 2, omega2 / 2, the diagonal
-    of adj(e - H) at an eigenvalue e is n0 = (e + delta1)(e - c) - b^2,
-    n1 = e (e - c), n2 = e (e + delta1) - a^2, and |<j|eps_k>|^2 is
-    n_j / (n0 + n1 + n2) at e = eps_k. Everything is first scaled by the
-    power of two that puts delta2 in [1, 2), which is exact, so the products
-    see only the ratios to delta2 and no delta2 makes them underflow or
-    overflow. One Newton step on det(x - H) = x (x + delta1)(x - c)
-    - a^2 (x - c) - b^2 x, subtracted from each of e, e + delta1 and e - c,
+    With c = delta2 - delta1 and a, b = omega1 / 2, omega2 / 2, |<j|eps_k>|^2
+    is n_j / (n0 + n1 + n2) for _secular's diagonal n_j of adj(e - H) at
+    e = eps_k. Everything is first scaled by the power of two that puts delta2
+    in [1, 2), which is exact, so the products see only the ratios to delta2
+    and no delta2 makes them underflow or overflow. One Newton step on
+    _secular's det(x - H), subtracted from each of e, e + delta1 and e - c,
     leaves each accurate to its own size, however near zero. Where the
     difference in n0 or n2 keeps less than _CANCEL of its b^2 or a^2, the
     equal quotient a^2 (e - c) / e or b^2 e / (e - c) (det = 0 at e) replaces
     it. A row with a non-finite weight, which a zero gap gives through the
-    Newton step, takes _signed_eigh's states ** 2 instead. The energies stay
-    here: they differ from eigh's in the last bits, and dressed_spectrum's
-    are the package's one definition.
+    Newton step, takes _signed_eigh's states ** 2 instead. The energies stay here.
     """
     m = build_hamiltonian(params, grid)
     k = 1 - math.frexp(params.delta2)[1]
-    n = np.empty((3, grid.size, 3))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.linalg.eigvalsh(np.ldexp(m, k))
         u = e + np.ldexp(grid, k)[:, None]
         v = e - np.ldexp(params.delta2 - grid, k)[:, None]
         a2 = np.ldexp(0.5 * params.omega1, k) ** 2
         b2 = np.ldexp(0.5 * params.omega2, k) ** 2
-        step = (v * (e * u - a2) - b2 * e) / ((e - e[:, _PREV]) * (e - e[:, _NEXT]))
+        step = _secular(e, u, v, a2, b2)[0] / ((e - e[:, _PREV]) * (e - e[:, _NEXT]))
         e -= step
         u -= step
         v -= step
-        np.multiply(u, v, out=n[0])
-        n[0] -= b2
-        np.multiply(e, v, out=n[1])
-        np.multiply(e, u, out=n[2])
-        n[2] -= a2
+        n = np.array(_secular(e, u, v, a2, b2)[1:])
         np.copyto(n[0], a2 * v / e, where=np.abs(n[0]) < _CANCEL * b2)
         np.copyto(n[2], b2 * e / v, where=np.abs(n[2]) < _CANCEL * a2)
         n /= n[0] + n[1] + n[2]

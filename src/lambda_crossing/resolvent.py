@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ._minimize import _GOLD, minimize_scalar
 from .effective import _shift_terms
 from .errors import ConvergenceError
-from .hamiltonian import RamanParams, _at_drive
+from .hamiltonian import RamanParams, _at_drive, _secular
 from .resonance import _locus, _structural_seed
 
 # Each branch stops at a step of _LEVEL_TOL delta2, within _MAX_ITER steps.
@@ -33,14 +33,6 @@ class LevelIteration:
     iterations: tuple
     converged: bool
     char_residuals: tuple
-
-
-def _char_residual(params: RamanParams, e: float) -> float:
-    """det(H - E I) in closed form, with a = omega1/2, b = omega2/2 and
-    c = delta2 - delta1 - E: -E ((-delta1 - E) c - b^2) - a^2 c."""
-    a, b = 0.5 * params.omega1, 0.5 * params.omega2
-    c = params.delta2 - params.delta1 - e
-    return -e * ((-params.delta1 - e) * c - b * b) - a * a * c
 
 
 def _iterate_branch(params: RamanParams, sign: float):
@@ -73,8 +65,8 @@ def iterate_levels(params: RamanParams) -> LevelIteration:
     from E = 0 until a step is at most _LEVEL_TOL delta2. Raises
     ConvergenceError if either branch fails within _MAX_ITER steps, and
     ValueError where the level shift overflows. Converged energies are
-    exact eigenvalues of the full 3x3 Hamiltonian (characteristic residuals
-    are returned for inspection).
+    exact eigenvalues of the full 3x3 Hamiltonian; char_residuals, for
+    inspection, are det(H - E I) = -det(E - H) at them, from _secular.
     """
     e_minus, n_minus, ok_minus = _iterate_branch(params, -1.0)
     e_plus, n_plus, ok_plus = _iterate_branch(params, +1.0)
@@ -83,7 +75,10 @@ def iterate_levels(params: RamanParams) -> LevelIteration:
             f"fixed-point iteration did not converge within {_MAX_ITER} steps "
             f"(minus: {ok_minus}, plus: {ok_plus})"
         )
-    residuals = (_char_residual(params, e_minus), _char_residual(params, e_plus))
+    a, b, d1 = 0.5 * params.omega1, 0.5 * params.omega2, params.delta1
+    c = params.delta2 - d1
+    residuals = (-_secular(e_minus, e_minus + d1, e_minus - c, a * a, b * b)[0],
+                 -_secular(e_plus, e_plus + d1, e_plus - c, a * a, b * b)[0])
     return LevelIteration(e_minus, e_plus, (n_minus, n_plus), True, residuals)
 
 

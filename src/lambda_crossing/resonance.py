@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._minimize import _ROOT_RTOL, slope_root
 from .errors import BracketError, ConvergenceError
-from .hamiltonian import RamanParams
+from .hamiltonian import RamanParams, _scalar_spectrum
 
 # Search bracket around the delta1 ~ delta2 crossing, in units of delta2.
 # At zero coupling (eps2 - eps1)(eps3 - eps2) = x (1 - x) at x = delta1 /
@@ -68,57 +66,42 @@ def _locus(params: RamanParams, what: str, solve) -> float:
     return x
 
 
-def _cofactors(energies, x: float, b2: float):
-    """n_k = (e_k + x)(e_k - (1 - x)) - b^2, the (1, 1) entry of adj(e_k - H)
-    = v_k v_k^T prod_{j != k} (e_k - e_j) for the eigenvalues e_k of the
-    delta2 = 1 Hamiltonian H at x; its (1, 3) entry is a b, so v_{0,k}^2 and
-    c_k = v_{0,k} v_{2,k} divide only by gaps between levels. 1 - x is exact
-    on the bracket, where (e_k + x) - 1 would round digits away."""
-    c = 1.0 - x
-    return [(e + x) * (e - c) - b2 for e in energies]
-
-
-def gap32_slope(energies, x: float, b2: float) -> float:
-    """g dg/d delta1 for g = e3 - e2, from the ascending eigenvalues e1 < e2
-    < e3 of the delta2 = 1 Hamiltonian at x: n3 / (e3 - e1) + n2 / (e2 - e1)
-    with _cofactors' n_k, since d e_k/d delta1 = v_{0,k}^2 - 1
+def gap32_slope(energies, n) -> float:
+    """g dg/d delta1 for g = e3 - e2 from _scalar_spectrum's levels e1 < e2 < e3
+    and n_k: n3 / (e3 - e1) + n2 / (e2 - e1), as d e_k/d delta1 = v_{0,k}^2 - 1
     (Hellmann-Feynman). Negative left of the structural locus; the positive
     factor g makes it nearly linear in delta1 across the crossing."""
     e1, e2, e3 = energies
-    _, n2, n3 = _cofactors(energies, x, b2)
+    _, n2, n3 = n
     return n3 / (e3 - e1) + n2 / (e2 - e1)
 
 
-def transfer_supremum_slope(energies, x: float, b2: float) -> float:
+def transfer_supremum_slope(energies, n) -> float:
     """(g / h^2) d(h g)/d delta1 for g = e3 - e2 and h = e2 - e1, as
     gap32_slope. dynamics.transfer_supremum is (2 a b / (h g))^2, so the
     dynamical locus is the minimum of h g: with S = gap32_slope and
     w = e3 - e1 the slope is (S - (g / h^2)(n2 + g n1 / w)) / h, negative
     left of the locus."""
     e1, e2, e3 = energies
-    n1, n2, n3 = _cofactors(energies, x, b2)
+    n1, n2, n3 = n
     h, g, w = e2 - e1, e3 - e2, e3 - e1
     s = n3 / w + n2 / h
     return (s - g / (h * h) * (n2 + g * (n1 / w))) / h
 
 
 def _slope_locus(params: RamanParams, slope, what: str, seed) -> float:
-    """_locus of kind what: the root of slope(eigvalsh, x, b^2) to slope_root's
-    floor of 4 ulp, one 3x3 eigvalsh per step, at x = delta1 / delta2 on the
-    delta2 = 1 Hamiltonian, so scale-free. seed (x0, w), the sixth-order series
-    and its remainder bound, gives [a, b] = [x0 - w, x0 + w] to search first,
-    then [lo, a] or [b, hi] if the root is an end with the slope pointing out;
-    NaN, infinity or an [a, b] not strictly inside [lo, hi] gives the full
-    bracket. The seed picks the bracket, the slope the value: a mean of 4.2 slope
-    evaluations (at most 7) over log-uniform couplings, 6.8 and 9.1 unseeded."""
-    d2 = params.delta2
-    a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
-    m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
+    """_locus of kind what: the root of slope(*levels(x, 1 - x)), x = delta1 /
+    delta2 (1 - x is exact on the bracket), to slope_root's floor of 4 ulp, one
+    _scalar_spectrum call per step. seed (x0, w), the sixth-order series and
+    its remainder bound, gives [a, b] = [x0 - w, x0 + w] to search first, then
+    [lo, a] or [b, hi] if the root is an end with the slope pointing out; NaN,
+    infinity or an [a, b] not strictly inside [lo, hi] gives the full bracket.
+    The seed picks the bracket, the slope the value: a mean of 4.2 evaluations
+    (at most 7), 6.8 and 9.1 unseeded."""
+    levels, d2 = _scalar_spectrum(params), params.delta2
 
     def f(d1):
-        x = d1 / d2
-        m[1, 1], m[2, 2] = -x, 1.0 - x
-        return slope(np.linalg.eigvalsh(m).tolist(), x, b2)
+        return slope(*levels(d1 / d2, 1.0 - d1 / d2))
 
     def solve(lo, hi):
         x0, w = seed

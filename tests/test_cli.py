@@ -435,7 +435,7 @@ class TestExperiment:
             main(argv + ["--output", str(tmp_path / "exp.txt")])
         assert exit_.value.code == 2
         err = capsys.readouterr().err
-        assert "ambiguous option: --omega could match --omega1, --omega2" in err
+        assert "unrecognized arguments: --omega 300e3" in err
         assert not (tmp_path / "exp.txt").exists()
 
     def test_omega_config_key_is_unknown(self, tmp_path, capsys):
@@ -994,11 +994,17 @@ class TestEntryPoint:
              "error: delta1-range: range must be start:stop:count, got '0:2'\n"),
             (["resolvent", "--omega2", "0.5", "--delta1", "--omega1", "0.2"], 2,
              "usage: lambda-crossing resolvent "),
+            # only full flag names are read: a unique prefix is not one
+            (["shift-scan", "--omega", "0.5", "--ratio-range", "0.1:1:3"], 2,
+             "usage: lambda-crossing [-h]"),
+            (["experiment", "--pre", "rb87", "--scen", "microwave", "--omega1", "1e5", "--omega2",
+              "2e5", "--delta2", "1e6"], 2, "usage: lambda-crossing [-h]"),
             # the whole line, where no path or OS error text follows the message
             *[(argv, 1, f"error: {message}" + ("" if message.endswith(": ") else "\n"))
               for argv, message in FLAG_ERRORS + OVERFLOW_ERRORS],
         ],
-        ids=["library-error", "flag-error", "usage-error", "range-fields", "range-count-text",
+        ids=["library-error", "flag-error", "usage-error", "flag-prefix", "flag-prefixes",
+             "range-fields", "range-count-text",
              "range-count", "config-missing", "config-no-equals", "config-unknown-key",
              "missing-flag", "config-units", "unknown-preset", "clamped-ratio",
              "overflow-experiment", "overflow-hz-grid", "overflow-nu-range",

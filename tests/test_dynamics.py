@@ -24,7 +24,8 @@ from lambda_crossing import (
     transfer_supremum,
 )
 from lambda_crossing import dynamics, gap32
-from lambda_crossing.resonance import _cofactors, transfer_supremum_slope
+from lambda_crossing.hamiltonian import _scalar_spectrum, _secular
+from lambda_crossing.resonance import transfer_supremum_slope
 
 RNG = np.random.default_rng(99)
 
@@ -307,6 +308,43 @@ class TestTransferReference:
             call(RamanParams(1.0, 1.0, 1e300, 1e300))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "p",
+        [RamanParams(0.0011427226480782747, 0.0011427707362548537, 1.0000000000274762, 1.0),
+         RamanParams(1e300, 1e300, 1e300, 1e300)],
+        ids=["weak-on-locus", "1e300"],
+    )
+    def test_supremum_is_a_probability(self, p):
+        # unclipped, 4 c2^2 rounded to 1.0000000000000004 and, on the absolute
+        # matrix, 1.0000000000000009 at these two drives
+        sup = transfer_supremum(p)
+        assert 1.0 - 1e-12 <= sup <= 1.0
+        _, f = dynamics._residues(p)
+        ts = np.linspace(0.0, 8.0 * math.pi / (2.0 * f[2]), 101)
+        assert np.all((0.0 <= p13_full(p, ts)) & (p13_full(p, ts) <= 1.0))
+
+    def test_envelope_is_a_probability(self):
+        # unclipped, P(t) at the envelope's best crest rounded to
+        # 1.0000000000000007 here; _transfer clips it at 1, as at 0
+        p = RamanParams(0.0012493585211037447, 0.001249343800134766, 0.9999999999908041, 1.0)
+        assert 1.0 - 1e-12 <= transfer_envelope(p) <= 1.0
+
+    @pytest.mark.parametrize(
+        "call", [gap32, transfer_supremum, lambda p: p13_full(p, 1.0)],
+        ids=["gap32", "supremum", "p13_full"],
+    )
+    @pytest.mark.parametrize("p", [RamanParams(1.0, 1.0, 0.0, 1e-310),
+                                   RamanParams(1.0, 1.0, 1e300, 1e-10)], ids=["omega", "delta1"])
+    def test_overflowing_scaled_drive_is_named(self, call, p):
+        # omega / delta2 or delta1 / delta2 overflows the delta2 = 1 matrix of
+        # the one scalar spectrum: a ValueError naming the drive, not NaN or
+        # LAPACK's non-convergence
+        message = (f"the delta2 = 1 Hamiltonian overflows at omega1 = 1, omega2 = 1, "
+                   f"delta1 = {p.delta1:g}, delta2 = {p.delta2:g}")
+        with pytest.raises(ValueError) as err:
+            call(p)
+        assert str(err.value) == message
+
     def test_underflowed_supremum_gives_zero_envelope(self):
         # c2 ~ 1e-601: the supremum 4 c2^2 and so the envelope are 0, although
         # the window times the level gap overflows
@@ -462,8 +500,7 @@ def pair_loop_slope(energies, states):
 def eigenvalue_slope(p):
     """-2 a b transfer_supremum_slope at p (delta2 = 1), as pair_loop_slope."""
     a, b = p.omega1 / 2.0, p.omega2 / 2.0
-    energies = np.linalg.eigvalsh(build_hamiltonian(p)).tolist()
-    return -2.0 * a * b * transfer_supremum_slope(energies, p.delta1, b * b)
+    return -2.0 * a * b * transfer_supremum_slope(*_scalar_spectrum(p)(p.delta1, 1.0 - p.delta1))
 
 
 class TestTransferSupremumSlope:
@@ -510,7 +547,8 @@ class TestTransferSupremumSlope:
             q = RamanParams(2.0 * a, 2.0 * b, x, 1.0)
             spec = dressed_spectrum(q)
             e = spec.energies.tolist()
-            n = _cofactors(e, x, b * b)
+            n = _secular(spec.energies, spec.energies + x, spec.energies - (1.0 - x),
+                         a * a, b * b)[1]
             prod = [(e[k] - e[(k + 1) % 3]) * (e[k] - e[(k + 2) % 3]) for k in range(3)]
             h, g = e[1] - e[0], e[2] - e[1]
             bound = 8.0 * eps * max(1.0, abs(x)) / min(h, g)
@@ -537,8 +575,8 @@ class TestTransferSupremumSlope:
             q = p.with_delta1(d1)
             s_plus = math.sqrt(transfer_supremum(q.with_delta1(d1 + h)))
             s_minus = math.sqrt(transfer_supremum(q.with_delta1(d1 - h)))
-            energies = np.linalg.eigvalsh(build_hamiltonian(q)).tolist()
             a, b = p.omega1 / 2.0, p.omega2 / 2.0
-            assert -2.0 * a * b * transfer_supremum_slope(energies, d1, b * b) == pytest.approx(
+            slope = transfer_supremum_slope(*_scalar_spectrum(q)(d1, 1.0 - d1))
+            assert -2.0 * a * b * slope == pytest.approx(
                 gap32(q) ** 3 * (s_plus - s_minus) / (2.0 * h), rel=1e-5
             )

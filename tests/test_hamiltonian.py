@@ -21,8 +21,8 @@ from lambda_crossing import (
     track_character,
 )
 from lambda_crossing import hamiltonian
-from lambda_crossing.hamiltonian import _dominant, _overlap_weights
-from lambda_crossing.resonance import _slope_locus, gap32_slope
+from lambda_crossing.hamiltonian import _dominant, _overlap_weights, _scalar_spectrum
+from lambda_crossing.resonance import gap32_slope
 
 RNG = np.random.default_rng(20260823)
 
@@ -270,9 +270,8 @@ class TestGap32Slope:
         for d1 in points:
             q = p.with_delta1(d1)
             diff = (gap32(q.with_delta1(d1 + h)) - gap32(q.with_delta1(d1 - h))) / (2.0 * h)
-            energies = np.linalg.eigvalsh(build_hamiltonian(q)).tolist()
-            b = p.omega2 / 2.0
-            assert gap32_slope(energies, d1, b * b) == pytest.approx(gap32(q) * diff, rel=1e-5)
+            slope = gap32_slope(*_scalar_spectrum(q)(d1, 1.0 - d1))
+            assert slope == pytest.approx(gap32(q) * diff, rel=1e-5)
 
     def test_eigenvector_signs_are_free(self):
         # the eigenvector form g (v_{0,3}^2 - v_{0,2}^2) of g dg/d delta1, on
@@ -287,26 +286,22 @@ class TestGap32Slope:
             v = v * rng.choice([-1.0, 1.0], size=3)
             h, g = e[1] - e[0], e[2] - e[1]
             bound = 8.0 * g * eps * max(1.0, abs(p.delta1)) / min(h, g)
-            slope = gap32_slope(e.tolist(), p.delta1, (p.omega2 / 2.0) ** 2)
+            slope = gap32_slope(*_scalar_spectrum(p)(p.delta1, 1.0 - p.delta1))
             assert abs(g * (v[0, 2] ** 2 - v[0, 1] ** 2) - slope) <= bound
 
     def test_eigh_along_delta1_matches_fresh_matrix(self):
-        # _slope_locus refills one matrix in place along delta1; the energies
-        # each step hands the slope are eigvalsh of a fresh delta2 = 1 matrix
+        # _scalar_spectrum refills one matrix in place along delta1; each call
+        # gives the eigvalsh of a fresh delta2 = 1 matrix, in any call order,
+        # and the adjugate entries (e + x)(e - (1 - x)) - b^2 of its levels
         p = RamanParams(0.2, 0.5, 1.0, 1.3)
-        seen = []
-
-        def slope(energies, x, b2):
-            seen.append((energies, x, b2))
-            return gap32_slope(energies, x, b2)
-
-        _slope_locus(p, slope, "structural", (math.nan, math.nan))
-        assert len(seen) > 3
+        levels = _scalar_spectrum(p)
         a, b = 0.5 * p.omega1 / p.delta2, 0.5 * p.omega2 / p.delta2
-        for energies, x, b2 in seen:
+        for d1 in (1.3, 0.7, 1.9, 1.3, -0.4, 0.65):
+            x = d1 / p.delta2
+            energies, n = levels(x, 1.0 - x)
             fresh = build_hamiltonian(RamanParams(2.0 * a, 2.0 * b, x, 1.0))
             assert energies == np.linalg.eigvalsh(fresh).tolist()
-            assert b2 == b * b
+            assert n == [(e + x) * (e - (1.0 - x)) - b * b for e in energies]
 
 
 class TestAvoidedCrossingScan:

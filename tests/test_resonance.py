@@ -19,7 +19,6 @@ from lambda_crossing import (
     BracketError,
     ConvergenceError,
     RamanParams,
-    build_hamiltonian,
     dynamical_approx,
     dynamical_exact_effective,
     dynamical_exact_full,
@@ -55,12 +54,16 @@ LOCUS_TOL = 1e-13
 
 
 def slope_at(slope, params, d1):
-    """A resonance slope kernel at delta1 = d1, from the eigvalsh of the
-    delta2 = 1 Hamiltonian at d1 / delta2, as the locus searches read it."""
-    d2, x = params.delta2, d1 / params.delta2
-    b = params.omega2 / (2.0 * d2)
-    h = build_hamiltonian(RamanParams(params.omega1 / d2, params.omega2 / d2, x, 1.0))
-    return slope(np.linalg.eigvalsh(h).tolist(), x, b * b)
+    """A resonance slope kernel at delta1 = d1, on the scalar spectrum (the
+    levels and adjugate entries) at x = d1 / delta2, as the locus searches read it."""
+    x = d1 / params.delta2
+    return slope(*hamiltonian._scalar_spectrum(params)(x, 1.0 - x))
+
+
+# One drive at delta2 != 1, scaled from (0.2, 0.5): there the loci, gap32 and
+# transfer_supremum share one spectrum as they do at delta2 = 1.
+SCALED_D2 = math.exp(0.7)
+SCALED = (0.2 * SCALED_D2, 0.5 * SCALED_D2, SCALED_D2)
 
 
 def dense_scan_minimum(params, lo=0.9, hi=1.2, n=20001):
@@ -93,19 +96,19 @@ class TestStructural:
             )
 
     def test_argmin_certificate(self):
-        # a step of 1e-9 moves gap32 by about 1e-18, below one ulp, so the
-        # value certificate steps 10 CERTIFICATE_TOL; the locus is held to the
-        # 50-digit one and its slope must change sign across +-1e-9 (about
-        # -+9.8e-10 at (0.2, 0.5))
-        for o1, o2 in [(0.2, 0.5), (0.4, 0.4)]:
-            p = RamanParams(o1, o2, 1.0, 1.0)
+        # a step of 1e-9 delta2 moves gap32 by about 1e-18 delta2, below one
+        # ulp, so the value certificate steps 10 CERTIFICATE_TOL delta2; the
+        # locus is held to the 50-digit one and its slope must change sign
+        # across +-1e-9 delta2 (about -+9.8e-10 at (0.2, 0.5))
+        for o1, o2, d2 in [(0.2, 0.5, 1.0), (0.4, 0.4, 1.0), SCALED]:
+            p = RamanParams(o1, o2, d2, d2)
             star = structural_exact(p)
             g0 = gap32(p.with_delta1(star))
-            eps = 10.0 * CERTIFICATE_TOL
+            eps = 10.0 * CERTIFICATE_TOL * d2
             assert gap32(p.with_delta1(star + eps)) >= g0
             assert gap32(p.with_delta1(star - eps)) >= g0
-            assert abs(star - mp_locus(p, mp_gap, star)) <= 1e-10 * p.delta2
-            eps = 1e-9
+            assert abs(star - mp_locus(p, mp_gap, star)) <= 1e-10 * d2
+            eps = 1e-9 * d2
             assert slope_at(gap32_slope, p, star - eps) < 0.0 < slope_at(gap32_slope, p, star + eps)
 
     def test_approx_reference_value(self):
@@ -252,18 +255,23 @@ class TestLocusSearch:
         assert pows == []
 
     def test_loci_read_eigenvalues_only(self):
-        # both exact loci come from eigvalsh of the delta2 = 1 Hamiltonian:
-        # no eigenvectors, and nothing from hamiltonian but RamanParams
+        # every eigensolve of the package is in hamiltonian: the loci, gap32
+        # and the transfer read its one scalar spectrum, and resonance names
+        # no eigenvector path
+        solvers = {"eigh", "eigvalsh", "eig", "eigvals"}
+        users = set()
+        for path in Path(lambda_crossing.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if {getattr(node, key, None) for key in ("id", "attr", "name")} & solvers:
+                    users.add(path.name)
+        assert users == {"hamiltonian.py"}
         tree = ast.parse(Path(resonance.__file__).read_text(encoding="utf-8"))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
         assert not names & {"eigh", "dressed_spectrum", "diagonalize"}
-        imported = [
-            (node.module, alias.name) for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
-            if "hamiltonian" in (getattr(node, "module", None) or alias.name)
-        ]
-        assert imported == [("hamiltonian", "RamanParams")]
 
     def test_transfer_reads_eigenvalues_only(self):
         # the 1 -> 3 transfer comes from one eigvalsh: in dynamics only evolve,
@@ -380,18 +388,19 @@ class TestDynamical:
 
     def test_full_local_maximum_certificate(self):
         # as test_argmin_certificate: transfer_supremum spreads 2.2e-15 within
-        # 1e-9 of the locus, so its values are compared 5 CERTIFICATE_TOL
-        # apart; 5e-10 away the slope reads about +-2.2e-11
-        p = RamanParams(0.2, 0.5, 1.0, 1.0)
-        star = dynamical_exact_full(p)
-        a0 = transfer_supremum(p.with_delta1(star))
-        eps = 5.0 * CERTIFICATE_TOL
-        assert a0 >= transfer_supremum(p.with_delta1(star + eps))
-        assert a0 >= transfer_supremum(p.with_delta1(star - eps))
-        assert abs(star - mp_locus(p, mp_transfer, star)) <= 1e-10 * p.delta2
-        eps = 5e-10
-        slopes = [slope_at(transfer_supremum_slope, p, star + s) for s in (-eps, eps)]
-        assert slopes[0] < 0.0 < slopes[1]
+        # 1e-9 delta2 of the locus, so its values are compared 5 CERTIFICATE_TOL
+        # delta2 apart; 5e-10 delta2 away the slope reads about +-2.2e-11
+        for o1, o2, d2 in [(0.2, 0.5, 1.0), SCALED]:
+            p = RamanParams(o1, o2, d2, d2)
+            star = dynamical_exact_full(p)
+            a0 = transfer_supremum(p.with_delta1(star))
+            eps = 5.0 * CERTIFICATE_TOL * d2
+            assert a0 >= transfer_supremum(p.with_delta1(star + eps))
+            assert a0 >= transfer_supremum(p.with_delta1(star - eps))
+            assert abs(star - mp_locus(p, mp_transfer, star)) <= 1e-10 * d2
+            eps = 5e-10 * d2
+            slopes = [slope_at(transfer_supremum_slope, p, star + s) for s in (-eps, eps)]
+            assert slopes[0] < 0.0 < slopes[1]
 
     @pytest.mark.parametrize("omega1, omega2, delta2", [(2.5e-11, 2.4e-7, 4.76),
                                                         (2e-11, 1e-7, 0.08)])
