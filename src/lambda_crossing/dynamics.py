@@ -9,7 +9,7 @@ import numpy as np
 from ._minimize import modular_minimum
 from .effective import effective_energies, eliminate
 from .errors import EnvelopeError
-from .hamiltonian import RamanParams, _at_drive, _check_finite, _scalar_spectrum, dressed_spectrum
+from .hamiltonian import RamanParams, _at_drive, _check_finite, _point_spectrum, dressed_spectrum
 
 
 def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
@@ -55,14 +55,13 @@ def p13_effective(params: RamanParams, t: float) -> float:
 
 
 def _residues(params: RamanParams):
-    """(c, f) from _scalar_spectrum: the residues c_k = <3|eps_k><eps_k|1> = a b /
-    prod_{j != k} (e_k - e_j) as ratio products that cannot overflow (all 0 when
-    a b = 0), and f, delta2 times the half-gaps of pairs (1, 2), (1, 3), (2, 3)."""
-    d1, d2 = params.delta1, params.delta2
-    (e1, e2, e3), _ = _scalar_spectrum(params)(d1 / d2, (d2 - d1) / d2)
-    h, g, w = e2 - e1, e3 - e2, e3 - e1
-    a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
-    f = (0.5 * d2 * h, 0.5 * d2 * w, 0.5 * d2 * g)
+    """(c, f) from _point_spectrum: the residues c_k = <3|eps_k><eps_k|1> = a b /
+    prod_{j != k} (e_k - e_j) as ratio products in its frame, which cannot
+    overflow (all 0 when a b = 0), and f, the half-gaps of pairs (1, 2),
+    (1, 3), (2, 3) scaled out of it (inf past the float range)."""
+    k, a, b, (e1, e2, e3) = _point_spectrum(params)
+    h, g, w, half = e2 - e1, e3 - e2, e3 - e1, 2.0 ** (k - 1)
+    f = (half * h, half * w, half * g)
     if a == 0.0 or b == 0.0:
         return (0.0, 0.0, 0.0), f
     if not (h > 0.0 and g > 0.0):

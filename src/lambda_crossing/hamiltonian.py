@@ -149,25 +149,42 @@ def _gap(energies):
     return energies[..., 2] - energies[..., 1]
 
 
-def _scalar_spectrum(params: RamanParams):
-    """levels(x, c): one 3x3 eigvalsh of the delta2 = 1 Hamiltonian, a, b =
-    omega1 / 2 delta2, omega2 / 2 delta2 off the diagonal and (0, -x, c) on it
-    for x, c = delta1 / delta2, 1 - x (one matrix, refilled in place): its
-    ascending e_k and n_k = (e_k + x)(e_k - c) - b^2, the (1, 1) entry of
-    adj(e_k - H). The one spectrum of gap32, the transfer and both slope loci;
-    a ValueError names the drive where an entry overflows."""
-    d2 = params.delta2
-    a, b = 0.5 * params.omega1 / d2, 0.5 * params.omega2 / d2
+def _frame(params: RamanParams, reach):
+    """k, the one scale of every eigvalsh of a Lambda matrix: the frexp
+    exponent of the largest of omega1 / 2, omega2 / 2, |reach| and delta2, one
+    k per entry of an array reach. Times 2^-k, which is exact short of
+    subnormals, no entry of a matrix at |delta1| <= |reach| reaches 2."""
+    top = max(0.5 * params.omega1, 0.5 * params.omega2, params.delta2)
+    if isinstance(reach, np.ndarray):
+        return np.frexp(np.maximum(np.abs(reach), top))[1]
+    return math.frexp(max(abs(reach), top))[1]
+
+
+def _scalar_spectrum(params: RamanParams, k: int):
+    """(a, b, d2, levels): omega1 / 2, omega2 / 2 and delta2 in the frame 2^-k,
+    and levels(x), one eigvalsh of the frame's matrix at delta1 = x 2^k (one
+    matrix, refilled in place; c = d2 - x): its ascending e_k and n_k =
+    (e_k + x)(e_k - c) - b^2, the (1, 1) entry of adj(e_k - H). The one
+    spectrum of gap32, the transfer and both slope loci."""
+    a, b = math.ldexp(params.omega1, -k - 1), math.ldexp(params.omega2, -k - 1)
+    d2 = math.ldexp(params.delta2, -k)
     m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
 
-    def levels(x: float, c: float):
-        if not math.isfinite(a + b + x + c):
-            raise ValueError("the delta2 = 1 Hamiltonian overflows " + _at_drive(params))
+    def levels(x: float):
+        c = d2 - x
         m[1, 1], m[2, 2] = -x, c
         e = np.linalg.eigvalsh(m).tolist()
         return e, [(ek + x) * (ek - c) - b2 for ek in e]
 
-    return levels
+    return a, b, d2, levels
+
+
+def _point_spectrum(params: RamanParams):
+    """(k, a, b, e): _scalar_spectrum's a, b and ascending levels at
+    params.delta1, in the _frame k of that delta1."""
+    k = _frame(params, params.delta1)
+    a, b, _, levels = _scalar_spectrum(params, k)
+    return k, a, b, levels(math.ldexp(params.delta1, -k))[0]
 
 
 def _secular(e, u, v, a2, b2):
@@ -179,10 +196,13 @@ def _secular(e, u, v, a2, b2):
 
 
 def gap32(params: RamanParams) -> float:
-    """eps3 - eps2 >= 0 from _scalar_spectrum, the spectrum the structural locus reads."""
-    d1, d2 = params.delta1, params.delta2
-    e, _ = _scalar_spectrum(params)(d1 / d2, (d2 - d1) / d2)
-    return d2 * (e[2] - e[1])
+    """eps3 - eps2 >= 0 from _point_spectrum, the spectrum the structural locus
+    reads; a ValueError names the drive where it exceeds the float range."""
+    k, _, _, e = _point_spectrum(params)
+    try:
+        return math.ldexp(e[2] - e[1], k)
+    except OverflowError:
+        raise ValueError(f"the level gap overflows {_at_drive(params)}") from None
 
 
 @dataclass(frozen=True)
@@ -205,24 +225,20 @@ def _overlap_weights(params: RamanParams, grid: np.ndarray) -> np.ndarray:
 
     With c = delta2 - delta1 and a, b = omega1 / 2, omega2 / 2, |<j|eps_k>|^2
     is n_j / (n0 + n1 + n2) for _secular's diagonal n_j of adj(e - H) at
-    e = eps_k. Everything is first scaled by the power of two that puts delta2
-    in [1, 2), which is exact, so the products see only the ratios to delta2
-    and no delta2 makes them underflow or overflow. One Newton step on
-    _secular's det(x - H), subtracted from each of e, e + delta1 and e - c,
-    leaves each accurate to its own size, however near zero. Where the
-    difference in n0 or n2 keeps less than _CANCEL of its b^2 or a^2, the
-    equal quotient a^2 (e - c) / e or b^2 e / (e - c) (det = 0 at e) replaces
-    it. A row with a non-finite weight, which a zero gap gives through the
-    Newton step, takes _signed_eigh's states ** 2 instead. The energies stay here.
-    """
+    e = eps_k, all read off each row's matrix in the _frame of its delta1.
+    One Newton step on _secular's det(x - H), subtracted from each of e,
+    e + delta1 and e - c, leaves each accurate to its own size, however near
+    zero. Where the difference in n0 or n2 keeps less than _CANCEL of its b^2
+    or a^2, the equal quotient a^2 (e - c) / e or b^2 e / (e - c) (det = 0 at
+    e) replaces it. A row with a non-finite weight, which a zero gap gives
+    through the Newton step, takes _signed_eigh's states ** 2 instead. The
+    energies stay here."""
     m = build_hamiltonian(params, grid)
-    k = 1 - math.frexp(params.delta2)[1]
+    framed = np.ldexp(m, -_frame(params, grid)[:, None, None])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.linalg.eigvalsh(np.ldexp(m, k))
-        u = e + np.ldexp(grid, k)[:, None]
-        v = e - np.ldexp(params.delta2 - grid, k)[:, None]
-        a2 = np.ldexp(0.5 * params.omega1, k) ** 2
-        b2 = np.ldexp(0.5 * params.omega2, k) ** 2
+        e = np.linalg.eigvalsh(framed)
+        u, v = e - framed[:, 1, 1:2], e - framed[:, 2, 2:]
+        a2, b2 = framed[:, 0, 1:2] ** 2, framed[:, 1, 2:] ** 2
         step = _secular(e, u, v, a2, b2)[0] / ((e - e[:, _PREV]) * (e - e[:, _NEXT]))
         e -= step
         u -= step

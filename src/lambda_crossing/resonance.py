@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._minimize import _ROOT_RTOL, slope_root
 from .errors import BracketError, ConvergenceError
-from .hamiltonian import RamanParams, _scalar_spectrum
+from .hamiltonian import RamanParams, _at_drive, _frame, _scalar_spectrum
 
 # Search bracket around the delta1 ~ delta2 crossing, in units of delta2.
 # At zero coupling (eps2 - eps1)(eps3 - eps2) = x (1 - x) at x = delta1 /
@@ -43,8 +43,9 @@ def _locus(params: RamanParams, what: str, solve) -> float:
     """solve(lo, hi): the locus of kind what, by its engine's own search in
     [lo, hi] = [BRACKET_LO, BRACKET_HI] * delta2. The one place that names
     the kind: a coupling that is not positive or from _COUPLING_LIMIT delta2,
-    or a locus at the bracket edge, raises BracketError naming what, and a
-    ConvergenceError from solve is raised again as "{what} locus: {err}"."""
+    or a locus at the bracket edge, raises BracketError naming what, a locus
+    past the float range a ValueError, and a ConvergenceError from solve is
+    raised again as "{what} locus: {err}"."""
     o1, o2, d2 = params.omega1, params.omega2, params.delta2
     if not (o1 > 0 and o2 > 0):
         raise BracketError(f"{what} resonance requires omega1 * omega2 > 0")
@@ -58,6 +59,8 @@ def _locus(params: RamanParams, what: str, solve) -> float:
         x = solve(lo, hi)
     except ConvergenceError as err:
         raise ConvergenceError(f"{what} locus: {err}") from None
+    except OverflowError:
+        raise ValueError(f"{what} locus overflows {_at_drive(params)}") from None
     if min(x - lo, hi - x) < _EDGE_MARGIN * d2:
         raise BracketError(
             f"{what} locus {x:g} is at the edge of the search bracket [{lo:g}, {hi:g}]; "
@@ -90,30 +93,32 @@ def transfer_supremum_slope(energies, n) -> float:
 
 
 def _slope_locus(params: RamanParams, slope, what: str, seed) -> float:
-    """_locus of kind what: the root of slope(*levels(x, 1 - x)), x = delta1 /
-    delta2 (1 - x is exact on the bracket), to slope_root's floor of 4 ulp, one
-    _scalar_spectrum call per step. seed (x0, w), the sixth-order series and
-    its remainder bound, gives [a, b] = [x0 - w, x0 + w] to search first, then
-    [lo, a] or [b, hi] if the root is an end with the slope pointing out; NaN,
-    infinity or an [a, b] not strictly inside [lo, hi] gives the full bracket.
-    The seed picks the bracket, the slope the value: a mean of 4.2 evaluations
-    (at most 7), 6.8 and 9.1 unseeded."""
-    levels, d2 = _scalar_spectrum(params), params.delta2
+    """_locus of kind what: the root of slope(*levels(x)) over x = delta1 2^-k
+    in the _frame k of delta2, on the bracket formed in that frame (where
+    1.5 delta2 cannot overflow), to slope_root's floor of 4 ulp. The seed
+    (x0, w), the sixth-order series and its remainder bound, gives the window
+    [x0 - w, x0 + w] 2^-k to search first, then the rest of the bracket on
+    the side the slope points to; a window not strictly inside it gives the
+    full bracket. A mean of 4.2 evaluations (at most 7), 6.8 and 9.1 unseeded."""
+    k = _frame(params, params.delta2)
+    _, _, d2, levels = _scalar_spectrum(params, k)
 
-    def f(d1):
-        return slope(*levels(d1 / d2, 1.0 - d1 / d2))
+    def f(x):
+        return slope(*levels(x))
 
-    def solve(lo, hi):
+    def solve(*_):  # _locus's bracket, formed again in the frame
+        lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
         x0, w = seed
-        left, right = x0 - w, x0 + w
+        left, right = math.ldexp(x0 - w, -k), math.ldexp(x0 + w, -k)
         if lo < left < right < hi:
             x, fx = slope_root(f, left, right)
             if x == left and fx >= 0.0:
                 x, _ = slope_root(f, lo, left)
             elif x == right and fx <= 0.0:
                 x, _ = slope_root(f, right, hi)
-            return x
-        return slope_root(f, lo, hi)[0]
+        else:
+            x, _ = slope_root(f, lo, hi)
+        return math.ldexp(x, k)
 
     return _locus(params, what, solve)
 
@@ -121,7 +126,7 @@ def _slope_locus(params: RamanParams, slope, what: str, seed) -> float:
 def _couplings(params: RamanParams):
     """(alpha, beta) = (Omega1^2, Omega2^2) / (4 delta2^2), the variables of
     every seed and closed form; a product overflows to inf, not an error."""
-    r1, r2 = params.omega1 / (2.0 * params.delta2), params.omega2 / (2.0 * params.delta2)
+    r1, r2 = params.omega1 / params.delta2 * 0.5, params.omega2 / params.delta2 * 0.5
     return r1 * r1, r2 * r2
 
 

@@ -275,6 +275,33 @@ class TestShiftScan:
         assert rows == [[1e-10, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
+@pytest.mark.parametrize(
+    "one, far",
+    [(["resonance", "--omega1", "0.1", "--omega2", "0.2"],
+      ["resonance", "--omega1", "1e159", "--omega2", "2e159", "--delta2", "1e160"]),
+     (["shift-scan", "--omega2", "0.2", "--ratio-range", "0.5:1.5:3"],
+      ["shift-scan", "--omega2", "2e159", "--ratio-range", "0.5:1.5:3", "--delta2", "1e160"])],
+    ids=["resonance", "shift-scan"],
+)
+def test_far_delta2_scales_the_table(tmp_path, capsys, one, far):
+    # delta2 = 1e160: every locus and shift over delta2 is the delta2 = 1
+    # table's, to test_report_is_scale_free's bounds (1e-13 a locus, 2e-13 an
+    # exact shift, 64 ulp a closed form), not a ZeroDivisionError
+    assert main(one + ["--output", str(tmp_path / "one.csv")]) == 0
+    assert main(far + ["--output", str(tmp_path / "far.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    header, want = read_csv(tmp_path / "one.csv")
+    _, got = read_csv(tmp_path / "far.csv")
+    tol = {"structural_exact": 1e-13, "dynamical_exact_full": 1e-13, "shift_exact": 2e-13}
+    assert len(got) == len(want)
+    for row_want, row_got in zip(want, got):
+        for name, w, g in zip(header, row_want, row_got):
+            if name == "ratio":
+                assert g == w
+            else:
+                assert abs(g / 1e160 - w) <= tol.get(name, 64.0 * math.ulp(w)), name
+
+
 class TestProbeSpectrum:
     def test_spectrum_and_peaks_sidecar(self, tmp_path):
         out = tmp_path / "spec.csv"

@@ -87,6 +87,16 @@ def reference_transfer(params, ts):
         return float(sum(abs(ck) for ck in c) ** 2), [float(q) for q in ps]
 
 
+def mp_gap32(params):
+    """eps3 - eps2 of a 50-digit mpmath.eigsy spectrum of the float inputs."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(params.omega1) / 2, mpmath.mpf(params.omega2) / 2
+        d1, d2 = mpmath.mpf(params.delta1), mpmath.mpf(params.delta2)
+        h = mpmath.matrix([[0, a, 0], [a, -d1, b], [0, b, d2 - d1]])
+        e = sorted(mpmath.eigsy(h, eigvals_only=True))
+        return float(e[2] - e[1])
+
+
 def rk4_evolve(params, psi0, t_final, steps):
     """Independent oracle: fixed-step RK4 on i dpsi/dt = H psi."""
     h = build_hamiltonian(params).astype(complex)
@@ -336,14 +346,44 @@ class TestTransferReference:
     @pytest.mark.parametrize("p", [RamanParams(1.0, 1.0, 0.0, 1e-310),
                                    RamanParams(1.0, 1.0, 1e300, 1e-10)], ids=["omega", "delta1"])
     def test_overflowing_scaled_drive_is_named(self, call, p):
-        # omega / delta2 or delta1 / delta2 overflows the delta2 = 1 matrix of
-        # the one scalar spectrum: a ValueError naming the drive, not NaN or
-        # LAPACK's non-convergence
-        message = (f"the delta2 = 1 Hamiltonian overflows at omega1 = 1, omega2 = 1, "
-                   f"delta1 = {p.delta1:g}, delta2 = {p.delta2:g}")
-        with pytest.raises(ValueError) as err:
-            call(p)
-        assert str(err.value) == message
+        # omega / delta2 or delta1 / delta2 overflows a delta2 = 1 matrix, but
+        # not the frame of the largest entry: the 50-digit value (gap32 1e300
+        # where |delta1| dwarfs the couplings), or, where double precision
+        # merges the lower pair (eps1 = eps2 = -1e300), the named error
+        if p.delta1 == 1e300 and call is not gap32:
+            message = ("double precision does not resolve the dressed levels at omega1 = 1, "
+                       "omega2 = 1, delta1 = 1e+300, delta2 = 1e-10")
+            with pytest.raises(ValueError) as err:
+                call(p)
+            assert str(err.value) == message
+            return
+        if call is gap32:
+            assert gap32(p) == mp_gap32(p) == {0.0: 0.7071067811865476, 1e300: 1e300}[p.delta1]
+            return
+        sup, (p1,) = reference_transfer(p, [1.0])
+        want = sup if call is transfer_supremum else p1
+        assert abs(call(p) - want) <= 4.0 * np.finfo(float).eps
+
+    def test_gap_below_eps_norm_is_zero(self):
+        # the true gap, delta2 = 1e-300, lies below eps |H| = 2e-316: it is 0,
+        # as in the 50-digit spectrum, not an error
+        p = RamanParams(0.0, 0.0, -1e300, 1e-300)
+        assert gap32(p) == mp_gap32(p) == 0.0
+        assert transfer_supremum(p) == p13_full(p, 1.0) == 0.0
+
+    @pytest.mark.parametrize("call", [gap32, transfer_supremum], ids=["gap32", "supremum"])
+    def test_against_50_digit_reference_at_any_delta2(self, call):
+        # 300 drives with delta2 = e^U(-40, 40), couplings log-uniform on
+        # 1e-3..0.6 delta2 and delta1 within omega1 omega2 / delta2 of delta2,
+        # against a 50-digit mpmath.eigsy spectrum, to 5e-13 relative (worst
+        # draws: gap32 1.0e-13 and the supremum 2.0e-13)
+        rng = np.random.default_rng(3636)
+        for _ in range(300):
+            d2 = math.exp(rng.uniform(-40.0, 40.0))
+            omega1, omega2 = (np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2)) * d2).tolist()
+            p = RamanParams(omega1, omega2, d2 + rng.uniform(-1.0, 1.0) * omega1 * omega2 / d2, d2)
+            want = mp_gap32(p) if call is gap32 else reference_transfer(p, [])[0]
+            assert abs(call(p) - want) <= 5e-13 * want
 
     def test_underflowed_supremum_gives_zero_envelope(self):
         # c2 ~ 1e-601: the supremum 4 c2^2 and so the envelope are 0, although
@@ -500,7 +540,7 @@ def pair_loop_slope(energies, states):
 def eigenvalue_slope(p):
     """-2 a b transfer_supremum_slope at p (delta2 = 1), as pair_loop_slope."""
     a, b = p.omega1 / 2.0, p.omega2 / 2.0
-    return -2.0 * a * b * transfer_supremum_slope(*_scalar_spectrum(p)(p.delta1, 1.0 - p.delta1))
+    return -2.0 * a * b * transfer_supremum_slope(*_scalar_spectrum(p, 0)[3](p.delta1))
 
 
 class TestTransferSupremumSlope:
@@ -576,7 +616,7 @@ class TestTransferSupremumSlope:
             s_plus = math.sqrt(transfer_supremum(q.with_delta1(d1 + h)))
             s_minus = math.sqrt(transfer_supremum(q.with_delta1(d1 - h)))
             a, b = p.omega1 / 2.0, p.omega2 / 2.0
-            slope = transfer_supremum_slope(*_scalar_spectrum(q)(d1, 1.0 - d1))
+            slope = transfer_supremum_slope(*_scalar_spectrum(q, 0)[3](d1))
             assert -2.0 * a * b * slope == pytest.approx(
                 gap32(q) ** 3 * (s_plus - s_minus) / (2.0 * h), rel=1e-5
             )

@@ -21,7 +21,7 @@ from lambda_crossing import (
     track_character,
 )
 from lambda_crossing import hamiltonian
-from lambda_crossing.hamiltonian import _dominant, _overlap_weights, _scalar_spectrum
+from lambda_crossing.hamiltonian import _dominant, _frame, _overlap_weights, _scalar_spectrum
 from lambda_crossing.resonance import gap32_slope
 
 RNG = np.random.default_rng(20260823)
@@ -270,7 +270,7 @@ class TestGap32Slope:
         for d1 in points:
             q = p.with_delta1(d1)
             diff = (gap32(q.with_delta1(d1 + h)) - gap32(q.with_delta1(d1 - h))) / (2.0 * h)
-            slope = gap32_slope(*_scalar_spectrum(q)(d1, 1.0 - d1))
+            slope = gap32_slope(*_scalar_spectrum(q, 0)[3](d1))
             assert slope == pytest.approx(gap32(q) * diff, rel=1e-5)
 
     def test_eigenvector_signs_are_free(self):
@@ -286,22 +286,24 @@ class TestGap32Slope:
             v = v * rng.choice([-1.0, 1.0], size=3)
             h, g = e[1] - e[0], e[2] - e[1]
             bound = 8.0 * g * eps * max(1.0, abs(p.delta1)) / min(h, g)
-            slope = gap32_slope(*_scalar_spectrum(p)(p.delta1, 1.0 - p.delta1))
+            slope = gap32_slope(*_scalar_spectrum(p, 0)[3](p.delta1))
             assert abs(g * (v[0, 2] ** 2 - v[0, 1] ** 2) - slope) <= bound
 
     def test_eigh_along_delta1_matches_fresh_matrix(self):
         # _scalar_spectrum refills one matrix in place along delta1; each call
-        # gives the eigvalsh of a fresh delta2 = 1 matrix, in any call order,
-        # and the adjugate entries (e + x)(e - (1 - x)) - b^2 of its levels
+        # gives the eigvalsh of a fresh matrix scaled into the frame, in any
+        # call order, and the adjugate entries (e + x)(e - (d2 - x)) - b^2 of
+        # its levels
         p = RamanParams(0.2, 0.5, 1.0, 1.3)
-        levels = _scalar_spectrum(p)
-        a, b = 0.5 * p.omega1 / p.delta2, 0.5 * p.omega2 / p.delta2
+        k = _frame(p, 1.9)  # 1.9 = 0.95 * 2^1
+        a, b, d2, levels = _scalar_spectrum(p, k)
+        assert (k, a, b, d2) == (1, 0.05, 0.125, 0.65)
         for d1 in (1.3, 0.7, 1.9, 1.3, -0.4, 0.65):
-            x = d1 / p.delta2
-            energies, n = levels(x, 1.0 - x)
-            fresh = build_hamiltonian(RamanParams(2.0 * a, 2.0 * b, x, 1.0))
+            x = math.ldexp(d1, -k)
+            energies, n = levels(x)
+            fresh = np.ldexp(build_hamiltonian(p.with_delta1(d1)), -k)
             assert energies == np.linalg.eigvalsh(fresh).tolist()
-            assert n == [(e + x) * (e - (1.0 - x)) - b * b for e in energies]
+            assert n == [(e + x) * (e - (d2 - x)) - b * b for e in energies]
 
 
 class TestAvoidedCrossingScan:

@@ -55,9 +55,10 @@ LOCUS_TOL = 1e-13
 
 def slope_at(slope, params, d1):
     """A resonance slope kernel at delta1 = d1, on the scalar spectrum (the
-    levels and adjugate entries) at x = d1 / delta2, as the locus searches read it."""
-    x = d1 / params.delta2
-    return slope(*hamiltonian._scalar_spectrum(params)(x, 1.0 - x))
+    levels and adjugate entries) in the frame of delta2, as the locus searches
+    read it."""
+    k = hamiltonian._frame(params, params.delta2)
+    return slope(*hamiltonian._scalar_spectrum(params, k)[3](math.ldexp(d1, -k)))
 
 
 # One drive at delta2 != 1, scaled from (0.2, 0.5): there the loci, gap32 and
@@ -209,14 +210,17 @@ class TestLocusSearch:
     @pytest.mark.parametrize(
         "delta2, omegas",
         [
-            *[pytest.param(d2, (0.2, 0.5), id=f"{d2:g}") for d2 in (1e-159, 1e-110, 1e80, 1e150)],
+            *[pytest.param(d2, (0.2, 0.5), id=f"{d2:g}")
+              for d2 in (1e-159, 1e-110, 1e80, 1e150, 1e160, 1e300, 2.0**-1000, 2.0**1000)],
+            # 2 delta2 and 1.5 delta2 overflow here: alpha, beta and the bracket must not
+            pytest.param(1.7e308, (0.2, 0.5), id="1.7e308"),
             # Omega1 Omega2 underflows to 0 here: each coupling, not the product, is tested
             pytest.param(1e-159, (1e-3, 1e-3), id="1e-159-omega-1e-3"),
         ],
     )
     def test_report_is_scale_free(self, delta2, omegas):
         # in units of delta2 the report is that of delta2 = 1: the slopes are
-        # read on the delta2 = 1 Hamiltonian, the closed forms in (alpha, beta)
+        # read in the power-of-two frame of delta2, the closed forms in (alpha, beta)
         w1, w2 = omegas
         want = resonance_report(RamanParams(w1, w2, 1.0, 1.0))
         got = resonance_report(RamanParams(w1 * delta2, w2 * delta2, delta2, delta2))
@@ -225,6 +229,34 @@ class TestLocusSearch:
             bound = {"structural_exact": LOCUS_TOL, "dynamical_exact_full": LOCUS_TOL,
                      "shift_exact": 2.0 * LOCUS_TOL}.get(field.name, 64.0 * math.ulp(one))
             assert abs(scaled - one) <= bound, field.name
+
+    @pytest.mark.parametrize("n", [-1000, -61, 61, 1000])
+    @pytest.mark.parametrize("omegas", [(0.2, 0.5), (1e-3, 2e-3)], ids=str)
+    def test_loci_are_power_of_two_exact(self, omegas, n):
+        # delta2 = 2^n scales the drive into the very frame matrices of
+        # delta2 = 1, so both loci are 2^n times those, bit for bit
+        w1, w2 = omegas
+        one = RamanParams(w1, w2, 1.0, 1.0)
+        p = RamanParams(*(math.ldexp(v, n) for v in (w1, w2, 1.0, 1.0)))
+        for finder in (structural_exact, dynamical_exact_full):
+            assert finder(p) == math.ldexp(finder(one), n)
+
+    def test_loci_where_the_bracket_overflows(self):
+        # 1.5 delta2 is past the float range; in the frame it is not, and the
+        # loci are within 4 ulp of 1.7e308 times those of delta2 = 1
+        p = RamanParams(1.7e307, 3.4e307, 1.7e308, 1.7e308)
+        for finder in (structural_exact, dynamical_exact_full):
+            want = 1.7e308 * finder(RamanParams(0.1, 0.2, 1.0, 1.0))
+            assert abs(finder(p) - want) <= 4.0 * math.ulp(want)
+
+    def test_locus_past_the_float_range_is_named(self):
+        # the structural locus, 1.0075 delta2, exceeds the largest double
+        p = RamanParams(1.7e307, 3.4e307, 1.79e308, 1.79e308)
+        message = ("structural locus overflows at omega1 = 1.7e+307, omega2 = 3.4e+307, "
+                   "delta1 = 1.79e+308, delta2 = 1.79e+308")
+        with pytest.raises(ValueError) as err:
+            structural_exact(p)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "closed_form, params",
