@@ -40,6 +40,8 @@ class RamanParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         if self.omega1 < 0 or self.omega2 < 0:
             raise ValueError("Rabi frequencies must be non-negative")
         if self.delta2 <= 0:

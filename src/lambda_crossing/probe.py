@@ -8,7 +8,6 @@ splitting, and repeating over delta1 locates the structural resonance.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -52,6 +51,14 @@ _BLOCK = 16
 # Maps per chunk of the oracle's pairwise product, so blocks in a run of
 # blocks; bounds its (2 K + 1, chunk) temporaries.
 _CHUNK = 1024
+
+# The 9th roots of unity, at which a step map is sampled, the inverse DFT from
+# those samples to its coefficients of z^-4..z^4, the times of its three RK4
+# stages in steps, and the half-widths K = 0..4 _BLOCK of _tail_bounds.
+_ROOTS9 = np.exp(2j * np.pi / 9 * np.arange(9))
+_INV_DFT9 = np.exp(-2j * np.pi / 9 * np.arange(9)[:, None] * np.arange(-4, 5)) / 9
+_STAGE_TIMES = np.array([[0.0], [0.5], [1.0]])
+_WIDTHS = np.arange(4 * _BLOCK + 1.0)
 
 
 def _check_probe(omega_p: float, duration: float):
@@ -169,8 +176,8 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     the smallest whose T_K lies below the rounding the samples of F already
     carry, eps _BLOCK max|C| over the coefficients C of E. A zero probe gives
     K = 0; where no K < 4 _BLOCK meets the bound, K = 4 _BLOCK keeps all of
-    F. The block maps, and the steps past the last whole block, are
-    multiplied pairwise, chunk by chunk, rather than applied in a step loop.
+    F. The block maps are multiplied pairwise, chunk by chunk, with the steps
+    past the last whole block in the last chunk, not applied in a step loop.
     """
     # an int or numpy integer, not a bool
     if isinstance(steps, bool) or not isinstance(steps, Integral) or steps < 1:
@@ -191,10 +198,8 @@ def probe_time_domain_oracle(params: RamanParams, probe: ProbeParams, steps: int
     step = _rk4_step_coefficients(h0, half_p, probe.nu, dt)
     half = _half_width(step, _tail_bounds(np.abs(h0).sum(axis=1).max(), half_p, dt))
     phase = probe.nu * dt
-    blocks, rest = divmod(steps, _BLOCK)
-    psi = spec.states[:, 1].astype(complex)
-    psi = _advance(psi, _block_coefficients(step, phase, half), phase, 0, _BLOCK, blocks)
-    psi = _advance(psi, step, phase, blocks * _BLOCK, 1, rest)
+    psi = _advance(spec.states[:, 1].astype(complex), _block_coefficients(step, phase, half),
+                   step, phase, steps)
     return float(abs(spec.states[:, 2] @ psi) ** 2)
 
 
@@ -211,7 +216,7 @@ def _tail_bounds(h0_norm: float, half_p: float, dt: float) -> np.ndarray:
     x rho^2 - (x + K + 1) rho + K = 0 with x = _BLOCK dt half_p. Without a
     probe F has no exponent but 0, and every T_K is 0.
     """
-    k = np.arange(4 * _BLOCK + 1.0)
+    k = _WIDTHS
     x = _BLOCK * dt * half_p
     s = x + k + 1.0
     x_rho = 0.5 * (s + np.sqrt(s * s - 4.0 * x * k))
@@ -249,18 +254,26 @@ def _block_coefficients(step: np.ndarray, phase: float, half: int) -> np.ndarray
     f0 = f[..., 0].copy()
     f = np.fft.fft(f - f0[..., None], axis=-1) / n
     f[..., 0] += f0
-    return np.fft.fftshift(f, axes=-1).reshape(9, n)
+    return np.concatenate((f[..., half + 1:], f[..., :half + 1]), axis=-1).reshape(9, n)
 
 
-def _advance(psi: np.ndarray, coeffs: np.ndarray, phase: float, first: int, stride: int,
-             count: int) -> np.ndarray:
-    """Apply the maps I + F(z_n), z_n = exp(i phase (first + n stride)), to psi
-    in order for n < count, where F has the (9, 2 K + 1) coefficients coeffs
-    with exponents -K..K; the maps are multiplied pairwise, chunk by chunk."""
+def _advance(psi: np.ndarray, coeffs: np.ndarray, step: np.ndarray, phase: float,
+             steps: int) -> np.ndarray:
+    """Apply to psi, in order, I + F(z_n) at each whole block's first step n
+    and I + E(z_n) at each step past the last, z_n = exp(i phase n), from the
+    (9, 2 K + 1) coefficients coeffs of F (exponents -K..K) and step of E; the
+    maps are multiplied pairwise, chunk by chunk of blocks, the last chunk's
+    product taking the steps past the last block too."""
+    blocks, rest = divmod(steps, _BLOCK)
     half = coeffs.shape[1] // 2
-    for start in range(0, count, _CHUNK):
-        z = np.exp(1j * phase * (first + stride * np.arange(start, min(start + _CHUNK, count))))
-        psi = psi + _pairwise_product((coeffs @ _powers(z, half)).reshape(3, 3, -1)) @ psi
+    for start in range(0, max(blocks, 1), _CHUNK):
+        stop = min(start + _CHUNK, blocks)
+        z = np.exp(1j * phase * (_BLOCK * np.arange(start, stop)))
+        e = (coeffs @ _powers(z, half)).reshape(3, 3, stop - start)
+        if stop == blocks and rest:
+            z = np.exp(1j * phase * np.arange(steps - rest, steps))
+            e = np.concatenate((e, (step @ _powers(z, 4)).reshape(3, 3, rest)), axis=2)
+        psi = psi + _pairwise_product(e) @ psi
     return psi
 
 
@@ -282,26 +295,21 @@ def _rk4_step_coefficients(h0: np.ndarray, half_p: float, nu: float, dt: float) 
 
     Each of the four RK4 stages adds one factor of the probe, which carries
     z or 1/z, so the exponents run over k = -4..4 and the coefficients follow
-    from samples at the 9th roots of unity by an inverse 9-point DFT.
+    from samples at the 9th roots of unity by an inverse 9-point DFT. The
+    stages at z, z exp(i nu dt / 2) and z exp(i nu dt) are one stack, m.
     """
-    samples = np.arange(9)
-    roots = np.exp(2j * np.pi / 9 * samples)
-    inv_dft = np.exp(-2j * np.pi / 9 * samples[:, None] * np.arange(-4, 5)) / 9
-
-    def stage(z):
-        m = np.broadcast_to((-1j * h0)[:, :, None], (3, 3, 9)).copy()
-        m[2, 0] -= 1j * half_p * z
-        m[0, 2] -= 1j * half_p / z
-        return m
-
+    m = np.empty((3, 3, 3, 9), dtype=complex)
+    m[...] = (-1j * h0)[:, :, None]
+    z = _ROOTS9 * np.exp(1j * nu * dt * _STAGE_TIMES)
+    m[:, 2, 0] -= 1j * half_p * z
+    m[:, 0, 2] -= 1j * half_p / z
+    k1, b, c = m
     eye = np.eye(3)[:, :, None]
-    b = stage(roots * cmath.exp(0.5j * nu * dt))
-    k1 = stage(roots)
     k2 = _mul(b, eye + 0.5 * dt * k1)
     k3 = _mul(b, eye + 0.5 * dt * k2)
-    k4 = _mul(stage(roots * cmath.exp(1j * nu * dt)), eye + dt * k3)
+    k4 = _mul(c, eye + dt * k3)
     e = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return e.reshape(9, 9) @ inv_dft
+    return e.reshape(9, 9) @ _INV_DFT9
 
 
 def _mul(b: np.ndarray, a: np.ndarray) -> np.ndarray:

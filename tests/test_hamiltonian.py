@@ -19,6 +19,7 @@ from lambda_crossing import (
     dynamical_exact_effective,
     gap32,
     track_character,
+    transfer_envelope,
 )
 from lambda_crossing import hamiltonian
 from lambda_crossing.hamiltonian import _dominant, _frame, _overlap_weights, _scalar_spectrum
@@ -94,6 +95,17 @@ class TestBuildHamiltonian:
         values = {"omega1": 0.2, "omega2": 0.5, "delta1": 1.0, "delta2": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RamanParams(**values)
+
+    def test_numpy_and_int_fields_are_stored_as_floats(self):
+        # a drive of the parity tool's wide sweep whose transfer_envelope
+        # overflows Omega^2: with numpy.float64 fields it reads the float
+        # drive's value, not numpy's overflow warning (an error in this suite)
+        drive = (2.2197552235550947e22, 7.240115446260131e175, 1.3330158182685688e201,
+                 1.3330158182685688e201)
+        p = RamanParams(*map(np.float64, drive))
+        assert all(type(v) is float for v in vars(p).values())
+        assert transfer_envelope(p) == transfer_envelope(RamanParams(*drive))
+        assert all(type(v) is float for v in vars(RamanParams(1, 0, np.int64(2), 3)).values())
 
 
 class TestDiagonalize:

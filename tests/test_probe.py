@@ -172,11 +172,10 @@ class TestClosedForm:
         assert p_on == pytest.approx(p_near, rel=1e-6)
 
 
-def matrix_rk4_oracle(params, probe, steps):
-    """Reference RK4 on the 3x3 matrix form of the probed Hamiltonian."""
-    spec = dressed_spectrum(params)
-    h0 = build_hamiltonian(params).astype(complex)
-    dt = probe.duration / steps
+def matrix_rk4_increment(h0, probe, t, dt, psi):
+    """The increment of one RK4 step from psi at t on the 3x3 matrix form
+    of the probed Hamiltonian, h0 complex; psi may be a vector or a matrix
+    of column states."""
 
     def deriv(t, psi):
         w = 0.5 * probe.omega_p * np.exp(1j * probe.nu * t)
@@ -185,14 +184,21 @@ def matrix_rk4_oracle(params, probe, steps):
         h[0, 2] += np.conj(w)
         return -1j * (h @ psi)
 
+    k1 = deriv(t, psi)
+    k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
+    k4 = deriv(t + dt, psi + dt * k3)
+    return (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def matrix_rk4_oracle(params, probe, steps):
+    """Reference RK4 on the 3x3 matrix form of the probed Hamiltonian."""
+    spec = dressed_spectrum(params)
+    h0 = build_hamiltonian(params).astype(complex)
+    dt = probe.duration / steps
     psi = spec.states[:, 1].astype(complex)
     for n in range(steps):
-        t = n * dt
-        k1 = deriv(t, psi)
-        k2 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = deriv(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = deriv(t + dt, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = psi + matrix_rk4_increment(h0, probe, n * dt, dt, psi)
     return float(np.abs(spec.states[:, 2] @ psi) ** 2)
 
 
@@ -367,9 +373,12 @@ class TestTimeDomainOracle:
                 mp_rk4_oracle(params, probe, steps), rel=rel
             )
 
-    def test_products_per_block_not_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [20000, 20005, _CHUNK * _BLOCK + 3, _BLOCK - 1])
+    def test_products_per_block_not_per_step(self, monkeypatch, steps):
         # the einsum products of a run scale with its blocks, not its steps,
-        # and no chunk of blocks is padded
+        # and no chunk of blocks is padded: one product tree builds the block
+        # coefficients and one multiplies each chunk of blocks, the steps past
+        # the last whole block joining the last chunk's tree
         sizes = []
         pairwise = probe._pairwise_product
 
@@ -378,8 +387,11 @@ class TestTimeDomainOracle:
             return pairwise(e)
 
         monkeypatch.setattr(probe, "_pairwise_product", counted)
-        steps = 20000
-        probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF), steps)
+        probe_time_domain_oracle(REF, ProbeParams(1e-4, 0.05, T_REF * steps / 20000), steps)
+        blocks, rest = divmod(steps, _BLOCK)
+        chunks = max(-(-blocks // _CHUNK), 1)
+        assert sizes[0] == _BLOCK and len(sizes) == 1 + chunks
+        assert sizes[-1] == blocks - (chunks - 1) * _CHUNK + rest
         assert sum(sizes) <= steps / _BLOCK + 2 * _BLOCK
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 12, 101])
@@ -420,6 +432,23 @@ class TestTimeDomainOracle:
         assert widths == [0]
         _, _, tails = block_inputs(REF, ProbeParams(0.0, 0.05, 20.0), 2000)
         assert not tails.any()
+
+    def test_step_map_is_one_matrix_rk4_step(self):
+        # E(z) from the coefficients is the increment of one matrix-form RK4
+        # step from the identity at t with exp(i nu t) = z, to within the
+        # rounding of the 9-term sum and the stage products, 8 eps max|E|;
+        # at the benchmark's drives and at a strong probe (omega_p dt = 4)
+        strong = (REF, ProbeParams(40.0, 0.1, 1.0), 10)
+        rng = np.random.default_rng(8)
+        for params, drive, steps in [*workload_drives(1, 20), strong]:
+            h0 = build_hamiltonian(params)
+            dt = drive.duration / steps
+            step = probe._rk4_step_coefficients(h0, 0.5 * drive.omega_p, drive.nu, dt)
+            for t in rng.uniform(0.0, 2.0 * math.pi / abs(drive.nu), 8):
+                z = np.exp(1j * drive.nu * t)
+                want = matrix_rk4_increment(h0.astype(complex), drive, t, dt, np.eye(3))
+                got = (step @ z ** np.arange(-4, 5)).reshape(3, 3)
+                assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
 
     def test_strong_probe_keeps_every_exponent(self):
         # a step past the resolution guard (omega_p dt = 4): no K < 4 _BLOCK

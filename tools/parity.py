@@ -1,4 +1,4 @@
-"""Compare the public spectral and locus calls of two checkouts, drive by drive.
+"""Compare the public spectral, locus and probe calls of two checkouts, drive by drive.
 
     python3 tools/parity.py PARENT CHANGE [--scale 1.0]
 
@@ -13,23 +13,30 @@ text. The drive families are
   wide-np  the wide drives again, as numpy.float64 inputs
   extreme  a 4096-drive grid of 0, subnormal, tiny, unit, huge and near-max
            values of omega1, omega2, delta1 and delta2
+  probe    200 drives like the benchmark's oracle tasks, at delta2 = 1:
+           omega1, omega2 log-uniform on 1e-3..0.6, delta1 within
+           omega1 omega2 of the structural locus, 3000-20000 steps at
+           50-90 % of the oracle's resolution limit, nu = -+gap and
+           omega_p = 0.02 / duration
 
 with omega1, omega2 log-uniform on 1e-3..0.6 delta2 and delta1 within
-omega1 omega2 / delta2 of delta2 in the first two. The calls are gap32,
+omega1 omega2 / delta2 of delta2 in pow2 and near1. The calls are gap32,
 transfer_supremum, p13_full (at t = 3 / delta2), transfer_envelope,
 structural_exact, dynamical_exact_full, each resonance_report field, and
 track_character's labels and ambiguous flags on 41 points of [0.5, 1.5]
-delta2.
+delta2; on the probe family they are probe_time_domain_oracle and
+probe_transition_probability. The probe drives take their locus and gap
+from numpy's eigvalsh, not from either tree, so both trees get the same.
 
 For each family and call it prints the number of equal outcomes, the
-largest and median ulp shift of the changed floats, the changed outcomes
-grouped by kind (numbers in error texts shown as #), and the count of
-calls that emitted a RuntimeWarning in each tree. On the pow2 and
-near1 families, where a 50-digit mpmath.eigsy spectrum resolves the drive,
-it also counts, for gap32, transfer_supremum and p13_full,
-the changed values that moved closer to it or farther from it, and the
-largest relative error of each tree over all finite values. It is not a
-test: it compares two trees, and its output is cited, not asserted.
+largest and median ulp and relative shift of the changed floats, the
+changed outcomes grouped by kind (numbers in error texts shown as #), and
+the count of calls that emitted a RuntimeWarning in each tree. On the pow2
+and near1 families, where a 50-digit mpmath.eigsy spectrum resolves the
+drive, it also counts, for gap32, transfer_supremum and p13_full, the
+changed values that moved closer to it or farther from it, and the largest
+relative error of each tree over all finite values. It is not a test: it
+compares two trees, and its output is cited, not asserted.
 --scale multiplies the drive counts of the seeded families.
 """
 
@@ -74,7 +81,38 @@ def families(scale: float):
         wide.append((o1, o2, d2, d2))
     extreme = [(o1, o2, d1, d2) for o1 in OMEGAS for o2 in OMEGAS for d1 in DELTA1S
                for d2 in DELTA2S]
-    return {"pow2": pow2, "near1": near1, "wide": wide, "wide-np": wide, "extreme": extreme}
+    return {"pow2": pow2, "near1": near1, "wide": wide, "wide-np": wide, "extreme": extreme,
+            "probe": _probe_drives(np.random.default_rng(2302), int(200 * scale))}
+
+
+def _probe_drives(rng, count: int) -> list:
+    """[(omega1, omega2, delta1, delta2, omega_p, nu, duration, steps)] of the
+    probe family, the structural locus refined on three nested 2001-point
+    grids of the eigvalsh gap."""
+    import numpy as np
+
+    def gaps(o1, o2, d1):
+        h = np.zeros((np.size(d1), 3, 3))
+        h[:, 0, 1] = h[:, 1, 0] = o1 / 2.0
+        h[:, 1, 2] = h[:, 2, 1] = o2 / 2.0
+        h[:, 1, 1], h[:, 2, 2] = -d1, 1.0 - d1
+        e = np.linalg.eigvalsh(h)
+        return e[:, 2] - e[:, 1]
+
+    drives = []
+    for _ in range(count):
+        o1, o2 = (1e-3 * 600.0 ** rng.random(2)).tolist()
+        grid = np.linspace(0.5, 1.5, 2001)
+        for _ in range(3):
+            i = int(np.argmin(gaps(o1, o2, grid)))
+            grid = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], 2001)
+        d1 = float(grid[1000]) + rng.uniform(-1.0, 1.0) * o1 * o2
+        gap = float(gaps(o1, o2, d1)[0])
+        steps = int(3000 * (20 / 3) ** rng.random())
+        duration = rng.uniform(0.5, 0.9) * steps * 2 * math.pi / (50 * max(gap, o1, o2, abs(d1)))
+        nu = float(rng.choice([-1.0, 1.0])) * gap
+        drives.append((o1, o2, d1, 1.0, 0.02 / duration, nu, duration, steps))
+    return drives
 
 
 def _outcome(call):
@@ -100,6 +138,16 @@ def child(scale: float) -> None:
     out = {}
     for name, drives in families(scale).items():
         rows = []
+        if name == "probe":
+            for *drive, omega_p, nu, duration, steps in drives:
+                p, probe = lc.RamanParams(*drive), lc.ProbeParams(omega_p, nu, duration)
+                rows.append({
+                    "probe_time_domain_oracle":
+                        _outcome(lambda: lc.probe_time_domain_oracle(p, probe, steps)),
+                    "probe_transition_probability":
+                        _outcome(lambda: lc.probe_transition_probability(p, probe))})
+            out[name] = rows
+            continue
         for drive in drives:
             drive = tuple(np.float64(v) for v in drive) if name == "wide-np" else drive
             try:
@@ -215,7 +263,7 @@ def _line(key, rows_p, rows_c, drives, reference: bool) -> list:
         if vp == vc:
             same += 1
         elif finite:
-            shifts.append(_ulps(xp, xc))
+            shifts.append((_ulps(xp, xc), abs(xc - xp) / abs(xp) if xp else math.inf))
         elif vp.startswith("labels") and vc.startswith("labels"):
             firm += _firm_label_changes(vp, vc)
             moves[("labels", "labels")] += 1
@@ -223,8 +271,10 @@ def _line(key, rows_p, rows_c, drives, reference: bool) -> list:
             moves[(_kind(vp), _kind(vc))] += 1
     line = f"{key:40s} == {same}/{len(drives)}"
     if shifts:
-        line += (f"; {len(shifts)} values moved, ulps max {max(shifts)} "
-                 f"median {statistics.median(shifts):g}")
+        ulps, rel = zip(*shifts)
+        line += (f"; {len(shifts)} values moved, ulps max {max(ulps)} "
+                 f"median {statistics.median(ulps):g}, rel max {max(rel):.2g} "
+                 f"median {statistics.median(rel):.2g}")
     if worst != [0.0, 0.0]:
         kind = "rel" if key == "gap32" else "abs"
         line += (f"; vs 50 digits: {closer} closer, {farther} farther, worst {kind} "
