@@ -127,7 +127,7 @@ def _crest(c, f, t, lo, hi):
 
 def transfer_envelope(params: RamanParams) -> float:
     """Maximum of the 1->3 transfer P(t) over two effective Rabi periods,
-    [0, T] with T = 4 pi / |omega_eff|, from one eigvalsh and no time grid.
+    [0, T] with T = 4 pi / |omega_eff|, from one _point_spectrum and no time grid.
 
     P reaches its supremum where h t = g t = pi (mod 2 pi), h, g = eps2 -
     eps1, eps3 - eps2. With s, F = min(h, g), max(h, g) and r = F / s, the

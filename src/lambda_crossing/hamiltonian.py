@@ -19,6 +19,14 @@ _AMBIG_TOL = 1e-9  # track_character's top-two squared-overlap gap for 'ambiguou
 _CANCEL = 0.5
 # the two other levels of levels 0, 1, 2
 _PREV, _NEXT = np.array([1, 0, 0]), np.array([2, 2, 1])
+# A trigonometric seed of a spectrum is kept, and polished by _NEWTON_STEPS
+# deflated Newton steps, only where its smaller level gap exceeds _SEED_GAP
+# (frame units): nearer a degeneracy its acos loses up to sqrt(eps), and
+# eigvalsh takes the row. Two steps, not one: after one, a seed's error of
+# about eps / gap leaves gaps near _SEED_GAP off by up to 1e-10 relative.
+_SEED_GAP = 2.0**-20
+_NEWTON_STEPS = 2
+_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,7 @@ def _gap(energies):
 
 
 def _frame(params: RamanParams, reach):
-    """k, the one scale of every eigvalsh of a Lambda matrix: the frexp
+    """k, the one scale of every spectrum of a Lambda matrix: the frexp
     exponent of the largest of omega1 / 2, omega2 / 2, |reach| and delta2, one
     k per entry of an array reach. Times 2^-k, which is exact short of
     subnormals, no entry of a matrix at |delta1| <= |reach| reaches 2."""
@@ -164,18 +172,44 @@ def _frame(params: RamanParams, reach):
 
 def _scalar_spectrum(params: RamanParams, k: int):
     """(a, b, d2, levels): omega1 / 2, omega2 / 2 and delta2 in the frame 2^-k,
-    and levels(x), one eigvalsh of the frame's matrix at delta1 = x 2^k (one
-    matrix, refilled in place; c = d2 - x): its ascending e_k and n_k =
-    (e_k + x)(e_k - c) - b^2, the (1, 1) entry of adj(e_k - H). The one
-    spectrum of gap32, the transfer and both slope loci."""
+    and levels(x), the spectrum of the frame's matrix at delta1 = x 2^k
+    (c = d2 - x): its ascending e_k and n_k = (e_k + x)(e_k - c) - b^2, the
+    (1, 1) entry of adj(e_k - H). The one spectrum of gap32, the transfer and
+    both slope loci.
+
+    The levels are the roots of det(e - H) = e^3 + (x - c) e^2 - (x c + a^2 +
+    b^2) e + a^2 c, seeded by the trigonometric formula (O. K. Smith, Commun.
+    ACM 4, 168 (1961)) about the mean m of the diagonal, m + 2 r cos(phi),
+    m + 2 r cos(phi -+ 2 pi / 3), which come ascending, and polished by
+    _NEWTON_STEPS deflated Newton steps e_k -= det(e_k) / prod_{j != k}
+    (e_k - e_j), with det as _secular writes it. A seed whose smaller gap is
+    not above _SEED_GAP takes one eigvalsh of the matrix, refilled in place,
+    instead. Plain floats throughout: numpy scalars would cost the gain."""
     a, b = math.ldexp(params.omega1, -k - 1), math.ldexp(params.omega2, -k - 1)
     d2 = math.ldexp(params.delta2, -k)
-    m, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), b * b
+    m, a2, b2 = np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]]), a * a, b * b
+    s = (a2 + b2) / 3.0
 
     def levels(x: float):
         c = d2 - x
-        m[1, 1], m[2, 2] = -x, c
-        e = np.linalg.eigvalsh(m).tolist()
+        mean = (c - x) / 3.0
+        q0, q1, q2 = -mean, -x - mean, c - mean
+        r = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 6.0 + s)
+        cos3 = (q0 * (q1 * q2 - b2) - a2 * q2) / (2.0 * r * r * r)
+        phi = math.acos(min(max(cos3, -1.0), 1.0)) / 3.0
+        rc, rs = r * math.cos(phi), _SQRT3 * r * math.sin(phi)
+        e1, e2, e3 = mean - rc - rs, mean - rc + rs, mean + 2.0 * rc
+        if min(e2 - e1, e3 - e2) > _SEED_GAP:
+            for _ in range(_NEWTON_STEPS):
+                g12, g13, g23 = e1 - e2, e1 - e3, e2 - e3
+                f1 = (e1 - c) * (e1 * (e1 + x) - a2) - b2 * e1
+                f2 = (e2 - c) * (e2 * (e2 + x) - a2) - b2 * e2
+                f3 = (e3 - c) * (e3 * (e3 + x) - a2) - b2 * e3
+                e1, e2, e3 = e1 - f1 / (g12 * g13), e2 + f2 / (g12 * g23), e3 - f3 / (g13 * g23)
+            e = [e1, e2, e3]
+        else:
+            m[1, 1], m[2, 2] = -x, c
+            e = np.linalg.eigvalsh(m).tolist()
         return e, [(ek + x) * (ek - c) - b2 for ek in e]
 
     return a, b, d2, levels

@@ -108,16 +108,31 @@ def _slope_locus(params: RamanParams, slope, what: str, seed) -> float:
 
     def solve(*_):  # _locus's bracket, formed again in the frame
         lo, hi = BRACKET_LO * d2, BRACKET_HI * d2
+
+        def from_lo(right):
+            # slope_root on [lo, right]. With one coupling negligible, x = 1/2
+            # is the stationary point of (eps2 - eps1)(eps3 - eps2), so the
+            # dynamical slope's sign at lo is rounding noise: a return of lo
+            # is searched again from inside the edge margin, and a root found
+            # there replaces it
+            x, _ = slope_root(f, lo, right)
+            inner = lo + 0.5 * _EDGE_MARGIN * d2
+            if x == lo and inner < right:
+                y, _ = slope_root(f, inner, right)
+                if y > inner:
+                    x = y
+            return x
+
         x0, w = seed
         left, right = math.ldexp(x0 - w, -k), math.ldexp(x0 + w, -k)
         if lo < left < right < hi:
             x, fx = slope_root(f, left, right)
             if x == left and fx >= 0.0:
-                x, _ = slope_root(f, lo, left)
+                x = from_lo(left)
             elif x == right and fx <= 0.0:
                 x, _ = slope_root(f, right, hi)
         else:
-            x, _ = slope_root(f, lo, hi)
+            x = from_lo(hi)
         return math.ldexp(x, k)
 
     return _locus(params, what, solve)
@@ -134,8 +149,10 @@ def _seed_window(params: RamanParams, s: float) -> float:
     """max(_ROOT_RTOL, 10 s^4) delta2 for s = alpha + beta: the bound on
     either seed series' remainder (tests: TestSixthOrderSeries), floored at
     the 4 ulp where slope_root stops, so a seeded bracket is never narrower
-    than the search's own resolution."""
-    return max(_ROOT_RTOL, 10.0 * s * s * s * s) * params.delta2
+    than the search's own resolution, and at ulp(delta2), the spacing of the
+    loci themselves, which is the larger only at a subnormal delta2."""
+    d2 = params.delta2
+    return max(_ROOT_RTOL * d2, 10.0 * s * s * s * s * d2, math.ulp(d2))
 
 
 def _structural_seed(params: RamanParams):

@@ -22,7 +22,9 @@ from lambda_crossing import (
     transfer_envelope,
 )
 from lambda_crossing import hamiltonian
-from lambda_crossing.hamiltonian import _dominant, _frame, _overlap_weights, _scalar_spectrum
+from lambda_crossing.hamiltonian import (
+    _dominant, _frame, _overlap_weights, _point_spectrum, _scalar_spectrum,
+)
 from lambda_crossing.resonance import gap32_slope
 
 RNG = np.random.default_rng(20260823)
@@ -301,21 +303,38 @@ class TestGap32Slope:
             slope = gap32_slope(*_scalar_spectrum(p, 0)[3](p.delta1))
             assert abs(g * (v[0, 2] ** 2 - v[0, 1] ** 2) - slope) <= bound
 
-    def test_eigh_along_delta1_matches_fresh_matrix(self):
+    def test_eigh_along_delta1_matches_fresh_matrix(self, monkeypatch):
         # _scalar_spectrum refills one matrix in place along delta1; each call
-        # gives the eigvalsh of a fresh matrix scaled into the frame, in any
+        # gives the levels of a fresh _scalar_spectrum at the same x, in any
         # call order, and the adjugate entries (e + x)(e - (d2 - x)) - b^2 of
-        # its levels
+        # its levels. A row that takes eigvalsh (here the weak drive at the
+        # crossing) gives the eigvalsh of a fresh matrix scaled into the frame.
+        eigvalsh, fallbacks = np.linalg.eigvalsh, []
+
+        def counted(m):
+            fallbacks.append(m.copy())
+            return eigvalsh(m)
+
         p = RamanParams(0.2, 0.5, 1.0, 1.3)
         k = _frame(p, 1.9)  # 1.9 = 0.95 * 2^1
-        a, b, d2, levels = _scalar_spectrum(p, k)
-        assert (k, a, b, d2) == (1, 0.05, 0.125, 0.65)
-        for d1 in (1.3, 0.7, 1.9, 1.3, -0.4, 0.65):
-            x = math.ldexp(d1, -k)
-            energies, n = levels(x)
-            fresh = np.ldexp(build_hamiltonian(p.with_delta1(d1)), -k)
-            assert energies == np.linalg.eigvalsh(fresh).tolist()
-            assert n == [(e + x) * (e - (d2 - x)) - b * b for e in energies]
+        assert (k, *_scalar_spectrum(p, k)[:3]) == (1, 0.05, 0.125, 0.65)
+        rows = {True: 0, False: 0}
+        for q in (p, RamanParams(1e-9, 2e-9, 1.0, 1.3)):
+            a, b, d2, levels = _scalar_spectrum(q, k)
+            for d1 in (1.3, 0.7, 1.9, 1.3, -0.4, 0.65, 1.3):
+                x = math.ldexp(d1, -k)
+                fallbacks.clear()
+                monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+                energies, n = levels(x)
+                monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+                assert (energies, n) == _scalar_spectrum(q, k)[3](x)
+                assert n == [(e + x) * (e - (d2 - x)) - b * b for e in energies]
+                fresh = np.ldexp(build_hamiltonian(q.with_delta1(d1)), -k)
+                if fallbacks:
+                    np.testing.assert_array_equal(fallbacks, [fresh])
+                    assert energies == eigvalsh(fresh).tolist()
+                rows[bool(fallbacks)] += 1
+        assert rows[True] and rows[False], rows
 
 
 class TestAvoidedCrossingScan:
@@ -339,6 +358,68 @@ class TestAvoidedCrossingScan:
         jumps = np.abs(np.diff(energies, axis=0))
         # smooth curves: no sorting-induced jumps beyond a loose Lipschitz bound
         assert np.max(jumps) < 5.0 * (grid[1] - grid[0])
+
+
+def assert_no_farther_than_eigvalsh(levels, framed, eigvalsh):
+    """levels of the framed matrix are no farther from its 50-digit
+    mpmath.eigsy levels than eigvalsh's, to one ulp of the larger of the
+    frame scale (2^-53 in frame units) and the largest level."""
+    with mpmath.workdps(50):
+        ref = sorted(mpmath.eigsy(mpmath.matrix(framed.tolist()), eigvals_only=True))
+        err = max(abs(float(x - r)) for x, r in zip(levels, ref))
+        lapack_err = max(abs(float(x - r)) for x, r in zip(eigvalsh(framed), ref))
+    assert err <= lapack_err + math.ulp(max(0.5, *map(abs, levels))), (framed, err, lapack_err)
+
+
+class TestSeededLevels:
+    """The trigonometric seed and its Newton polish against 50 digits."""
+
+    def test_against_50_digit_reference(self, monkeypatch):
+        # couplings log-uniform on 1e-12..100 delta2, delta1 in turn within
+        # omega1 omega2 of the crossing, across [0.5, 1.5] and across -3..3
+        # delta2. _point_spectrum's levels are never farther from 50 digits
+        # than eigvalsh's by more than one ulp, and both the seeded and the
+        # eigvalsh rows occur.
+        eigvalsh, fallbacks = np.linalg.eigvalsh, []
+
+        def counted(m):
+            fallbacks.append(m)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        rng = np.random.default_rng(38)
+        seeded, draws = 0, 300
+        for i in range(draws):
+            o1, o2 = 10.0 ** rng.uniform(-12.0, 2.0, 2)
+            d1 = (1.0 + rng.uniform(-1.0, 1.0) * o1 * o2, rng.uniform(0.5, 1.5),
+                  rng.uniform(-3.0, 3.0))[i % 3]
+            p = RamanParams(float(o1), float(o2), float(d1), 1.0)
+            fallbacks.clear()
+            k, _, _, e = _point_spectrum(p)
+            seeded += not fallbacks
+            assert_no_farther_than_eigvalsh(e, np.ldexp(build_hamiltonian(p), -k), eigvalsh)
+        assert 0 < seeded < draws, seeded
+
+    def test_gaps_against_50_digit_reference(self):
+        # near the crossing, couplings log-uniform on 10^-4.5..1 delta2: both
+        # level gaps are within 1e-13 relative of 50 digits, or no farther
+        # than eigvalsh's. The second Newton step is what holds this where a
+        # gap is small: after one, the seed's error of about eps / gap leaves
+        # gaps off by up to 5e-11 here
+        rng = np.random.default_rng(3838)
+        for _ in range(200):
+            o1, o2 = 10.0 ** rng.uniform(-4.5, 0.0, 2)
+            d1 = 1.0 + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-8.0, -0.3)
+            p = RamanParams(float(o1), float(o2), float(d1), 1.0)
+            k, _, _, e = _point_spectrum(p)
+            framed = np.ldexp(build_hamiltonian(p), -k)
+            with mpmath.workdps(50):
+                ref = sorted(mpmath.eigsy(mpmath.matrix(framed.tolist()), eigvals_only=True))
+                gaps = [ref[1] - ref[0], ref[2] - ref[1]]
+                err = max(abs(float((g - r) / r)) for g, r in zip(np.diff(e), gaps))
+                lapack_err = max(abs(float((g - r) / r))
+                                 for g, r in zip(np.diff(np.linalg.eigvalsh(framed)), gaps))
+            assert err <= max(1e-13, lapack_err), (p, err, lapack_err)
 
 
 def loop_character(weights, ambig_tol=1e-9):

@@ -249,6 +249,29 @@ class TestLocusSearch:
             want = 1.7e308 * finder(RamanParams(0.1, 0.2, 1.0, 1.0))
             assert abs(finder(p) - want) <= 4.0 * math.ulp(want)
 
+    def test_lower_end_slope_read_inside_the_margin(self):
+        # omega1 is negligible, so the dynamical slope at delta1 = delta2 / 2
+        # is 0 to rounding and its float sign is noise; the locus is still
+        # the crossing of the bare level 0 with the upper level of the
+        # |2>, |3> pair, delta2 (1 + sqrt(1 + (omega2 / delta2)^2)) / 2
+        p = RamanParams(1.365305488257074e-167, 5.631920176720776e-74,
+                        3.84319782554474e-74, 3.84319782554474e-74)
+        r = p.omega2 / p.delta2
+        want = 0.5 * p.delta2 * (1.0 + math.sqrt(1.0 + r * r))
+        assert abs(dynamical_exact_full(p) - want) <= 4.0 * math.ulp(want)
+
+    def test_loci_at_a_subnormal_delta2(self):
+        # the seed window of delta2 = 1e-310 is floored at ulp(delta2), not
+        # rounded to 0, so the search stays near the crossing, where the
+        # dynamical slope's sign at the bracket's lower end is noise: both
+        # loci are those of the same drive scaled by 2^1030, scaled back
+        p = RamanParams(5e-324, 5e-324, 1.0, 1e-310)
+        w, d2 = math.ldexp(5e-324, 1030), math.ldexp(1e-310, 1030)
+        assert d2 == 1.1505236063118787
+        scaled = RamanParams(w, w, d2, d2)
+        for finder in (structural_exact, dynamical_exact_full):
+            assert finder(p) == math.ldexp(finder(scaled), -1030) == 1e-310
+
     def test_locus_past_the_float_range_is_named(self):
         # the structural locus, 1.0075 delta2, exceeds the largest double
         p = RamanParams(1.7e307, 3.4e307, 1.79e308, 1.79e308)

@@ -24,19 +24,32 @@ omega1 omega2 / delta2 of delta2 in pow2 and near1. The calls are gap32,
 transfer_supremum, p13_full (at t = 3 / delta2), transfer_envelope,
 structural_exact, dynamical_exact_full, each resonance_report field, and
 track_character's labels and ambiguous flags on 41 points of [0.5, 1.5]
-delta2; on the probe family they are probe_time_domain_oracle and
+delta2 (ending at the largest double where 1.5 delta2 is past it); on the
+probe family they are probe_time_domain_oracle and
 probe_transition_probability. The probe drives take their locus and gap
 from numpy's eigvalsh, not from either tree, so both trees get the same.
 
 For each family and call it prints the number of equal outcomes, the
 largest and median ulp and relative shift of the changed floats, the
-changed outcomes grouped by kind (numbers in error texts shown as #), and
-the count of calls that emitted a RuntimeWarning in each tree. On the pow2
-and near1 families, where a 50-digit mpmath.eigsy spectrum resolves the
-drive, it also counts, for gap32, transfer_supremum and p13_full, the
-changed values that moved closer to it or farther from it, and the largest
-relative error of each tree over all finite values. It is not a test: it
-compares two trees, and its output is cited, not asserted.
+changed outcomes grouped by kind (numbers in error texts shown as #), the
+count of calls that emitted a RuntimeWarning in each tree, and, per family,
+the count of calls that ran numpy's eigvalsh in each tree.
+
+Every changed float, and every changed label that neither tree flags
+ambiguous, is judged against an mpmath.eigsy spectrum of the float drive
+at 50 digits, or at as many more as resolve its smallest level gap to 30:
+the line counts the values that moved closer to it and farther from it,
+the worst error of each tree and, for gap32, the farther moves larger than
+one ulp of the larger of the drive's scale, max(omega1 / 2, omega2 / 2,
+|delta1|, delta2), and the two upper levels. Loci are
+judged against the root of their 50-digit slope (Hellmann-Feynman, from
+the eigenvectors), transfer_envelope against the best crest of the 50-digit
+P where its window holds at most 1e6 fast crests, labels against the
+largest 50-digit squared overlap. Longer windows and the probe calls have
+no such reference; their changed values are counted as unjudged. On pow2 and near1 the worst errors
+of gap32, transfer_supremum and p13_full cover every finite value, not only
+the changed ones. It is not a test: it compares two trees, and its output
+is cited, not asserted.
 --scale multiplies the drive counts of the seeded families.
 """
 
@@ -115,8 +128,24 @@ def _probe_drives(rng, count: int) -> list:
     return drives
 
 
+# calls of numpy's eigvalsh in the child, counted by the wrapper child installs
+_EIGVALSH = [0]
+
+
+def character_grid(d2: float):
+    """track_character's 41 delta1 points of [0.5, 1.5] delta2, or of
+    [0.5 delta2, the largest double] where 1.5 delta2 is past it."""
+    import numpy as np
+
+    if 1.5 * d2 < math.inf:
+        return np.linspace(0.5, 1.5, 41) * d2
+    return np.linspace(0.5 * d2, sys.float_info.max, 41)
+
+
 def _outcome(call):
-    """(value or "Type: text", warned) of call(), with RuntimeWarnings recorded."""
+    """(value or "Type: text", warned, lapack) of call(): whether it emitted a
+    RuntimeWarning, and whether it ran numpy's eigvalsh."""
+    calls = _EIGVALSH[0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -126,7 +155,7 @@ def _outcome(call):
     warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
     if isinstance(value, float):
         value = value.hex()
-    return value, warned
+    return value, warned, _EIGVALSH[0] > calls
 
 
 def child(scale: float) -> None:
@@ -135,6 +164,13 @@ def child(scale: float) -> None:
 
     import lambda_crossing as lc
 
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        _EIGVALSH[0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    np.linalg.eigvalsh = counted
     out = {}
     for name, drives in families(scale).items():
         rows = []
@@ -153,10 +189,10 @@ def child(scale: float) -> None:
             try:
                 p = lc.RamanParams(*drive)
             except ValueError as err:
-                rows.append({"params": (f"ValueError: {err}", False)})
+                rows.append({"params": (f"ValueError: {err}", False, False)})
                 continue
             d2 = float(p.delta2)
-            t = 3.0 / d2 if 3.0 / d2 < math.inf else 1.7e308
+            t = _p13_time(d2)
             calls = {"gap32": lambda: lc.gap32(p),
                      "transfer_supremum": lambda: lc.transfer_supremum(p),
                      "p13_full": lambda: lc.p13_full(p, t),
@@ -164,13 +200,13 @@ def child(scale: float) -> None:
                      "structural_exact": lambda: lc.structural_exact(p),
                      "dynamical_exact_full": lambda: lc.dynamical_exact_full(p)}
             row = {key: _outcome(call) for key, call in calls.items()}
-            report, warned = _outcome(lambda: lc.resonance_report(p))
+            report, warned, lapack = _outcome(lambda: lc.resonance_report(p))
             for field in REPORT_FIELDS:
                 value = report if isinstance(report, str) else float(getattr(report, field)).hex()
-                row["resonance_report." + field] = (value, warned)
+                row["resonance_report." + field] = (value, warned, lapack)
 
             def scan():
-                s = lc.track_character(p, np.linspace(0.5, 1.5, 41) * d2)
+                s = lc.track_character(p, character_grid(d2))
                 return "labels " + "".join(map(str, s.labels.ravel())) + " ambiguous " + "".join(
                     "1" if a else "0" for a in s.ambiguous.ravel())
 
@@ -211,40 +247,213 @@ def _kind(value) -> str:
     return re.sub(r"-?\d[\d.e+\-]*", "#", value)
 
 
-def _firm_label_changes(was: str, now: str) -> int:
-    """Points of two track_character outcomes whose labels differ where
-    neither flags the level ambiguous."""
+def _firm_points(was: str, now: str) -> list:
+    """Indices into the raveled (point, level) labels of two track_character
+    outcomes where the labels differ and neither tree flags the level
+    ambiguous."""
     (_, lp, _, ap), (_, lc, _, ac) = was.split(), now.split()
-    return sum(x != y and a == b == "0" for x, y, a, b in zip(lp, lc, ap, ac))
+    return [i for i, (x, y, a, b) in enumerate(zip(lp, lc, ap, ac)) if x != y and a == b == "0"]
 
 
-def _mp_reference(drive, what):
-    """gap32, transfer_supremum or p13_full (at t = 3 / delta2) of a 50-digit
-    mpmath.eigsy spectrum of the float drive."""
+def _p13_time(d2: float) -> float:
+    """The time of the p13_full call, 3 / delta2, capped at 1.7e308."""
+    return 3.0 / d2 if 3.0 / d2 < math.inf else 1.7e308
+
+
+_SPECTRA = {}
+
+
+def _mp_spectrum(o1, o2, d1, d2):
+    """(e, v): the ascending mpmath.eigsy levels and eigenvector rows v[j][k]
+    of the drive, at 50 digits or at as many more (up to 2400) as resolve its
+    smallest level gap to 30 digits of its largest level."""
     import mpmath
+
+    key = (o1, o2, d1, d2)
+    if key in _SPECTRA:
+        return _SPECTRA[key]
+    dps = 50
+    while True:
+        with mpmath.workdps(dps):
+            a, b = mpmath.mpf(o1) / 2, mpmath.mpf(o2) / 2
+            d1m, d2m = mpmath.mpf(d1), mpmath.mpf(d2)
+            e, v = mpmath.eigsy(mpmath.matrix([[0, a, 0], [a, -d1m, b], [0, b, d2m - d1m]]))
+            order = sorted(range(3), key=lambda k: e[k])
+            e, v = [e[k] for k in order], [[v[j, k] for k in order] for j in range(3)]
+            top = max(abs(x) for x in e)
+            gap = min(e[1] - e[0], e[2] - e[1])
+        if gap == 0 or gap > top * mpmath.mpf(10) ** (30 - dps) or dps >= 2400:
+            break
+        dps = min(2 * dps, 2400)
+    if len(_SPECTRA) < 100000 and all(isinstance(x, float) for x in key):
+        _SPECTRA[key] = e, v
+    return e, v
+
+
+def _mp_slope(kind, drive, d1):
+    """The sign-carrying 50-digit slope in delta1 of the locus kind:
+    d(e3 - e2) (structural) or d((e2 - e1)(e3 - e2)) (dynamical), with
+    de_k / d delta1 = v_{0,k}^2 - 1, whose -1 cancels in every difference."""
+    o1, o2, _, d2 = drive
+    e, v = _mp_spectrum(o1, o2, d1, d2)
+    de = [v[0][k] ** 2 for k in range(3)]
+    g, dg = e[2] - e[1], de[2] - de[1]
+    if kind == "structural":
+        return dg
+    return (de[1] - de[0]) * g + (e[1] - e[0]) * dg
+
+
+_ROOTS = {}
+
+
+def _mp_locus(kind, drive, xs):
+    """The root of _mp_slope within [0.5001, 1.4999] delta2 (the bracket
+    less the loci's edge margin, where the slope at 0.5 delta2 may be 0),
+    bracketed out from the float loci xs and bisected to 1e-25 relative;
+    None where the slope keeps its sign there."""
+    if (kind, drive) not in _ROOTS:
+        _ROOTS[kind, drive] = _bisect_slope(kind, drive, xs)
+    return _ROOTS[kind, drive]
+
+
+def _bisect_slope(kind, drive, xs):
+    import mpmath
+
+    d2 = drive[3]
+    lo, hi = mpmath.mpf(min(xs)), mpmath.mpf(max(xs))
+    width = max(hi - lo, mpmath.mpf(math.ulp(max(xs))))
+    edge_lo, edge_hi = mpmath.mpf(d2) * mpmath.mpf("0.5001"), mpmath.mpf(d2) * mpmath.mpf("1.4999")
+    while True:
+        lo, hi = max(lo - width, edge_lo), min(hi + width, edge_hi)
+        if _mp_slope(kind, drive, lo) < 0 < _mp_slope(kind, drive, hi):
+            break
+        if lo == edge_lo and hi == edge_hi:
+            return None
+        width *= 16
+    with mpmath.workdps(60):
+        while hi - lo > mpmath.mpf(1e-25) * abs(hi):
+            mid = (lo + hi) / 2
+            if _mp_slope(kind, drive, mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+_LOCI = {"structural_exact": "structural", "dynamical_exact_full": "dynamical",
+         "resonance_report.structural_exact": "structural",
+         "resonance_report.dynamical_exact_full": "dynamical"}
+
+
+def _mp_envelope(drive):
+    """The maximum of the 50-digit P(t) over [0, T], T = 4 pi / |omega_eff|
+    with omega_eff = omega1 omega2 / (4 delta1): P at every crest of the
+    faster gap and at T in double precision, then each value within 1e-12
+    of the best maximised by golden section within its half period at 40
+    digits. None where the window holds more than 1e6 fast crests."""
+    import mpmath
+    import numpy as np
+
     o1, o2, d1, d2 = drive
-    with mpmath.workdps(50):
-        a, b = mpmath.mpf(o1) / 2, mpmath.mpf(o2) / 2
-        h = mpmath.matrix([[0, a, 0], [a, -mpmath.mpf(d1), b],
-                           [0, b, mpmath.mpf(d2) - mpmath.mpf(d1)]])
-        e, v = mpmath.eigsy(h)
-        c = [v[0, k] * v[2, k] for k in range(3)]
-        if what == "gap32":
-            e1, e2, e3 = sorted(e)
-            return e3 - e2
-        if what == "p13_full":
-            t = mpmath.mpf(3.0 / d2)
+    e, v = _mp_spectrum(o1, o2, d1, d2)
+    c = [v[0][k] * v[2][k] for k in range(3)]
+    weights = [-4 * c[0] * c[1], -4 * c[0] * c[2], -4 * c[1] * c[2]]
+    half = [(e[1] - e[0]) / 2, (e[2] - e[0]) / 2, (e[2] - e[1]) / 2]
+    fast = 2 * max(half[0], half[2])
+    window = 16 * mpmath.pi * abs(mpmath.mpf(d1)) / (mpmath.mpf(o1) * mpmath.mpf(o2))
+    count = fast * window / (2 * mpmath.pi)
+    if not count <= 1e6:
+        return None
+
+    def p(t):
+        return sum(wk * mpmath.sin(fk * t) ** 2 for wk, fk in zip(weights, half))
+
+    ts = np.append(np.minimum((2.0 * np.arange(int(count) + 1) + 1.0) * math.pi / float(fast),
+                              float(window)), float(window))
+    ps = sum(float(wk) * np.sin(float(fk) * ts) ** 2 for wk, fk in zip(weights, half))
+    best = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for t in ts[ps >= ps.max() - 1e-12][:16]:
+            lo = max(mpmath.mpf(t) - mpmath.pi / fast, 0)
+            hi = min(mpmath.mpf(t) + mpmath.pi / fast, window)
+            best = max(best, p(window), p(lo), p(hi))
+            for _ in range(80):
+                m1, m2 = hi - (hi - lo) * 0.618, lo + (hi - lo) * 0.618
+                if p(m1) < p(m2):
+                    lo = m1
+                else:
+                    hi = m2
+            best = max(best, p((lo + hi) / 2))
+    return best
+
+
+def _mp_reference(drive, what, xs):
+    """The 50-digit value of call what on the float drive, or None where the
+    tool has none: gap32, transfer_supremum, p13_full (at _p13_time),
+    transfer_envelope (_mp_envelope), the loci and shift_exact (roots of
+    _mp_slope near the float values xs)."""
+    import mpmath
+
+    o1, o2, d1, d2 = drive
+    if what == "transfer_envelope":
+        return _mp_envelope(drive)
+    if what in _LOCI:
+        return _mp_locus(_LOCI[what], drive, xs)
+    if what == "resonance_report.shift_exact":
+        s, d = (_mp_locus(kind, drive, [d2]) for kind in ("structural", "dynamical"))
+        return None if s is None or d is None else s - d
+    if what not in ("gap32", "transfer_supremum", "p13_full"):
+        return None
+    e, v = _mp_spectrum(o1, o2, d1, d2)
+    if what == "gap32":
+        return e[2] - e[1]
+    c = [v[0][k] * v[2][k] for k in range(3)]
+    if what == "p13_full":
+        with mpmath.workdps(max(50, mpmath.mp.dps)):
+            t = mpmath.mpf(_p13_time(d2))
             return abs(sum(c[k] * mpmath.expj(-e[k] * t) for k in range(3))) ** 2
-        return min(sum(abs(ck) for ck in c) ** 2, 1)
+    return min(sum(abs(ck) for ck in c) ** 2, 1)
 
 
-def _line(key, rows_p, rows_c, drives, reference: bool) -> list:
-    """The report lines of one call over one family."""
+def _slow_beats(drive) -> float:
+    """The slow beats in transfer_envelope's window T = 4 pi / |omega_eff|,
+    omega_eff = omega1 omega2 / (4 delta1): min(h, g) T / (2 pi) from the
+    50-digit levels."""
+    import mpmath
+
+    o1, o2, d1, d2 = drive
+    e, _ = _mp_spectrum(o1, o2, d1, d2)
+    slow = min(e[1] - e[0], e[2] - e[1])
+    return float(8 * abs(mpmath.mpf(d1)) * slow / (mpmath.mpf(o1) * mpmath.mpf(o2)))
+
+
+def _label_verdicts(drive, was, now):
+    """(parent right, change right) counts over the firm label changes of
+    one track_character outcome pair, against the largest 50-digit squared
+    overlap of each point's level (the last bare index on exact ties)."""
+    o1, o2, _, d2 = drive
+    grid = character_grid(d2)
+    right = [0, 0]
+    for i in _firm_points(was, now):
+        point, level = divmod(i, 3)
+        _, v = _mp_spectrum(o1, o2, float(grid[point]), d2)
+        weights = [v[j][level] ** 2 for j in range(3)]
+        label = str(max(range(3), key=lambda j: (weights[j], j)))
+        right[0] += was.split()[1][i] == label
+        right[1] += now.split()[1][i] == label
+    return right
+
+
+def _line(key, rows_p, rows_c, drives, everywhere: bool) -> list:
+    """The report lines of one call over one family; everywhere, the worst
+    50-digit errors cover every finite value, not only the changed ones."""
     same, shifts, moves, warns, errors = 0, [], Counter(), [0, 0], [Counter(), Counter()]
-    closer = farther = firm = 0
+    closer = farther = beyond = unjudged = 0
+    beats = []
+    firm, right = 0, [0, 0]
     worst = [0.0, 0.0]
     for drive, rp, rc in zip(drives, rows_p, rows_c):
-        (vp, wp), (vc, wc) = rp.get(key, rp.get("params")), rc.get(key, rc.get("params"))
+        (vp, wp, _), (vc, wc, _) = rp.get(key, rp.get("params")), rc.get(key, rc.get("params"))
         warns[0] += wp
         warns[1] += wc
         xp, xc = _float(vp), _float(vc)
@@ -252,20 +461,31 @@ def _line(key, rows_p, rows_c, drives, reference: bool) -> list:
             if x is None and not v.startswith("labels"):
                 errors[tree][v.split(":")[0]] += 1
         finite = xp is not None and xc is not None and math.isfinite(xp) and math.isfinite(xc)
-        if reference and finite:
-            ref = _mp_reference(drive, key)
-            scale = abs(ref) if key == "gap32" else 1  # relative gap, absolute probability
-            if ref != 0:
+        if finite and (vp != vc or everywhere):
+            ref = _mp_reference(drive, key, (xp, xc))
+            unjudged += ref is None and vp != vc
+            if key == "transfer_envelope" and vp != vc and ref is None:
+                beats.append(_slow_beats(drive))
+            if ref is not None and ref != 0:
+                # gap and loci relative, the shift relative to delta2, probabilities absolute
+                scale = (abs(ref) if key == "gap32" or key in _LOCI else
+                         drive[3] if key.endswith("shift_exact") else 1)
                 ep, ec = float(abs(xp - ref) / scale), float(abs(xc - ref) / scale)
                 worst = [max(worst[0], ep), max(worst[1], ec)]
                 closer += vp != vc and ec < ep
                 farther += vp != vc and ec > ep
+                if key == "gap32" and ec > ep:
+                    e, _ = _mp_spectrum(*drive)
+                    top = max(drive[0] / 2, drive[1] / 2, abs(drive[2]), drive[3],
+                              float(abs(e[1])), float(abs(e[2])))
+                    beyond += float(abs(xc - ref) - abs(xp - ref)) > math.ulp(top)
         if vp == vc:
             same += 1
         elif finite:
             shifts.append((_ulps(xp, xc), abs(xc - xp) / abs(xp) if xp else math.inf))
         elif vp.startswith("labels") and vc.startswith("labels"):
-            firm += _firm_label_changes(vp, vc)
+            firm += len(_firm_points(vp, vc))
+            right = [r + v for r, v in zip(right, _label_verdicts(drive, vp, vc))]
             moves[("labels", "labels")] += 1
         else:
             moves[(_kind(vp), _kind(vc))] += 1
@@ -276,11 +496,19 @@ def _line(key, rows_p, rows_c, drives, reference: bool) -> list:
                  f"median {statistics.median(ulps):g}, rel max {max(rel):.2g} "
                  f"median {statistics.median(rel):.2g}")
     if worst != [0.0, 0.0]:
-        kind = "rel" if key == "gap32" else "abs"
+        kind = ("abs" if key in ("transfer_supremum", "p13_full", "transfer_envelope") else
+                "rel to delta2" if key.endswith("shift_exact") else "rel")
         line += (f"; vs 50 digits: {closer} closer, {farther} farther, worst {kind} "
                  f"{worst[0]:.2g} -> {worst[1]:.2g}")
+        if key == "gap32":
+            line += f", {beyond} farther by over 1 ulp of the scale or level"
+    if unjudged:
+        line += f"; {unjudged} moved values without a 50-digit reference"
+        if beats:
+            line += f" (windows of {min(beats):.2g} to {max(beats):.2g} slow beats)"
     if moves[("labels", "labels")]:
-        line += f"; labels changed at {firm} points that neither tree flags ambiguous"
+        line += (f"; labels changed at {firm} points that neither tree flags ambiguous, "
+                 f"right by 50 digits {right[0]} -> {right[1]}")
     if warns != [0, 0]:
         line += f"; RuntimeWarning {warns[0]} -> {warns[1]}"
     lines = [line]
@@ -293,16 +521,27 @@ def _line(key, rows_p, rows_c, drives, reference: bool) -> list:
     return lines
 
 
+def _eigvalsh_calls(rows) -> int:
+    """Calls of one family that ran numpy's eigvalsh; resonance_report once."""
+    return sum(outcome[2] for row in rows for key, outcome in row.items()
+               if key != "params" and not (key.startswith("resonance_report.")
+                                           and key != "resonance_report.structural_exact"))
+
+
 def compare(parent: dict, change: dict, scale: float) -> None:
     sweeps = families(scale)
     for name in parent:
-        print(f"\n== {name}: {len(sweeps[name])} drives")
+        calls = sum(len(row) - 6 * any(k.startswith("resonance_report.") for k in row)
+                    for row in parent[name] if "params" not in row)
+        print(f"\n== {name}: {len(sweeps[name])} drives; calls that ran eigvalsh: "
+              f"{_eigvalsh_calls(parent[name])} -> {_eigvalsh_calls(change[name])} of {calls}")
         keys = sorted({k for row in parent[name] for k in row} - {"params"},
                       key=lambda k: (k.startswith("track"), k.startswith("resonance"), k))
         for key in keys:
-            reference = name in ("pow2", "near1") and key in ("gap32", "transfer_supremum",
-                                                             "p13_full")
-            print("\n".join(_line(key, parent[name], change[name], sweeps[name], reference)))
+            everywhere = name in ("pow2", "near1") and key in ("gap32", "transfer_supremum",
+                                                              "p13_full")
+            print("\n".join(_line(key, parent[name], change[name], sweeps[name], everywhere)),
+                  flush=True)
 
 
 def main() -> None:
