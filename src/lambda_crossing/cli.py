@@ -271,12 +271,13 @@ def _load_config(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace):
-    """Fill unset flags from the config file, leaving flag values in charge."""
+    """Fill the command's unset flags from the config file; flag values win."""
     if not getattr(args, "config", None):
         return
-    config = _load_config(args.config)
-    for key, value in config.items():
-        if not hasattr(args, key):
+    _, _, required, optional = COMMANDS[args.command]
+    flags = set(COMMON_FLAGS + required + optional) - {"config"}
+    for key, value in _load_config(args.config).items():
+        if key not in flags:
             raise _FlagError(f"config: unknown key {key!r}")
         if getattr(args, key) is None:
             setattr(args, key, value)

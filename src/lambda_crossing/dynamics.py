@@ -16,7 +16,7 @@ def evolve(params: RamanParams, psi0, t: float) -> np.ndarray:
     """Spectral propagation psi(t) = sum_k exp(-i eps_k t) <eps_k|psi0> |eps_k>.
 
     Exact for the time-independent Hamiltonian; psi0 must be normalized
-    (tolerance 1e-6) and t one finite time.
+    (tolerance 1e-6) and t one finite time, else ValueError.
     """
     _check_finite("t", t)
     if np.ndim(t) != 0:
@@ -140,7 +140,8 @@ def transfer_envelope(params: RamanParams) -> float:
     at T; each crest is polished by _crest within a quarter fast period.
     The cost does not grow with the window. Returns 0 where the supremum
     4 c2^2 underflows. Raises EnvelopeError at zero effective coupling,
-    where T is not finite and positive, and where F T overflows.
+    where T is not finite and positive, and where F T overflows, and
+    p13_full's ValueError where double precision gives two equal levels.
     """
     omega_eff = eliminate(params).omega_eff
     if omega_eff == 0.0:
@@ -187,6 +188,8 @@ def transfer_supremum(params: RamanParams) -> float:
     """Supremum over time of the 1->3 transfer, (sum_k |c_k|)^2 = 4 c2^2 =
     (2 a b / (h g))^2 with h, g = eps2 - eps1, eps3 - eps2, as the residues
     alternate in sign and sum to zero: smooth in delta1, and the quantity
-    whose slope resonance.transfer_supremum_slope roots; clipped at 1."""
+    whose slope resonance.transfer_supremum_slope roots; clipped at 1.
+    Exactly 0 where a coupling is 0; p13_full's ValueError where double
+    precision gives two equal levels."""
     (_, c2, _), _ = _residues(params)
     return min(4.0 * c2 * c2, 1.0)

@@ -69,7 +69,7 @@ def level_shift(params: RamanParams, e: float) -> ImplicitModel:
 
     The single intermediate level makes the shift matrix rank one:
     r13^2 = r11 * r33 identically. Raises ValueError for a non-finite E
-    and PoleError when E approaches the bare intermediate energy -delta1.
+    and PoleError within 1e-12 delta2 of the bare intermediate energy -delta1.
     """
     offset_c, delta_eff, r13, o1sq, o2sq, quarter = _shift_terms(params, e)
     return ImplicitModel(o1sq / quarter, o2sq / quarter, r13, delta_eff, offset_c)

@@ -137,10 +137,11 @@ def scenario_report(
     """Feasibility summary for one drive setting (frequencies in Hz).
 
     The optical scenario is viable only if scattering broadening stays
-    well below the dynamical shift; the microwave scenario has no
-    spontaneous emission and is viable whenever there is a shift to
-    resolve: shift > 0 (one that underflows to 0 is not). The drive values
-    are checked as RamanParams checks them (delta1 defaults to delta2).
+    well below the dynamical shift, rate < 0.1 x 2 pi x shift; the
+    microwave scenario has no spontaneous emission and is viable whenever
+    there is a shift to resolve: shift > 0 (one that underflows to 0 is
+    not). The drive values are checked as RamanParams checks them
+    (delta1 defaults to delta2).
     """
     if scenario not in ("optical", "microwave"):
         raise ValueError(f"unknown scenario {scenario!r}")

@@ -163,7 +163,8 @@ def _frame(params: RamanParams, reach):
     """k, the one scale of every spectrum of a Lambda matrix: the frexp
     exponent of the largest of omega1 / 2, omega2 / 2, |reach| and delta2, one
     k per entry of an array reach. Times 2^-k, which is exact short of
-    subnormals, no entry of a matrix at |delta1| <= |reach| reaches 2."""
+    subnormals, no entry of a matrix at |delta1| <= |reach| reaches 2, so
+    drives a power of two apart give results exactly that power apart."""
     top = max(0.5 * params.omega1, 0.5 * params.omega2, params.delta2)
     if isinstance(reach, np.ndarray):
         return np.frexp(np.maximum(np.abs(reach), top))[1]
@@ -304,7 +305,9 @@ def _dominant(weights: np.ndarray):
 
 
 def track_character(params: RamanParams, delta1_grid) -> CharacterScan:
-    """Track which bare state dominates each dressed level across a delta1 scan."""
+    """Track which bare state dominates each dressed level across a delta1
+    scan, from _overlap_weights (no eigenvectors); near-ties are flagged
+    ambiguous (_dominant)."""
     grid = _monotone_grid(delta1_grid)
     if grid.size < 2:
         raise ValueError("delta1_grid must be a 1-D grid with at least 2 points")

@@ -72,7 +72,7 @@ def _check_probe(omega_p: float, duration: float):
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Probe drive: Rabi frequency omega_p, beat frequency nu, duration."""
+    """Probe drive: Rabi frequency omega_p, beat frequency nu (finite), duration."""
 
     omega_p: float
     nu: float
@@ -459,7 +459,8 @@ def measured_splitting(spectrum: ProbeSpectrum):
 
 
 def default_nu_grid(params: RamanParams, duration: float) -> np.ndarray:
-    """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12; GridError at gap 0."""
+    """Grid spanning +/- 1.6 gap with spacing (2 pi / duration) / 12; GridError at gap 0
+    and where it would hold more than _MAX_NU_POINTS points."""
     _check_probe(0.0, duration)
     gap = _gap(dressed_spectrum(params).energies)
     if not gap > 0.0:

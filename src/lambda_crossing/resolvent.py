@@ -89,8 +89,11 @@ def resolvent_structural_resonance(params: RamanParams) -> float:
     evaluations and buys no accuracy. Started at the structural series, it
     takes a mean of 6.1 iterate_levels calls over the benchmark's draws,
     against 15.0 on the full bracket. Its ConvergenceError reads "structural
-    (resolvent) locus: ...". It reads minimize_scalar and iterate_levels,
-    benchmark trace and fault sites, from this module at call time."""
+    (resolvent) locus: ...", also outside the isolated-crossing regime,
+    where a level iteration can fail before _locus's edge check and the
+    slope loci raise BracketError. It reads minimize_scalar and
+    iterate_levels, benchmark trace and fault sites, from this module at
+    call time."""
 
     def splitting(d1: float) -> float:
         levels = iterate_levels(params.with_delta1(d1))

@@ -4,6 +4,10 @@ The structural resonance minimizes the dressed-level splitting eps3 - eps2;
 the dynamical resonance maximizes the bare-state 1 -> 3 transfer. Both are
 located on the avoided crossing at delta1 ~ delta2 (the delta1 ~ 0 crossing
 is out of scope). The two loci differ by the dynamical shift.
+
+Every exact locus, resolvent.resolvent_structural_resonance included, is
+searched for in [0.5, 1.5] delta2 through _locus, which holds the
+coupling guards and the edge check; no finder takes a tolerance.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ def _locus(params: RamanParams, what: str, solve) -> float:
         raise ValueError(f"{what} locus overflows {_at_drive(params)}") from None
     if min(x - lo, hi - x) < _EDGE_MARGIN * d2:
         raise BracketError(
-            f"{what} locus {x:g} is at the edge of the search bracket [{lo:g}, {hi:g}]; "
-            "parameters are outside the isolated-crossing regime"
+            f"{what} locus {x:g} is at the edge of the search bracket [{BRACKET_LO:g}, "
+            f"{BRACKET_HI:g}] delta2; parameters are outside the isolated-crossing regime"
         )
     return x
 

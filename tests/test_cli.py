@@ -593,6 +593,19 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "error: config: unknown key 'omega9'\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("text", ["command = levels\n", "config = other.cfg\n"],
+                             ids=["command", "config"])
+    def test_key_that_is_no_flag_of_the_command(self, tmp_path, capsys, text):
+        # command and config are argparse destinations, but not flags a file sets
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = ["resonance", "--omega1", "0.2", "--omega2", "0.5", "--config", str(cfg),
+                "--output", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        key = text.split()[0]
+        assert capsys.readouterr().err == f"error: config: unknown key {key!r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path))
         rc = main(
@@ -753,7 +766,7 @@ class TestUnits:
              "omega_p = 1.0 is too strong for the first-order probe at delta1 = 1.04: peak "
              "probability"),
             (["resonance", "--omega1", "2", "--omega2", "0.1", "--units", "hz"],
-             "structural locus 3.14159 is at the edge of the search bracket [3.14159, 9.42478]; "
+             "structural locus 3.14159 is at the edge of the search bracket [0.5, 1.5] delta2; "
              "parameters are outside the isolated-crossing regime" + HZ_NOTE),
             (PROBE_RESONANCE + ["--omega-p", "1", "--duration", "785.4", "--units", "hz"],
              "omega_p = 6.283185307179586 is too strong for the first-order probe at "

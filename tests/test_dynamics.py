@@ -3,8 +3,8 @@
 import math
 import re
 import tracemalloc
+from dataclasses import astuple
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +26,8 @@ from lambda_crossing import (
 from lambda_crossing import dynamics, gap32
 from lambda_crossing.hamiltonian import _scalar_spectrum, _secular
 from lambda_crossing.resonance import transfer_supremum_slope
+
+from _reference import spectrum
 
 RNG = np.random.default_rng(99)
 
@@ -70,31 +72,6 @@ def envelope_draws(seed, count=200):
 
 
 ENVELOPE_DRAWS = envelope_draws(2305)
-
-
-def reference_transfer(params, ts):
-    """(supremum, [P(t) for t in ts]) of the 1 -> 3 transfer from a 60-digit
-    mpmath.eigsy spectrum of the float inputs: (sum_k |c_k|)^2 and
-    |sum_k c_k exp(-i eps_k t)|^2 with c_k = v_{0,k} v_{2,k}, sharing no
-    formula with the library."""
-    with mpmath.workdps(60):
-        a, b = mpmath.mpf(params.omega1) / 2, mpmath.mpf(params.omega2) / 2
-        d1, d2 = mpmath.mpf(params.delta1), mpmath.mpf(params.delta2)
-        e, v = mpmath.eigsy(mpmath.matrix([[0, a, 0], [a, -d1, b], [0, b, d2 - d1]]))
-        c = [v[0, k] * v[2, k] for k in range(3)]
-        ps = [abs(sum(c[k] * mpmath.expj(-e[k] * mpmath.mpf(t)) for k in range(3))) ** 2
-              for t in ts]
-        return float(sum(abs(ck) for ck in c) ** 2), [float(q) for q in ps]
-
-
-def mp_gap32(params):
-    """eps3 - eps2 of a 50-digit mpmath.eigsy spectrum of the float inputs."""
-    with mpmath.workdps(50):
-        a, b = mpmath.mpf(params.omega1) / 2, mpmath.mpf(params.omega2) / 2
-        d1, d2 = mpmath.mpf(params.delta1), mpmath.mpf(params.delta2)
-        h = mpmath.matrix([[0, a, 0], [a, -d1, b], [0, b, d2 - d1]])
-        e = sorted(mpmath.eigsy(h, eigvals_only=True))
-        return float(e[2] - e[1])
 
 
 def rk4_evolve(params, psi0, t_final, steps):
@@ -298,7 +275,8 @@ class TestTransferReference:
             p = RamanParams(omega1, omega2, 1.0, 1.0)
             p = p.with_delta1(dynamical_exact_full(p) + rng.uniform(-1.0, 1.0) * omega1 * omega2)
             ts = rng.uniform(0.0, 4.0 * math.pi / eliminate(p).omega_eff, 3)
-            sup, ps = reference_transfer(p, ts.tolist())
+            ref = spectrum(*astuple(p), dps=60)
+            sup, ps = float(ref.supremum), [float(ref.transfer(t)) for t in ts.tolist()]
             unit = eps / min(omega1, omega2)
             assert abs(transfer_supremum(p) - sup) <= 4.0 * unit
             assert np.all(np.abs(p13_full(p, ts) - ps) <= 16.0 * unit)
@@ -358,17 +336,18 @@ class TestTransferReference:
             assert str(err.value) == message
             return
         if call is gap32:
-            assert gap32(p) == mp_gap32(p) == {0.0: 0.7071067811865476, 1e300: 1e300}[p.delta1]
+            want = {0.0: 0.7071067811865476, 1e300: 1e300}[p.delta1]
+            assert gap32(p) == float(spectrum(*astuple(p)).gaps[1]) == want
             return
-        sup, (p1,) = reference_transfer(p, [1.0])
-        want = sup if call is transfer_supremum else p1
+        ref = spectrum(*astuple(p), dps=60)
+        want = float(ref.supremum if call is transfer_supremum else ref.transfer(1.0))
         assert abs(call(p) - want) <= 4.0 * np.finfo(float).eps
 
     def test_gap_below_eps_norm_is_zero(self):
         # the true gap, delta2 = 1e-300, lies below eps |H| = 2e-316: it is 0,
         # as in the 50-digit spectrum, not an error
         p = RamanParams(0.0, 0.0, -1e300, 1e-300)
-        assert gap32(p) == mp_gap32(p) == 0.0
+        assert gap32(p) == float(spectrum(*astuple(p)).gaps[1]) == 0.0
         assert transfer_supremum(p) == p13_full(p, 1.0) == 0.0
 
     @pytest.mark.parametrize("call", [gap32, transfer_supremum], ids=["gap32", "supremum"])
@@ -382,7 +361,8 @@ class TestTransferReference:
             d2 = math.exp(rng.uniform(-40.0, 40.0))
             omega1, omega2 = (np.exp(rng.uniform(math.log(1e-3), math.log(0.6), 2)) * d2).tolist()
             p = RamanParams(omega1, omega2, d2 + rng.uniform(-1.0, 1.0) * omega1 * omega2 / d2, d2)
-            want = mp_gap32(p) if call is gap32 else reference_transfer(p, [])[0]
+            want = (float(spectrum(*astuple(p)).gaps[1]) if call is gap32 else
+                    float(spectrum(*astuple(p), dps=60).supremum))
             assert abs(call(p) - want) <= 5e-13 * want
 
     def test_underflowed_supremum_gives_zero_envelope(self):

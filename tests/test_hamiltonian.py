@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -26,6 +27,8 @@ from lambda_crossing.hamiltonian import (
     _dominant, _frame, _overlap_weights, _point_spectrum, _scalar_spectrum,
 )
 from lambda_crossing.resonance import gap32_slope
+
+from _reference import levels, spectrum
 
 RNG = np.random.default_rng(20260823)
 
@@ -360,15 +363,15 @@ class TestAvoidedCrossingScan:
         assert np.max(jumps) < 5.0 * (grid[1] - grid[0])
 
 
-def assert_no_farther_than_eigvalsh(levels, framed, eigvalsh):
-    """levels of the framed matrix are no farther from its 50-digit
+def assert_no_farther_than_eigvalsh(e, framed, eigvalsh):
+    """Levels e of the framed matrix are no farther from its 50-digit
     mpmath.eigsy levels than eigvalsh's, to one ulp of the larger of the
     frame scale (2^-53 in frame units) and the largest level."""
+    ref = levels(framed.tolist()).e
     with mpmath.workdps(50):
-        ref = sorted(mpmath.eigsy(mpmath.matrix(framed.tolist()), eigvals_only=True))
-        err = max(abs(float(x - r)) for x, r in zip(levels, ref))
+        err = max(abs(float(x - r)) for x, r in zip(e, ref))
         lapack_err = max(abs(float(x - r)) for x, r in zip(eigvalsh(framed), ref))
-    assert err <= lapack_err + math.ulp(max(0.5, *map(abs, levels))), (framed, err, lapack_err)
+    assert err <= lapack_err + math.ulp(max(0.5, *map(abs, e))), (framed, err, lapack_err)
 
 
 class TestSeededLevels:
@@ -413,9 +416,8 @@ class TestSeededLevels:
             p = RamanParams(float(o1), float(o2), float(d1), 1.0)
             k, _, _, e = _point_spectrum(p)
             framed = np.ldexp(build_hamiltonian(p), -k)
+            gaps = levels(framed.tolist()).gaps
             with mpmath.workdps(50):
-                ref = sorted(mpmath.eigsy(mpmath.matrix(framed.tolist()), eigvals_only=True))
-                gaps = [ref[1] - ref[0], ref[2] - ref[1]]
                 err = max(abs(float((g - r) / r)) for g, r in zip(np.diff(e), gaps))
                 lapack_err = max(abs(float((g - r) / r))
                                  for g, r in zip(np.diff(np.linalg.eigvalsh(framed)), gaps))
@@ -436,17 +438,6 @@ def loop_character(weights, ambig_tol=1e-9):
     return labels, ambiguous
 
 
-def mp_weights(p):
-    """50-digit squared overlaps (bare, level), levels ascending, from
-    mpmath.eigsy of the float inputs."""
-    with mpmath.workdps(50):
-        a, b = mpmath.mpf(p.omega1) / 2, mpmath.mpf(p.omega2) / 2
-        d1, d2 = mpmath.mpf(p.delta1), mpmath.mpf(p.delta2)
-        e, v = mpmath.eigsy(mpmath.matrix([[0, a, 0], [a, -d1, b], [0, b, d2 - d1]]))
-        order = sorted(range(3), key=lambda k: e[k])
-        return np.array([[float(v[j, k] ** 2) for k in order] for j in range(3)])
-
-
 class TestOverlapWeights:
     @pytest.mark.parametrize("lo", [1e-6, 1e-12])
     def test_against_50_digit_reference(self, lo):
@@ -463,7 +454,7 @@ class TestOverlapWeights:
             near = 1.0 + rng.uniform(-1.0, 1.0) * max(o1, o2) ** 2
             d1 = near if i % 2 else rng.uniform(0.5, 1.5)
             p = RamanParams(float(o1), float(o2), float(d1), 1.0)
-            ref = mp_weights(p)
+            ref = np.array(spectrum(*astuple(p)).weights, dtype=float)
             err = np.abs(_overlap_weights(p, np.array([p.delta1]))[0] - ref).max()
             eigh_err = np.abs(dressed_spectrum(p).states ** 2 - ref).max()
             assert err <= eigh_err + 2.0**-52, (p, err, eigh_err)

@@ -46,6 +46,8 @@ from lambda_crossing._minimize import (
 )
 from lambda_crossing.resonance import gap32_slope, transfer_supremum_slope
 
+from _reference import spectrum
+
 RNG = np.random.default_rng(1234)
 EPS = 2.0**-52
 # An absolute locus bound, in units of delta2, where the reference is not
@@ -108,7 +110,7 @@ class TestStructural:
             eps = 10.0 * CERTIFICATE_TOL * d2
             assert gap32(p.with_delta1(star + eps)) >= g0
             assert gap32(p.with_delta1(star - eps)) >= g0
-            assert abs(star - mp_locus(p, mp_gap, star)) <= 1e-10 * d2
+            assert abs(star - mp_locus(p, "structural", star)) <= 1e-10 * d2
             eps = 1e-9 * d2
             assert slope_at(gap32_slope, p, star - eps) < 0.0 < slope_at(gap32_slope, p, star + eps)
 
@@ -144,19 +146,27 @@ BAD_TOLS = [0.0, -1.0, math.nan, math.inf]
 
 
 class TestLocusSearch:
-    @pytest.mark.parametrize("kind", FINDERS)
     @pytest.mark.parametrize(
-        "omegas, reason",
+        "kind, drive, reason",
         [
-            ((0.0, 0.3), "resonance requires omega1 * omega2 > 0"),
-            ((2.0, 0.1), "locus 0.5 is at the edge of the search bracket [0.5, 1.5]"),
-            ((0.1, 2.0), "locus 1.5 is at the edge of the search bracket [0.5, 1.5]"),
+            pytest.param(kind, drive, reason, id=f"{name}-{kind}")
+            for name, drive, reason in [
+                ("no-coupling", (0.0, 0.3, 1.0, 1.0), "resonance requires omega1 * omega2 > 0"),
+                ("low-edge", (2.0, 0.1, 1.0, 1.0),
+                 "locus 0.5 is at the edge of the search bracket [0.5, 1.5] delta2"),
+                ("high-edge", (0.1, 2.0, 1.0, 1.0),
+                 "locus 1.5 is at the edge of the search bracket [0.5, 1.5] delta2"),
+                # 1.5 delta2 overflows; the bracket is quoted in units of delta2
+                ("huge-edge", (1.775e308, 6.25e306, 1.0, 1.25e308),
+                 "locus 6.25e+307 is at the edge of the search bracket [0.5, 1.5] delta2"),
+            ]
+            # the resolvent searches delta1 unscaled, and its 1.5 delta2 overflows there
+            for kind in FINDERS if not (name == "huge-edge" and "resolvent" in kind)
         ],
-        ids=["no-coupling", "low-edge", "high-edge"],
     )
-    def test_bracket_failure_names_kind(self, kind, omegas, reason):
+    def test_bracket_failure_names_kind(self, kind, drive, reason):
         with pytest.raises(BracketError) as err:
-            FINDERS[kind](RamanParams(*omegas, 1.0, 1.0))
+            FINDERS[kind](RamanParams(*drive))
         assert str(err.value).startswith(f"{kind} {reason}")
 
     @pytest.mark.parametrize(
@@ -328,6 +338,23 @@ class TestLocusSearch:
                   for alias in node.names}
         assert not names & {"eigh", "dressed_spectrum", "diagonalize"}
 
+    def test_high_precision_spectra_come_from_one_module(self):
+        # every mpmath.eigsy of the tests and tools is tests/_reference.py's,
+        # which imports nothing from the library it judges
+        root = Path(__file__).resolve().parents[1]
+        users = set()
+        for path in [*root.glob("tests/**/*.py"), *root.glob("tools/**/*.py")]:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if any("eigsy" in {getattr(node, key, None) for key in ("id", "attr", "name")}
+                   for node in ast.walk(tree)):
+                users.add(path.relative_to(root).as_posix())
+        assert users == {"tests/_reference.py"}
+        tree = ast.parse((root / "tests" / "_reference.py").read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert imported == {"mpmath"}
+
     def test_transfer_reads_eigenvalues_only(self):
         # the 1 -> 3 transfer comes from one eigvalsh: in dynamics only evolve,
         # which returns the state, names dressed_spectrum or a complex literal,
@@ -452,7 +479,7 @@ class TestDynamical:
             eps = 5.0 * CERTIFICATE_TOL * d2
             assert a0 >= transfer_supremum(p.with_delta1(star + eps))
             assert a0 >= transfer_supremum(p.with_delta1(star - eps))
-            assert abs(star - mp_locus(p, mp_transfer, star)) <= 1e-10 * d2
+            assert abs(star - mp_locus(p, "dynamical", star)) <= 1e-10 * d2
             eps = 5e-10 * d2
             slopes = [slope_at(transfer_supremum_slope, p, star + s) for s in (-eps, eps)]
             assert slopes[0] < 0.0 < slopes[1]
@@ -612,20 +639,17 @@ class TestShiftScan:
             shift_scan(0.2, [1.6])
 
 
-def mp_locus(params, quantity, guess):
-    """50-digit reference locus: the root, near guess, of the numerical
-    delta1-derivative (mpmath.diff) of quantity(energies, states) of an
-    mpmath.eigsy spectrum. It shares no formula with the library's slopes."""
+def mp_locus(params, kind, guess):
+    """50-digit reference locus of kind: the root, near guess, of the
+    numerical delta1-derivative (mpmath.diff) of the reference spectrum's
+    gap e3 - e2 ("structural") or transfer supremum ("dynamical"), each
+    spectrum at mpmath.diff's working digits. It shares no formula with the
+    library's slopes."""
+    def value(d1):
+        s = spectrum(params.omega1, params.omega2, d1, params.delta2, mpmath.mp.dps)
+        return s.gaps[1] if kind == "structural" else s.supremum
+
     with mpmath.workdps(50):
-        half1, half2 = mpmath.mpf(params.omega1) / 2, mpmath.mpf(params.omega2) / 2
-        d2 = mpmath.mpf(params.delta2)
-
-        def value(d1):
-            h = mpmath.matrix([[0, half1, 0], [half1, -d1, half2], [0, half2, d2 - d1]])
-            energies, states = mpmath.eigsy(h)
-            order = sorted(range(3), key=lambda k: energies[k])
-            return quantity([energies[k] for k in order], [states[:, k] for k in order])
-
         step = 1e-6 * params.omega1 * params.omega2
         root = mpmath.findroot(
             lambda d1: mpmath.diff(value, d1),
@@ -634,14 +658,6 @@ def mp_locus(params, quantity, guess):
             tol=mpmath.mpf(10) ** -40,
         )
         return float(root)
-
-
-def mp_gap(energies, states):
-    return energies[2] - energies[1]
-
-
-def mp_transfer(energies, states):
-    return sum(abs(v[0] * v[2]) for v in states)
 
 
 REFERENCE_GRID = [
@@ -655,16 +671,16 @@ class TestExactLociReference:
     @pytest.mark.parametrize("omegas", REFERENCE_GRID, ids=lambda o: f"{o[0]:.3g}-{o[1]:.3g}")
     def test_both_loci_match_50_digits(self, omegas):
         p = RamanParams(*omegas, 1.0, 1.0)
-        for finder, quantity in ((structural_exact, mp_gap), (dynamical_exact_full, mp_transfer)):
-            locus = finder(p)
-            reference = mp_locus(p, quantity, locus)
+        for kind in ("structural", "dynamical"):
+            locus = FINDERS[kind](p)
+            reference = mp_locus(p, kind, locus)
             assert abs(locus - reference) <= 2.0 * math.ulp(reference)
 
     def test_scaled_delta2(self):
         p = RamanParams(0.3, 0.9, 2.0, 2.0)
-        for finder, quantity in ((structural_exact, mp_gap), (dynamical_exact_full, mp_transfer)):
-            locus = finder(p)
-            reference = mp_locus(p, quantity, locus)
+        for kind in ("structural", "dynamical"):
+            locus = FINDERS[kind](p)
+            reference = mp_locus(p, kind, locus)
             assert abs(locus - reference) <= 2.0 * math.ulp(reference)
 
 
@@ -675,8 +691,8 @@ class TestWeakCouplingShift:
         # the shift is about omega1^2 omega2^2 / (8 delta2^3), 5e-12 to
         # 5e-11 here, so the loci must be resolved far below it
         p = RamanParams(*omegas, 1.0, 1.0)
-        reference = mp_locus(p, mp_gap, structural_exact(p)) - mp_locus(
-            p, mp_transfer, dynamical_exact_full(p)
+        reference = mp_locus(p, "structural", structural_exact(p)) - mp_locus(
+            p, "dynamical", dynamical_exact_full(p)
         )
         assert dynamical_shift(p)[0] == pytest.approx(reference, rel=1e-2)
         assert resonance_report(p).shift_exact == pytest.approx(reference, rel=1e-2)
@@ -705,8 +721,8 @@ class TestSixthOrderSeries:
                 omega1**2 * omega2**2 / (8 * D**3) + abs(omega1 * omega2) ** 3 / (16 * D**5)
                 - omega1**2 * omega2**2 * (3 * omega1**2 + 5 * omega2**2) / (32 * D**5)
             )
-            s_ref = mp_locus(p, mp_gap, structural_exact(p))
-            d_ref = mp_locus(p, mp_transfer, dynamical_exact_full(p))
+            s_ref = mp_locus(p, "structural", structural_exact(p))
+            d_ref = mp_locus(p, "dynamical", dynamical_exact_full(p))
             bound = 10 * (a2 + b2) ** 4 / D**7
             assert abs(structural - s_ref) <= bound
             assert abs(dynamical - d_ref) <= bound
@@ -744,11 +760,7 @@ def quartic_structural_locus(params):
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
         real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30]
         d1 = D + min(real, key=lambda r: abs(r - (b2 - a2) / D))
-        half1, half2 = mpmath.sqrt(a2), mpmath.sqrt(b2)
-        h = mpmath.matrix([[0, half1, 0], [half1, -d1, half2], [0, half2, D - d1]])
-        energies, states = mpmath.eigsy(h)
-        k1, k2, k3 = sorted(range(3), key=lambda k: energies[k])
-        return d1, states[0, k3] ** 2 - states[0, k2] ** 2
+    return d1, spectrum(params.omega1, params.omega2, d1, params.delta2).slope("structural")
 
 
 class TestStructuralQuartic:

@@ -22,7 +22,8 @@ text. The drive families are
 with omega1, omega2 log-uniform on 1e-3..0.6 delta2 and delta1 within
 omega1 omega2 / delta2 of delta2 in pow2 and near1. The calls are gap32,
 transfer_supremum, p13_full (at t = 3 / delta2), transfer_envelope,
-structural_exact, dynamical_exact_full, each resonance_report field, and
+structural_exact, dynamical_exact_full, resolvent_structural_resonance,
+both iterate_levels energies, each resonance_report field, and
 track_character's labels and ambiguous flags on 41 points of [0.5, 1.5]
 delta2 (ending at the largest double where 1.5 delta2 is past it); on the
 probe family they are probe_time_domain_oracle and
@@ -36,20 +37,22 @@ count of calls that emitted a RuntimeWarning in each tree, and, per family,
 the count of calls that ran numpy's eigvalsh in each tree.
 
 Every changed float, and every changed label that neither tree flags
-ambiguous, is judged against an mpmath.eigsy spectrum of the float drive
-at 50 digits, or at as many more as resolve its smallest level gap to 30:
-the line counts the values that moved closer to it and farther from it,
-the worst error of each tree and, for gap32, the farther moves larger than
-one ulp of the larger of the drive's scale, max(omega1 / 2, omega2 / 2,
-|delta1|, delta2), and the two upper levels. Loci are
-judged against the root of their 50-digit slope (Hellmann-Feynman, from
-the eigenvectors), transfer_envelope against the best crest of the 50-digit
-P where its window holds at most 1e6 fast crests, labels against the
-largest 50-digit squared overlap. Longer windows and the probe calls have
-no such reference; their changed values are counted as unjudged. On pow2 and near1 the worst errors
-of gap32, transfer_supremum and p13_full cover every finite value, not only
-the changed ones. It is not a test: it compares two trees, and its output
-is cited, not asserted.
+ambiguous, is judged against the mpmath.eigsy spectrum of this checkout's
+tests/_reference.py for the float drive, at 50 digits or at as many more
+as resolve its smallest level gap to 30: the line counts the values that
+moved closer to it and farther from it, the worst error of each tree and,
+for gap32, the farther moves larger than one ulp of the larger of the
+drive's scale, max(omega1 / 2, omega2 / 2, |delta1|, delta2), and the two
+upper levels. Loci, the resolvent's included, are judged against the root
+of their 50-digit slope (Hellmann-Feynman, from the eigenvectors),
+iterate_levels energies against the nearest 50-digit level,
+transfer_envelope against the best crest of the 50-digit P where its
+window holds at most 1e6 fast crests, labels against the largest 50-digit
+squared overlap. Longer windows and the probe calls have no such
+reference; their changed values are counted as unjudged. On pow2 and
+near1 the worst errors of gap32, transfer_supremum and p13_full cover
+every finite value, not only the changed ones. It is not a test: it
+compares two trees, and its output is cited, not asserted.
 --scale multiplies the drive counts of the seeded families.
 """
 
@@ -68,8 +71,13 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+# the 50-digit reference of this checkout's tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from _reference import spectrum  # noqa: E402
+
 REPORT_FIELDS = ["structural_exact", "structural_approx", "dynamical_exact_effective",
                  "dynamical_exact_full", "dynamical_approx", "shift_exact", "shift_approx"]
+LEVEL_FIELDS = ["e_minus", "e_plus"]
 OMEGAS = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e10, 1e300, 1.7e308]
 DELTA1S = [-1.7e308, -1e300, -1.0, 0.0, 1e-300, 1.0, 1e300, 1.7e308]
 DELTA2S = [5e-324, 1e-310, 1e-300, 1e-10, 1.0, 1e10, 1e300, 1.7e308]
@@ -198,12 +206,17 @@ def child(scale: float) -> None:
                      "p13_full": lambda: lc.p13_full(p, t),
                      "transfer_envelope": lambda: lc.transfer_envelope(p),
                      "structural_exact": lambda: lc.structural_exact(p),
-                     "dynamical_exact_full": lambda: lc.dynamical_exact_full(p)}
+                     "dynamical_exact_full": lambda: lc.dynamical_exact_full(p),
+                     "resolvent_structural_resonance":
+                         lambda: lc.resolvent_structural_resonance(p)}
             row = {key: _outcome(call) for key, call in calls.items()}
-            report, warned, lapack = _outcome(lambda: lc.resonance_report(p))
-            for field in REPORT_FIELDS:
-                value = report if isinstance(report, str) else float(getattr(report, field)).hex()
-                row["resonance_report." + field] = (value, warned, lapack)
+            for call, fields in ((lc.resonance_report, REPORT_FIELDS),
+                                 (lc.iterate_levels, LEVEL_FIELDS)):
+                outcome, warned, lapack = _outcome(lambda: call(p))
+                for field in fields:
+                    value = (outcome if isinstance(outcome, str) else
+                             float(getattr(outcome, field)).hex())
+                    row[f"{call.__name__}.{field}"] = (value, warned, lapack)
 
             def scan():
                 s = lc.track_character(p, character_grid(d2))
@@ -264,9 +277,9 @@ _SPECTRA = {}
 
 
 def _mp_spectrum(o1, o2, d1, d2):
-    """(e, v): the ascending mpmath.eigsy levels and eigenvector rows v[j][k]
-    of the drive, at 50 digits or at as many more (up to 2400) as resolve its
-    smallest level gap to 30 digits of its largest level."""
+    """The reference spectrum of the drive at 50 digits, or at as many more
+    (up to 2400) as resolve its smallest level gap to 30 digits of its
+    largest level."""
     import mpmath
 
     key = (o1, o2, d1, d2)
@@ -274,43 +287,24 @@ def _mp_spectrum(o1, o2, d1, d2):
         return _SPECTRA[key]
     dps = 50
     while True:
-        with mpmath.workdps(dps):
-            a, b = mpmath.mpf(o1) / 2, mpmath.mpf(o2) / 2
-            d1m, d2m = mpmath.mpf(d1), mpmath.mpf(d2)
-            e, v = mpmath.eigsy(mpmath.matrix([[0, a, 0], [a, -d1m, b], [0, b, d2m - d1m]]))
-            order = sorted(range(3), key=lambda k: e[k])
-            e, v = [e[k] for k in order], [[v[j, k] for k in order] for j in range(3)]
-            top = max(abs(x) for x in e)
-            gap = min(e[1] - e[0], e[2] - e[1])
+        s = spectrum(o1, o2, d1, d2, dps)
+        top, gap = max(abs(x) for x in s.e), min(s.gaps)
         if gap == 0 or gap > top * mpmath.mpf(10) ** (30 - dps) or dps >= 2400:
             break
         dps = min(2 * dps, 2400)
     if len(_SPECTRA) < 100000 and all(isinstance(x, float) for x in key):
-        _SPECTRA[key] = e, v
-    return e, v
-
-
-def _mp_slope(kind, drive, d1):
-    """The sign-carrying 50-digit slope in delta1 of the locus kind:
-    d(e3 - e2) (structural) or d((e2 - e1)(e3 - e2)) (dynamical), with
-    de_k / d delta1 = v_{0,k}^2 - 1, whose -1 cancels in every difference."""
-    o1, o2, _, d2 = drive
-    e, v = _mp_spectrum(o1, o2, d1, d2)
-    de = [v[0][k] ** 2 for k in range(3)]
-    g, dg = e[2] - e[1], de[2] - de[1]
-    if kind == "structural":
-        return dg
-    return (de[1] - de[0]) * g + (e[1] - e[0]) * dg
+        _SPECTRA[key] = s
+    return s
 
 
 _ROOTS = {}
 
 
 def _mp_locus(kind, drive, xs):
-    """The root of _mp_slope within [0.5001, 1.4999] delta2 (the bracket
-    less the loci's edge margin, where the slope at 0.5 delta2 may be 0),
-    bracketed out from the float loci xs and bisected to 1e-25 relative;
-    None where the slope keeps its sign there."""
+    """The root of the locus kind's 50-digit Spectrum.slope within [0.5001,
+    1.4999] delta2 (the bracket less the loci's edge margin, where the slope
+    at 0.5 delta2 may be 0), bracketed out from the float loci xs and
+    bisected to 1e-25 relative; None where the slope keeps its sign there."""
     if (kind, drive) not in _ROOTS:
         _ROOTS[kind, drive] = _bisect_slope(kind, drive, xs)
     return _ROOTS[kind, drive]
@@ -319,13 +313,17 @@ def _mp_locus(kind, drive, xs):
 def _bisect_slope(kind, drive, xs):
     import mpmath
 
-    d2 = drive[3]
+    o1, o2, _, d2 = drive
+
+    def slope(d1):
+        return _mp_spectrum(o1, o2, d1, d2).slope(kind)
+
     lo, hi = mpmath.mpf(min(xs)), mpmath.mpf(max(xs))
     width = max(hi - lo, mpmath.mpf(math.ulp(max(xs))))
     edge_lo, edge_hi = mpmath.mpf(d2) * mpmath.mpf("0.5001"), mpmath.mpf(d2) * mpmath.mpf("1.4999")
     while True:
         lo, hi = max(lo - width, edge_lo), min(hi + width, edge_hi)
-        if _mp_slope(kind, drive, lo) < 0 < _mp_slope(kind, drive, hi):
+        if slope(lo) < 0 < slope(hi):
             break
         if lo == edge_lo and hi == edge_hi:
             return None
@@ -333,7 +331,7 @@ def _bisect_slope(kind, drive, xs):
     with mpmath.workdps(60):
         while hi - lo > mpmath.mpf(1e-25) * abs(hi):
             mid = (lo + hi) / 2
-            if _mp_slope(kind, drive, mid) < 0:
+            if slope(mid) < 0:
                 lo = mid
             else:
                 hi = mid
@@ -342,35 +340,34 @@ def _bisect_slope(kind, drive, xs):
 
 _LOCI = {"structural_exact": "structural", "dynamical_exact_full": "dynamical",
          "resonance_report.structural_exact": "structural",
-         "resonance_report.dynamical_exact_full": "dynamical"}
+         "resonance_report.dynamical_exact_full": "dynamical",
+         "resolvent_structural_resonance": "structural"}
+_LEVELS = ("iterate_levels.e_minus", "iterate_levels.e_plus")
 
 
 def _mp_envelope(drive):
     """The maximum of the 50-digit P(t) over [0, T], T = 4 pi / |omega_eff|
     with omega_eff = omega1 omega2 / (4 delta1): P at every crest of the
     faster gap and at T in double precision, then each value within 1e-12
-    of the best maximised by golden section within its half period at 40
-    digits. None where the window holds more than 1e6 fast crests."""
+    of the best maximised by golden section within its half period, in
+    40-digit steps. None where the window holds more than 1e6 fast crests."""
     import mpmath
     import numpy as np
 
     o1, o2, d1, d2 = drive
-    e, v = _mp_spectrum(o1, o2, d1, d2)
-    c = [v[0][k] * v[2][k] for k in range(3)]
-    weights = [-4 * c[0] * c[1], -4 * c[0] * c[2], -4 * c[1] * c[2]]
-    half = [(e[1] - e[0]) / 2, (e[2] - e[0]) / 2, (e[2] - e[1]) / 2]
-    fast = 2 * max(half[0], half[2])
+    s = _mp_spectrum(o1, o2, d1, d2)
+    p, c, (h, g) = s.transfer, s.residues, s.gaps
+    fast = max(h, g)
     window = 16 * mpmath.pi * abs(mpmath.mpf(d1)) / (mpmath.mpf(o1) * mpmath.mpf(o2))
     count = fast * window / (2 * mpmath.pi)
     if not count <= 1e6:
         return None
-
-    def p(t):
-        return sum(wk * mpmath.sin(fk * t) ** 2 for wk, fk in zip(weights, half))
-
+    # the crests are screened in double precision on the real form of P,
+    # -4 sum_{j<k} c_j c_k sin^2((e_k - e_j) t / 2), which sum_k c_k = 0 allows
     ts = np.append(np.minimum((2.0 * np.arange(int(count) + 1) + 1.0) * math.pi / float(fast),
                               float(window)), float(window))
-    ps = sum(float(wk) * np.sin(float(fk) * ts) ** 2 for wk, fk in zip(weights, half))
+    ps = sum(float(-4 * c[j] * c[k]) * np.sin(float(w / 2) * ts) ** 2
+             for j, k, w in ((0, 1, h), (0, 2, h + g), (1, 2, g)))
     best = mpmath.mpf(0)
     with mpmath.workdps(40):
         for t in ts[ps >= ps.max() - 1e-12][:16]:
@@ -391,9 +388,8 @@ def _mp_reference(drive, what, xs):
     """The 50-digit value of call what on the float drive, or None where the
     tool has none: gap32, transfer_supremum, p13_full (at _p13_time),
     transfer_envelope (_mp_envelope), the loci and shift_exact (roots of
-    _mp_slope near the float values xs)."""
-    import mpmath
-
+    the slope near the float values xs), and for an iterate_levels energy
+    the level nearest the parent's value xs[0]."""
     o1, o2, d1, d2 = drive
     if what == "transfer_envelope":
         return _mp_envelope(drive)
@@ -402,17 +398,16 @@ def _mp_reference(drive, what, xs):
     if what == "resonance_report.shift_exact":
         s, d = (_mp_locus(kind, drive, [d2]) for kind in ("structural", "dynamical"))
         return None if s is None or d is None else s - d
-    if what not in ("gap32", "transfer_supremum", "p13_full"):
+    if what not in ("gap32", "transfer_supremum", "p13_full", *_LEVELS):
         return None
-    e, v = _mp_spectrum(o1, o2, d1, d2)
+    s = _mp_spectrum(o1, o2, d1, d2)
     if what == "gap32":
-        return e[2] - e[1]
-    c = [v[0][k] * v[2][k] for k in range(3)]
+        return s.gaps[1]
+    if what == "transfer_supremum":
+        return s.supremum
     if what == "p13_full":
-        with mpmath.workdps(max(50, mpmath.mp.dps)):
-            t = mpmath.mpf(_p13_time(d2))
-            return abs(sum(c[k] * mpmath.expj(-e[k] * t) for k in range(3))) ** 2
-    return min(sum(abs(ck) for ck in c) ** 2, 1)
+        return s.transfer(_p13_time(d2))
+    return min(s.e, key=lambda e: abs(e - xs[0]))
 
 
 def _slow_beats(drive) -> float:
@@ -422,8 +417,7 @@ def _slow_beats(drive) -> float:
     import mpmath
 
     o1, o2, d1, d2 = drive
-    e, _ = _mp_spectrum(o1, o2, d1, d2)
-    slow = min(e[1] - e[0], e[2] - e[1])
+    slow = min(_mp_spectrum(o1, o2, d1, d2).gaps)
     return float(8 * abs(mpmath.mpf(d1)) * slow / (mpmath.mpf(o1) * mpmath.mpf(o2)))
 
 
@@ -436,8 +430,7 @@ def _label_verdicts(drive, was, now):
     right = [0, 0]
     for i in _firm_points(was, now):
         point, level = divmod(i, 3)
-        _, v = _mp_spectrum(o1, o2, float(grid[point]), d2)
-        weights = [v[j][level] ** 2 for j in range(3)]
+        weights = [row[level] for row in _mp_spectrum(o1, o2, float(grid[point]), d2).weights]
         label = str(max(range(3), key=lambda j: (weights[j], j)))
         right[0] += was.split()[1][i] == label
         right[1] += now.split()[1][i] == label
@@ -468,14 +461,14 @@ def _line(key, rows_p, rows_c, drives, everywhere: bool) -> list:
                 beats.append(_slow_beats(drive))
             if ref is not None and ref != 0:
                 # gap and loci relative, the shift relative to delta2, probabilities absolute
-                scale = (abs(ref) if key == "gap32" or key in _LOCI else
+                scale = (abs(ref) if key == "gap32" or key in _LOCI or key in _LEVELS else
                          drive[3] if key.endswith("shift_exact") else 1)
                 ep, ec = float(abs(xp - ref) / scale), float(abs(xc - ref) / scale)
                 worst = [max(worst[0], ep), max(worst[1], ec)]
                 closer += vp != vc and ec < ep
                 farther += vp != vc and ec > ep
                 if key == "gap32" and ec > ep:
-                    e, _ = _mp_spectrum(*drive)
+                    e = _mp_spectrum(*drive).e
                     top = max(drive[0] / 2, drive[1] / 2, abs(drive[2]), drive[3],
                               float(abs(e[1])), float(abs(e[2])))
                     beyond += float(abs(xc - ref) - abs(xp - ref)) > math.ulp(top)
@@ -521,18 +514,21 @@ def _line(key, rows_p, rows_c, drives, everywhere: bool) -> list:
     return lines
 
 
+def _calls(row) -> dict:
+    """{call: ran numpy's eigvalsh} of one drive; the fields of a call such
+    as resonance_report count once."""
+    return {key.split(".")[0]: outcome[2] for key, outcome in row.items() if key != "params"}
+
+
 def _eigvalsh_calls(rows) -> int:
-    """Calls of one family that ran numpy's eigvalsh; resonance_report once."""
-    return sum(outcome[2] for row in rows for key, outcome in row.items()
-               if key != "params" and not (key.startswith("resonance_report.")
-                                           and key != "resonance_report.structural_exact"))
+    """Calls of one family that ran numpy's eigvalsh."""
+    return sum(sum(_calls(row).values()) for row in rows)
 
 
 def compare(parent: dict, change: dict, scale: float) -> None:
     sweeps = families(scale)
     for name in parent:
-        calls = sum(len(row) - 6 * any(k.startswith("resonance_report.") for k in row)
-                    for row in parent[name] if "params" not in row)
+        calls = sum(len(_calls(row)) for row in parent[name])
         print(f"\n== {name}: {len(sweeps[name])} drives; calls that ran eigvalsh: "
               f"{_eigvalsh_calls(parent[name])} -> {_eigvalsh_calls(change[name])} of {calls}")
         keys = sorted({k for row in parent[name] for k in row} - {"params"},
